@@ -66,12 +66,21 @@ def _model_params(args) -> ModelParams:
     return ModelParams(args.q, args.cap, args.cv, ce, node, edge)
 
 
+# Largest grid a command builds; the biggest grid in use has about 11k rows.
+_MAX_GRID_ROWS = 10**6
+
+
 def _grid(lo: float, hi: float, step: float, what: str) -> list:
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError(f"{what} range must be finite")
     if step <= 0 or hi < lo:
         raise ValueError(f"need {what}-min <= {what}-max and {what}-step > 0")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    rows = (hi - lo) / step + 1e-9
+    if rows >= _MAX_GRID_ROWS:
+        raise ValueError(
+            f"{what} grid of about {rows:.3g} rows exceeds the limit of {_MAX_GRID_ROWS}"
+        )
+    count = int(math.floor(rows)) + 1
     return [lo + k * step for k in range(count)]
 
 

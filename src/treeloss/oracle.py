@@ -1,16 +1,17 @@
-"""Exhaustive ground truth on small finite trees.
+"""Exact ground truth on small finite trees.
 
-Everything here is deliberately dumb: enumerate every occupancy assignment,
-keep the feasible ones (per-element caps plus the per-edge budget), and add
-up raw products of weights. No recursions, no partial-sum shortcuts — this
-module is what the fast code is checked against.
+Everything here counts assignments directly: per-element caps plus the
+per-edge budget decide which occupancy assignments are feasible, and weights
+are raw products over nodes and edges. No ratio map and no partial-sum
+shortcuts -- this module is what the fast code is checked against.
 
-Enumeration is bucketed by (lead value, node-occupancy histogram,
-edge-occupancy histogram). Weights enter only when a bucket tally is folded
-into a number, in sorted bucket order with fsum — so two traversal orders,
-or the two engines (pure-Python depth-first search with pruning, and a
-chunked vectorized full-grid scan), produce bit-identical floats. With
-exact (rational) weight entries the fold stays exact.
+Feasible assignments are tallied by (lead value, node-occupancy histogram,
+edge-occupancy histogram) in one bottom-up pass over the tree: on a tree the
+stationary law is a Markov random field, so subtree count tables convolve
+exactly. Weights enter only when a bucket tally is folded into a number, in
+sorted bucket order with fsum, so the float result does not depend on how
+the tree is stored. With exact (rational) weight entries the fold stays
+exact.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
@@ -42,12 +41,6 @@ __all__ = [
 ]
 
 GUARD_LIMIT = 10**8
-
-# Raw spaces at most this large go to the pruned depth-first engine; larger
-# ones go to the vectorized scan.
-_DFS_LIMIT = 100_000
-
-_CHUNK = 1 << 20
 
 
 class TreeTooLargeError(ValueError):
@@ -219,198 +212,66 @@ def _check_size(p: ModelParams, t: FiniteTree):
         )
 
 
-def _traversal(t: FiniteTree):
-    """(node position, parent position, parent edge index), parents first."""
-    order = []
-    seen = {0}
-    stack = [(0, None, None)]
-    while stack:
-        pos, par, eidx = stack.pop()
-        order.append((pos, par, eidx))
-        for wp, ei in t.adjacency[pos]:
-            if wp not in seen:
-                seen.add(wp)
-                stack.append((wp, pos, ei))
-    return order
+@lru_cache(maxsize=64)
+def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> dict:
+    """Count feasible assignments by (lead value, node histogram, edge histogram).
 
-
-def _tally_dfs(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> dict:
+    The tree is rooted at the lead node (an edge lead's first end) and count
+    tables are convolved upward, child by child. A table maps (occupancy of
+    the subtree's top node, lead flag, packed node histogram, packed edge
+    histogram) to a count. Histograms are packed as base-(n+1) and base-(e+1)
+    digits, so adding two packed keys adds the histograms. The flag records
+    whether one more call at the lead would still fit; only the root table
+    carries it, every table below holds it at 1.
+    """
     n, e = len(t.nodes), len(t.edges)
-    order = _traversal(t)
-    occ = [0] * n
-    eocc = [0] * e
-    hv = [0] * (cv + 1)
-    he = [0] * (ce + 1)
-    hv[0] = n
-    he[0] = e
-    tally: dict = {}
     kind, arg = lead
-
-    def lead_value() -> int:
-        if kind == "root":
-            return occ[arg]
-        if kind == "node":
-            if occ[arg] + 1 > cv:
-                return 0
-            for wp, ei in t.adjacency[arg]:
-                if occ[arg] + 1 + eocc[ei] + occ[wp] > cap:
-                    return 0
-            return 1
-        u, v, ei = arg
-        return int(eocc[ei] + 1 <= ce and occ[u] + eocc[ei] + 1 + occ[v] <= cap)
-
-    def descend(k: int):
-        if k == len(order):
-            key = (lead_value(), tuple(hv), tuple(he))
-            tally[key] = tally.get(key, 0) + 1
-            return
-        pos, par, eidx = order[k]
-        if par is None:
-            for val in range(cv + 1):
-                occ[pos] = val
-                hv[0] -= 1
-                hv[val] += 1
-                descend(k + 1)
-                hv[val] -= 1
-                hv[0] += 1
-            occ[pos] = 0
-            return
-        pocc = occ[par]
-        for ev in range(ce + 1):
-            room = cap - pocc - ev
-            if room < 0:
-                break
-            eocc[eidx] = ev
-            he[0] -= 1
-            he[ev] += 1
-            for val in range(min(cv, room) + 1):
-                occ[pos] = val
-                hv[0] -= 1
-                hv[val] += 1
-                descend(k + 1)
-                hv[val] -= 1
-                hv[0] += 1
-            he[ev] -= 1
-            he[0] += 1
-        occ[pos] = 0
-        eocc[eidx] = 0
-
-    descend(0)
+    top = arg[0] if kind == "edge" else arg
+    order, up = [top], {top: None}
+    for x in order:
+        for y, ei in t.adjacency[x]:
+            if y not in up:
+                up[y] = (x, ei)
+                order.append(y)
+    node_digit = [(n + 1) ** o for o in range(cv + 1)]
+    edge_digit = [(e + 1) ** j for j in range(ce + 1)]
+    tables = {x: {(o, 1, node_digit[o], 0): 1 for o in range(cv + 1)} for x in order}
+    if kind == "node":
+        tables[top] = {(o, int(o < cv), node_digit[o], 0): 1 for o in range(cv + 1)}
+    for y in reversed(order[1:]):
+        x, ei = up[y]
+        # a node call needs a unit of budget on every incident edge, an edge
+        # call a free edge slot and a unit of budget on its own edge
+        gated = x == top and (kind == "node" or (kind == "edge" and ei == arg[2]))
+        edge_room = ce if kind == "node" else ce - 1
+        msg: list = [{} for _ in range(cv + 1)]  # by parent occupancy
+        for (b, _, hv, he), count in tables.pop(y).items():
+            for j in range(min(ce, cap - b) + 1):
+                he_j = he + edge_digit[j]
+                for a in range(min(cv, cap - b - j) + 1):
+                    ok = int(not gated or (a + j + b < cap and j <= edge_room))
+                    key = (ok, hv, he_j)
+                    msg[a][key] = msg[a].get(key, 0) + count
+        merged: dict = {}
+        for (a, flag, hv, he), count in tables[x].items():
+            for (ok, hv_c, he_c), count_c in msg[a].items():
+                key = (a, flag & ok, hv + hv_c, he + he_c)
+                merged[key] = merged.get(key, 0) + count * count_c
+        tables[x] = merged
+    tally: dict = {}
+    for (o, flag, hv, he), count in tables[top].items():
+        hv, he = _unpack(hv, n + 1, cv + 1), _unpack(he, e + 1, ce + 1)
+        key = (o if kind == "root" else flag, hv, he)
+        tally[key] = tally.get(key, 0) + count
     return tally
 
 
-def _decode(rem, radix: int, count: int):
-    cols = []
-    if radix & (radix - 1) == 0:
-        shift = radix.bit_length() - 1
-        mask = radix - 1
-        for _ in range(count):
-            cols.append((rem & mask).astype(np.int8))
-            rem = rem >> shift
-    else:
-        for _ in range(count):
-            rem, dig = np.divmod(rem, radix)
-            cols.append(dig.astype(np.int8))
-    return cols, rem
-
-
-def _tally_grid(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> dict:
-    n, e = len(t.nodes), len(t.edges)
-    raw = (cv + 1) ** n * (ce + 1) ** e
-    kind, arg = lead
-    idx_dtype = np.int32 if raw <= 2**31 - 1 else np.int64
-    # histogram packing: sum of LUT[digit] over columns equals the base-(n+1)
-    # (resp. base-(e+1)) little-endian packing of the occupancy histogram
-    node_lut = np.array([(n + 1) ** v for v in range(cv + 1)], np.int64)
-    edge_lut = np.array([(e + 1) ** v for v in range(ce + 1)], np.int64)
-    node_span = int((n + 1) ** (cv + 1))
-    edge_span = int((e + 1) ** (ce + 1))
-    lead_span = cv + 1 if kind == "root" else 2
-    span = lead_span * node_span * edge_span
-    counts_acc = np.zeros(span, np.int64) if span <= 1 << 24 else None
-    tally: dict = {}
-    for lo in range(0, raw, _CHUNK):
-        rem = np.arange(lo, min(lo + _CHUNK, raw), dtype=idx_dtype)
-        ncols, rem = _decode(rem, cv + 1, n)
-        ecols = _decode(rem, ce + 1, e)[0] if ce else None
-        m = ncols[0].shape[0]
-
-        def ecol(i: int):
-            return ecols[i] if ecols is not None else np.zeros(m, np.int8)
-
-        if 2 * cv + ce > cap:
-            ok = np.ones(m, bool)
-            if ecols is None:
-                for up, vp in t.edge_ends:
-                    ok &= (ncols[up] + ncols[vp]) <= cap
-            else:
-                for i, (up, vp) in enumerate(t.edge_ends):
-                    ok &= (ncols[up] + ecols[i] + ncols[vp]) <= cap
-            ncols = [c[ok] for c in ncols]
-            if ecols is not None:
-                ecols = [c[ok] for c in ecols]
-            m = int(ok.sum())
-            if m == 0:
-                continue
-
-        if kind == "root":
-            lead_vals = ncols[arg].astype(np.int64)
-        elif kind == "node":
-            acc = ncols[arg] < cv
-            for wp, ei in t.adjacency[arg]:
-                acc &= (ncols[arg] + 1 + ecol(ei) + ncols[wp]) <= cap
-            lead_vals = acc.astype(np.int64)
-        elif ce == 0:
-            lead_vals = np.zeros(m, np.int64)
-        else:
-            u, v, ei = arg
-            acc = (ecols[ei] < ce) & ((ncols[u] + ecols[ei] + 1 + ncols[v]) <= cap)
-            lead_vals = acc.astype(np.int64)
-
-        hv_key = np.zeros(m, np.int64)
-        for c in ncols:
-            hv_key += node_lut[c]
-        if ecols is None:
-            he_key = e  # every edge idle: histogram is (e, 0, ..., 0)
-        else:
-            he_key = np.zeros(m, np.int64)
-            for c in ecols:
-                he_key += edge_lut[c]
-        key = (lead_vals * node_span + hv_key) * edge_span + he_key
-        if counts_acc is not None:
-            counts_acc += np.bincount(key, minlength=span)
-        else:
-            uniq, cnt = np.unique(key, return_counts=True)
-            for k, c in zip(uniq.tolist(), cnt.tolist()):
-                tally[k] = tally.get(k, 0) + c
-    if counts_acc is not None:
-        nz = np.nonzero(counts_acc)[0]
-        tally = dict(zip(nz.tolist(), counts_acc[nz].tolist()))
-    out: dict = {}
-    for k, c in tally.items():
-        k, he_packed = divmod(k, edge_span)
-        lead_val, hv_packed = divmod(k, node_span)
-        hv = []
-        for _ in range(cv + 1):
-            hv_packed, d = divmod(hv_packed, n + 1)
-            hv.append(d)
-        he = []
-        for _ in range(ce + 1):
-            he_packed, d = divmod(he_packed, e + 1)
-            he.append(d)
-        out[(lead_val, tuple(hv), tuple(he))] = c
-    return out
-
-
-@lru_cache(maxsize=64)
-def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead, engine: str) -> dict:
-    if engine == "auto":
-        engine = "dfs" if (cv + 1) ** len(t.nodes) * (ce + 1) ** len(t.edges) <= _DFS_LIMIT else "grid"
-    if engine == "dfs":
-        return _tally_dfs(t, cap, cv, ce, lead)
-    if engine == "grid":
-        return _tally_grid(t, cap, cv, ce, lead)
-    raise ValueError(f"unknown engine {engine!r}")
+def _unpack(packed: int, base: int, digits: int) -> tuple:
+    out = []
+    for _ in range(digits):
+        packed, d = divmod(packed, base)
+        out.append(d)
+    return tuple(out)
 
 
 def _fold(tally: dict, node_entries, edge_entries, leads: int) -> list:
@@ -446,24 +307,24 @@ def _lead_for_target(t: FiniteTree, target):
     return ("node", t.node_index(target))
 
 
-def exact_partition(p: ModelParams, t: FiniteTree, root, engine: str = "auto") -> tuple:
+def exact_partition(p: ModelParams, t: FiniteTree, root) -> tuple:
     """Z(i), i = 0..cv: total weight of feasible assignments with root occupancy i."""
     _check_size(p, t)
-    tally = _tally(t, p.cap, p.cv, p.ce, ("root", t.node_index(root)), engine)
+    tally = _tally(t, p.cap, p.cv, p.ce, ("root", t.node_index(root)))
     return tuple(
         _fold(tally, p.node_weights.entries, p.edge_weights.entries, p.cv + 1)
     )
 
 
-def occupancy_distribution(p: ModelParams, t: FiniteTree, node, engine: str = "auto") -> tuple:
-    z = exact_partition(p, t, node, engine)
+def occupancy_distribution(p: ModelParams, t: FiniteTree, node) -> tuple:
+    z = exact_partition(p, t, node)
     total = sum(z)
     if total <= 0:
         raise ValueError("degenerate weights: total measure is zero")
     return tuple(zi / total for zi in z)
 
 
-def exact_blocking(p: ModelParams, t: FiniteTree, target, engine: str = "auto"):
+def exact_blocking(p: ModelParams, t: FiniteTree, target):
     """Stationary probability that one more call at the target is refused.
 
     Node target (label): needs a free node slot and a unit of budget on every
@@ -471,7 +332,7 @@ def exact_blocking(p: ModelParams, t: FiniteTree, target, engine: str = "auto"):
     budget on that edge. Exact weights give an exact rational back.
     """
     _check_size(p, t)
-    tally = _tally(t, p.cap, p.cv, p.ce, _lead_for_target(t, target), engine)
+    tally = _tally(t, p.cap, p.cv, p.ce, _lead_for_target(t, target))
     refused, admitted = _fold(
         tally, p.node_weights.entries, p.edge_weights.entries, 2
     )

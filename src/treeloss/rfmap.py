@@ -89,11 +89,12 @@ class ModelParams:
 
 
 @lru_cache(maxsize=512)
-def _coefficients(p: ModelParams):
-    """Partial-sum coefficient rows of the map: (numerator rows, denominator row).
+def _coefficients(p: ModelParams) -> tuple:
+    """Clipped partial-sum rows: rows[k][j] = S(min(cap-k-j, ce)) as floats.
 
-    num[k-1][j] = S(min(cap-k-j, ce)), den[j] = S(min(cap-j, ce)), as floats,
-    with S of a negative index equal to 0.
+    k runs over 0..cv+1 and j over 0..cv, with S of a negative index equal to
+    0. Row 0 is the map's denominator, rows 1..cv its numerators; the extra
+    row cv+1 serves blocking sums that reserve one unit of budget.
     """
 
     def clipped(a: int) -> float:
@@ -101,12 +102,38 @@ def _coefficients(p: ModelParams):
             return 0.0
         return float(p.edge_weights.partial_sum(min(a, p.ce)))
 
-    den = tuple(clipped(p.cap - j) for j in range(p.cv + 1))
-    num = tuple(
+    return tuple(
         tuple(clipped(p.cap - k - j) for j in range(p.cv + 1))
-        for k in range(1, p.cv + 1)
+        for k in range(p.cv + 2)
     )
-    return num, den
+
+
+@lru_cache(maxsize=512)
+def _map_step(p: ModelParams):
+    """The ratio map Phi as a closure over its coefficient rows; no validation."""
+    rows = _coefficients(p)
+    den, num = rows[0], rows[1:]
+    nus = tuple(float(v) for v in p.node_weights.entries[1:])
+    q, cv = p.q, p.cv
+
+    def step(x: tuple) -> tuple:
+        d = den[0]
+        for j in range(cv):
+            d += den[j + 1] * x[j]
+        out = []
+        for k in range(cv):
+            nu_k = nus[k]
+            if nu_k == 0.0:
+                out.append(0.0)
+                continue
+            row = num[k]
+            n = row[0]
+            for j in range(cv):
+                n += row[j + 1] * x[j]
+            out.append(nu_k * power(n / d, q) if n > 0.0 else 0.0)
+        return tuple(out)
+
+    return step
 
 
 def _check_ratio_vector(p: ModelParams, xi) -> tuple:
@@ -121,24 +148,7 @@ def _check_ratio_vector(p: ModelParams, xi) -> tuple:
 
 def random_field_map(p: ModelParams, xi) -> tuple:
     """One application of the ratio map Phi to a ratio vector of length cv."""
-    vec = _check_ratio_vector(p, xi)
-    num, den = _coefficients(p)
-    nus = p.node_weights.entries
-    d = den[0]
-    for j in range(p.cv):
-        d += den[j + 1] * vec[j]
-    out = []
-    for k in range(p.cv):
-        nu_k = float(nus[k + 1])
-        if nu_k == 0.0:
-            out.append(0.0)
-            continue
-        row = num[k]
-        n = row[0]
-        for j in range(p.cv):
-            n += row[j + 1] * vec[j]
-        out.append(nu_k * power(n / d, p.q) if n > 0.0 else 0.0)
-    return tuple(out)
+    return _map_step(p)(_check_ratio_vector(p, xi))
 
 
 class Uniqueness(enum.Enum):
@@ -193,29 +203,13 @@ def classify_by_iteration(
     if not (isinstance(max_iter, int) and max_iter >= 4):
         raise ValueError(f"max_iter must be an int >= 4, got {max_iter!r}")
 
-    num, den = _coefficients(p)
-    nus = tuple(float(v) for v in p.node_weights.entries[1:])
-    q, cv = p.q, p.cv
+    step = _map_step(p)
+    rows = _coefficients(p)
+    cv = p.cv
 
-    def step(x: tuple) -> tuple:
-        d = den[0]
-        for j in range(cv):
-            d += den[j + 1] * x[j]
-        out = []
-        for k in range(cv):
-            nu_k = nus[k]
-            if nu_k == 0.0:
-                out.append(0.0)
-                continue
-            row = num[k]
-            n = row[0]
-            for j in range(cv):
-                n += row[j + 1] * x[j]
-            out.append(nu_k * power(n / d, q) if n > 0.0 else 0.0)
-        return tuple(out)
-
-    # scalar map slope sign: decreasing iff num[0] x den cross-difference <= 0
-    monotone = cv == 1 and (num[0][1] * den[0] - num[0][0] * den[1]) <= 0.0
+    # scalar map slope sign: decreasing iff the numerator x denominator
+    # cross-difference is <= 0
+    monotone = cv == 1 and (rows[1][1] * rows[0][0] - rows[1][0] * rows[0][1]) <= 0.0
 
     zero = (0.0,) * cv
     xs = [zero]  # xs[n] = xi^(n); only the last four are kept
@@ -283,7 +277,7 @@ def pair_interaction(p: ModelParams, i: int, j: int) -> float:
             raise ValueError(f"{name} must be an int in [0, cv={p.cv}], got {v!r}")
     if i + j > p.cap:
         return 0.0
-    room = float(p.edge_weights.partial_sum(min(p.ce, p.cap - i - j)))
+    room = _coefficients(p)[i][j]
     prod = float(p.node_weights.entries[i]) * float(p.node_weights.entries[j])
     return power(prod, 1.0 / (p.q + 1)) * room
 

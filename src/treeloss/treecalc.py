@@ -75,7 +75,7 @@ def rooted_state(p: ModelParams, height: int) -> NormalizedState:
         raise ValueError(f"height must be an int >= 0, got {height!r}")
     xi = tuple(float(v) for v in p.node_weights.entries[1:])
     log_z0 = 0.0
-    _, den = _coefficients(p)
+    den = _coefficients(p)[0]
     for _ in range(height):
         growth = den[0]
         for j in range(p.cv):
@@ -91,17 +91,10 @@ def _capacity_sums(p: ModelParams, xi: Sequence[float], used: int) -> tuple:
     ``used`` reserves budget on every incident edge (1 while testing whether
     one more node call fits); S of a negative index contributes 0.
     """
-    s = p.edge_weights.partial_sum
-
-    def clipped(a: int) -> float:
-        if a < 0:
-            return 0.0
-        return float(s(min(a, p.ce)))
-
+    rows = _coefficients(p)[used:]
     full = (1.0,) + tuple(xi)
     return tuple(
-        sum(clipped(p.cap - used - i - j) * full[j] for j in range(p.cv + 1))
-        for i in range(p.cv + 1)
+        sum(rows[i][j] * full[j] for j in range(p.cv + 1)) for i in range(p.cv + 1)
     )
 
 

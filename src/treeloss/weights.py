@@ -14,6 +14,7 @@ window existence) free of rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -100,8 +101,8 @@ def poisson_weights(rate, top_index: int) -> WeightVector:
     """Entries rate**i / i! for i = 0..top_index. Exact when rate is a Fraction."""
     if not (isinstance(top_index, int) and top_index >= 0):
         raise ValueError(f"top_index must be an int >= 0, got {top_index!r}")
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not rate > 0 or rate == math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
     one = rate / rate  # unit in the arithmetic of `rate`
     entries = [one]
     for i in range(1, top_index + 1):
@@ -113,8 +114,8 @@ def geometric_weights(rate, top_index: int) -> WeightVector:
     """Entries rate**i for i = 0..top_index (processor-sharing service)."""
     if not (isinstance(top_index, int) and top_index >= 0):
         raise ValueError(f"top_index must be an int >= 0, got {top_index!r}")
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not rate > 0 or rate == math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
     one = rate / rate
     entries = [one]
     for i in range(1, top_index + 1):

@@ -1,9 +1,15 @@
 """Command-line interface: schemas, exit codes, determinism, file output."""
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeloss
 from treeloss import __version__
 from treeloss.cli import main
 from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
@@ -116,6 +122,13 @@ class TestClassifyCommand:
         assert doc["fixed_point"] is None
         assert doc["even_limit"][0] < doc["odd_limit"][0]
 
+    def test_infinite_rate_is_usage_error(self, capsys):
+        code, _, err = _run(
+            capsys, "classify", "--q", "2", "--cap", "2", "--lam", "1", "--nu", "inf"
+        )
+        assert code == 2
+        assert "rate must be positive and finite" in err
+
 
 class TestBlockingCurveCommand:
     ARGS = (
@@ -172,6 +185,21 @@ class TestBlockingCurveCommand:
         assert code == 2
         assert err
         assert not dest.exists()
+
+    def test_oversized_grid_is_refused_at_once(self):
+        # 10^15 rows: run in a child capped at 1 GiB of address space, so a
+        # missing guard fails the test instead of exhausting memory
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeloss", "blocking-curve", "--q", "2", "--cap", "2",
+             "--ce", "0", "--nu-min", "1", "--nu-max", "1e12", "--nu-step", "1e-3"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2
+        assert b"exceeds the limit" in proc.stderr
+        assert proc.stdout == b""
 
 
 class TestSweepRegionCommand:

@@ -1,4 +1,5 @@
-"""Enumeration ground truth: hand counts, exactness, engine/order independence."""
+"""Exact tally: hand counts, exactness, literal enumeration, order independence."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -121,7 +122,61 @@ class TestExactness:
         assert all(isinstance(v, float) for v in z)
 
 
-class TestIndependence:
+def _literal_totals(p, t, leads):
+    """Weight per lead value, summed over every feasible assignment one by one.
+
+    Each lead is ("root", node) for the partition by that node's occupancy,
+    or ("node", node) / ("edge", pair) for [refused, admitted] totals of one
+    more call there: admitted when adding it leaves the assignment feasible.
+    """
+    out = [[0] * (p.cv + 1 if kind == "root" else 2) for kind, _ in leads]
+    for occ in itertools.product(range(p.cv + 1), repeat=len(t.nodes)):
+        for eocc in itertools.product(range(p.ce + 1), repeat=len(t.edges)):
+            node_occ, edge_occ = dict(zip(t.nodes, occ)), dict(zip(t.edges, eocc))
+            if not is_feasible(p, t, Configuration(node_occ, edge_occ)):
+                continue
+            w = math.prod(p.node_weights.entries[o] for o in occ)
+            w *= math.prod(p.edge_weights.entries[j] for j in eocc)
+            for totals, (kind, where) in zip(out, leads):
+                if kind == "root":
+                    totals[node_occ[where]] += w
+                    continue
+                node_more, edge_more = dict(node_occ), dict(edge_occ)
+                (node_more if kind == "node" else edge_more)[where] += 1
+                totals[int(is_feasible(p, t, Configuration(node_more, edge_more)))] += w
+    return out
+
+
+def _exact_params(cap, cv, ce):
+    return ModelParams(
+        q=1,
+        cap=cap,
+        cv=cv,
+        ce=ce,
+        node_weights=poisson_weights(Fraction(9, 10), cv),
+        edge_weights=poisson_weights(Fraction(3, 5), ce),
+    )
+
+
+def _assert_matches_literal(p, t, roots, targets):
+    leads = [("root", r) for r in roots]
+    leads += [("edge" if isinstance(x, tuple) else "node", x) for x in targets]
+    literal = _literal_totals(p, t, leads)
+    for r, want in zip(roots, literal):
+        assert exact_partition(p, t, r) == tuple(want)
+    for x, (refused, admitted) in zip(targets, literal[len(roots):]):
+        assert exact_blocking(p, t, x) == refused / (refused + admitted)
+
+
+@st.composite
+def _small_trees(draw):
+    n = draw(st.integers(1, 4))
+    labels = draw(st.permutations(range(10, 10 + n)))
+    edges = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    return FiniteTree(tuple(labels), tuple(edges))
+
+
+class TestLiteralEnumeration:
     CASES = [
         (1, 1, 1, path_tree(3)),
         (2, 1, 1, path_tree(4)),
@@ -132,23 +187,27 @@ class TestIndependence:
     ]
 
     @pytest.mark.parametrize("cap,cv,ce,t", CASES)
-    def test_engines_agree_bit_for_bit(self, cap, cv, ce, t):
-        p = ModelParams(
-            q=1,
-            cap=cap,
-            cv=cv,
-            ce=ce,
-            node_weights=poisson_weights(0.9, cv),
-            edge_weights=poisson_weights(0.6, ce) if ce else WeightVector((1.0,)),
-        )
-        assert exact_partition(p, t, t.nodes[0], engine="dfs") == exact_partition(
-            p, t, t.nodes[0], engine="grid"
-        )
-        for target in (t.nodes[-1], t.edges[0]):
-            assert exact_blocking(p, t, target, engine="dfs") == exact_blocking(
-                p, t, target, engine="grid"
-            )
+    def test_tally_matches_literal_enumeration(self, cap, cv, ce, t):
+        # node targets: the root and a non-root leaf; edge targets: first and last
+        targets = (t.nodes[0], t.nodes[-1], t.edges[0], t.edges[-1])
+        _assert_matches_literal(_exact_params(cap, cv, ce), t, t.nodes[::-1], targets)
 
+    @given(
+        _small_trees(),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.data(),
+    )
+    def test_random_trees_match_literal_enumeration(self, t, cap, cv, ce, data):
+        p = _exact_params(cap, min(cv, cap), min(ce, cap))
+        targets = [data.draw(st.sampled_from(t.nodes))]
+        if t.edges:
+            targets.append(data.draw(st.sampled_from(t.edges)))
+        _assert_matches_literal(p, t, t.nodes, targets)
+
+
+class TestIndependence:
     def test_storage_order_does_not_change_floats(self):
         p = ModelParams(
             q=1,

@@ -95,6 +95,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             factory(1.0, -1)
 
+    @pytest.mark.parametrize("factory", [poisson_weights, geometric_weights])
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, factory, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            factory(rate, 2)
+
     @given(st.integers(1, 6), st.fractions(min_value="1/100", max_value=50))
     def test_exact_entries_match_float_construction(self, top, rate):
         exact = poisson_weights(rate, top)
