@@ -128,6 +128,7 @@ def _cmd_classify(args) -> int:
     payload = {
         "kind": verdict.kind.value,
         "iterations": verdict.iterations,
+        "method": verdict.method,
         "fixed_point": _jsonable(verdict.fixed_point),
         "even_limit": _jsonable(verdict.even_limit),
         "odd_limit": _jsonable(verdict.odd_limit),

@@ -20,8 +20,12 @@ are termwise dominated by the denominator ones, so 0 <= Phi_k <= nu_k always.
 
 The infinite-tree law is unique exactly when iterating the map from the zero
 vector converges; a persistent two-cycle of the iterates witnesses multiple
-laws. ``classify_by_iteration`` implements that test with an honest
-Inconclusive fallback when the iteration budget runs out.
+laws. ``classify_by_iteration`` implements that test. For cv == 1 the map is
+the decreasing scalar m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q, which has
+negative Schwarzian, so an attracting fixed point attracts globally (Singer,
+SIAM J. Appl. Math. 1978): when the iteration is slow the fixed point is
+bisected inside the parity sandwich and the verdict read off |m'(x*)| <= 1.
+A verdict is Inconclusive only when the step budget runs out.
 """
 
 from __future__ import annotations
@@ -164,7 +168,9 @@ class UniquenessVerdict:
     ``fixed_point`` is set for Unique. ``even_limit``/``odd_limit`` are the
     stabilized two-cycle points for Multiple; for Inconclusive they hold the
     last even/odd iterates (not converged - useful for diagnostics, flagged
-    by the kind).
+    by the kind). ``method`` names what decided the verdict: ``"iteration"``
+    (the iterates settled, or the budget ran out) or ``"bisection"`` (the
+    cv == 1 fallback bisected the fixed point and read its slope).
     """
 
     kind: Uniqueness
@@ -172,10 +178,36 @@ class UniquenessVerdict:
     fixed_point: tuple | None = None
     even_limit: tuple | None = None
     odd_limit: tuple | None = None
+    method: str = "iteration"
 
 
 def _sup_gap(a: tuple, b: tuple) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+# plain iteration steps before a slow cv == 1 run switches to bisection;
+# about what one bisection to float resolution costs
+_SWITCH_STEP = 64
+
+
+def _bisect(f, lo: float, hi: float, cost: int, budget: int) -> tuple:
+    """Shrink a bracket with f(lo) > 0 >= f(hi) until its midpoint is an end.
+
+    Each call of f costs ``cost`` map evaluations. Returns ``(lo, used)``,
+    or ``(None, used)`` when the next call would overrun ``budget``.
+    """
+    used = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, used
+        if used + cost > budget:
+            return None, used
+        used += cost
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def classify_by_iteration(
@@ -195,8 +227,17 @@ def classify_by_iteration(
 
     For cv == 1 with a nonincreasing map the parity subsequences must form a
     monotone sandwich (evens rise, odds fall, evens below odds); that ordering
-    is asserted on every run and a violation raises RuntimeError, since it
-    would mean the iteration itself is buggy.
+    is asserted on every step and a violation raises RuntimeError, since it
+    would mean the iteration itself is buggy. If such a run is undecided
+    after 64 steps, the sandwich brackets the fixed point x*, which is
+    bisected to float resolution. The map m has negative Schwarzian, so an
+    attracting fixed point attracts globally (Singer, SIAM J. Appl. Math.
+    1978): |m'(x*)| <= 1 means Unique at x*; otherwise the even limit is
+    bisected as the root of m(m(y)) - y between the last even iterate and
+    x*, and the odd limit is its image. These verdicts carry
+    ``method="bisection"`` and do not depend on ``tol`` or ``sep``. Every
+    map evaluation counts against ``max_iter``; a budget that runs out
+    during bisection gives Inconclusive with the last two iterates.
     """
     if not 0.0 < tol < sep:
         raise ValueError(f"need 0 < tol < sep, got tol={tol}, sep={sep}")
@@ -255,6 +296,9 @@ def classify_by_iteration(
                         Uniqueness.MULTIPLE, n, even_limit=even_limit, odd_limit=odd_limit
                     )
 
+        if monotone and n == _SWITCH_STEP:
+            return _decide_scalar(step, rows, p.q, last_even, last_odd, n, max_iter)
+
         if len(xs) > 4:
             xs.pop(0)
 
@@ -262,6 +306,34 @@ def classify_by_iteration(
     even_tail, odd_tail = (a, b) if max_iter % 2 == 0 else (b, a)
     return UniquenessVerdict(
         Uniqueness.INCONCLUSIVE, max_iter, even_limit=even_tail, odd_limit=odd_tail
+    )
+
+
+def _decide_scalar(step, rows, q, even, odd, n, max_iter) -> UniquenessVerdict:
+    """Decide a slow cv == 1 run from its parity sandwich [even, odd] at step n."""
+
+    def m(x):
+        return step((x,))[0]
+
+    x, used = _bisect(lambda x: m(x) - x, even, odd, 1, max_iter - n)
+    n += used
+    if x is not None:
+        (b0, b1), (a0, a1) = rows[0], rows[1]
+        # m'(x) = q m(x) (a1 b0 - a0 b1) / ((a0 + a1 x)(b0 + b1 x)), and m(x*) = x*
+        slope = q * (x / (a0 + a1 * x)) * ((a1 * b0 - a0 * b1) / (b0 + b1 * x))
+        if abs(slope) <= 1.0:
+            return UniquenessVerdict(
+                Uniqueness.UNIQUE, n, fixed_point=(x,), method="bisection"
+            )
+        y, used = _bisect(lambda y: m(m(y)) - y, even, x, 2, max_iter - n)
+        n += used
+        if y is not None and n < max_iter:
+            return UniquenessVerdict(
+                Uniqueness.MULTIPLE, n + 1, even_limit=(y,), odd_limit=(m(y),),
+                method="bisection",
+            )
+    return UniquenessVerdict(
+        Uniqueness.INCONCLUSIVE, max_iter, even_limit=(even,), odd_limit=(odd,)
     )
 
 

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
-import numpy as np
-
 from .oracle import Configuration, build_tree, is_feasible
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
@@ -254,6 +252,8 @@ def _ratio(num: int, den: int) -> float:
 
 
 def run(cfg: SimConfig) -> SimStats:
+    import numpy as np  # imported here so the analytic commands start without it
+
     tree, _ = build_tree(cfg.tree, cfg.params.q)
     if cfg.node_target not in tree.nodes:
         raise ValueError(f"node target {cfg.node_target!r} not in tree")

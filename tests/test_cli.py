@@ -122,6 +122,21 @@ class TestClassifyCommand:
         assert doc["fixed_point"] is None
         assert doc["even_limit"][0] < doc["odd_limit"][0]
 
+    @pytest.mark.parametrize("nu,kind,method", [
+        ("1", "unique", "iteration"),     # settles in 27 steps
+        ("26.5", "unique", "bisection"),  # just below the window: slow, bisected
+        ("50", "multiple", "bisection"),
+    ])
+    def test_method_records_what_decided(self, capsys, nu, kind, method):
+        code, out, _ = _run(
+            capsys,
+            "classify", "--q", "10", "--cap", "2", "--cv", "1", "--ce", "2",
+            "--weights", "poisson", "--lam", "0.75", "--nu", nu,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["kind"], doc["method"]) == (kind, method)
+
     def test_infinite_rate_is_usage_error(self, capsys):
         code, _, err = _run(
             capsys, "classify", "--q", "2", "--cap", "2", "--lam", "1", "--nu", "inf"
@@ -200,6 +215,19 @@ class TestBlockingCurveCommand:
         assert proc.returncode == 2
         assert b"exceeds the limit" in proc.stderr
         assert proc.stdout == b""
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the simulator needs numpy; the analytic commands must start without it
+    src = str(Path(treeloss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treeloss, treeloss.cli; print('numpy' in sys.modules)"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
 
 
 class TestSweepRegionCommand:

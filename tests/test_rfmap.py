@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from treeloss.phase1d import PhaseParams, classify_closed_form, phase_window
 from treeloss.rfmap import (
     ModelParams,
     Uniqueness,
@@ -214,6 +215,87 @@ class TestClassification:
             classify_by_iteration(_params(), tol=1e-6, sep=1e-8)
         with pytest.raises(ValueError):
             classify_by_iteration(_params(), max_iter=3)
+
+
+@st.composite
+def scalar_params(draw):
+    """cv = 1 models with ce < cap, loads spread over four decades."""
+    cap = draw(st.integers(1, 4))
+    ce = draw(st.integers(0, cap - 1))
+    family = draw(st.sampled_from([poisson_weights, geometric_weights]))
+    return ModelParams(
+        q=draw(st.integers(1, 20)),
+        cap=cap,
+        cv=1,
+        ce=ce,
+        node_weights=poisson_weights(10.0 ** draw(st.floats(-1.0, 3.0)), 1),
+        edge_weights=family(draw(st.floats(min_value=0.05, max_value=5.0)), ce),
+    )
+
+
+class TestScalarFallback:
+    def test_readme_grid_is_fully_decided(self):
+        win = phase_window(10, 2, poisson_weights(0.75, 2))
+        methods = set()
+        for k in range(299):
+            nu = 1.0 + 0.5 * k
+            v = classify_by_iteration(_params(nu=nu), max_iter=10**5)
+            expect = Uniqueness.MULTIPLE if win.nu_minus < nu < win.nu_plus else Uniqueness.UNIQUE
+            assert v.kind is expect, (nu, v)
+            methods.add(v.method)
+        assert methods == {"iteration", "bisection"}
+
+    @pytest.mark.parametrize(
+        "nu", [26.5, 26.7, 26.77, 26.771, 26.8, 90.7, 90.72, 90.73, 91.0, 93.0]
+    )
+    def test_near_endpoint_loads_match_closed_form(self, nu):
+        closed = classify_closed_form(
+            PhaseParams(q=10, cap=2, edge_weights=poisson_weights(0.75, 2), nu=nu)
+        )
+        v = classify_by_iteration(_params(nu=nu))
+        assert v.kind is closed.kind
+        assert v.method == "bisection"
+
+    def test_method_names_the_decider(self):
+        assert classify_by_iteration(_params(nu=1.0)).method == "iteration"
+        assert classify_by_iteration(_params(nu=26.5)).method == "bisection"
+        assert classify_by_iteration(_params(nu=50.0)).method == "bisection"
+        # cv >= 2 has no scalar fallback
+        v = classify_by_iteration(_params(cap=2, cv=2, ce=2, nu=5.0))
+        assert (v.kind, v.method) == (Uniqueness.UNIQUE, "iteration")
+
+    def test_verdict_does_not_depend_on_tolerances(self):
+        loose = classify_by_iteration(_params(nu=26.5), tol=1e-9, sep=1e-3)
+        tight = classify_by_iteration(_params(nu=26.5))
+        assert loose.method == tight.method == "bisection"
+        assert loose == tight
+
+    @pytest.mark.parametrize("nu,max_iter", [(26.5, 64), (26.5, 80), (50.0, 150)])
+    def test_budget_runs_out_during_bisection(self, nu, max_iter):
+        v = classify_by_iteration(_params(nu=nu), max_iter=max_iter)
+        assert v.kind is Uniqueness.INCONCLUSIVE
+        assert v.iterations == max_iter
+        assert v.method == "iteration"
+        # the last even and odd iterates of the plain run, still sandwiched
+        assert 0.0 < v.even_limit[0] < v.odd_limit[0]
+
+    @given(scalar_params())
+    def test_fallback_verdicts_are_fixed_points(self, p):
+        def m(x):
+            return random_field_map(p, (x,))[0]
+
+        v = classify_by_iteration(p)
+        if v.kind is Uniqueness.UNIQUE:
+            (x,) = v.fixed_point
+            assert abs(m(x) - x) <= 1e-10 * (1.0 + x)
+        else:
+            assert v.kind is Uniqueness.MULTIPLE
+            (even,), (odd,) = v.even_limit, v.odd_limit
+            scale = 1.0 + odd
+            assert even < odd
+            assert abs(m(even) - odd) <= 1e-10 * scale
+            for y in (even, odd):
+                assert abs(m(m(y)) - y) <= 1e-9 * scale
 
 
 class TestPairInteraction:
