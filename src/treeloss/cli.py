@@ -151,6 +151,12 @@ def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
 
 
 def _cmd_window(args) -> int:
+    ce = args.cap if args.ce is None else args.ce
+    if args.cv != 1 or ce != args.cap:
+        raise ValueError(
+            "window has a closed form only for cv = 1 and ce = cap; "
+            f"got cv = {args.cv}, ce = {ce}, cap = {args.cap}"
+        )
     edge = _edge_family(args.weights, args.lam, args.cap)
     return _emit_json(args, _window_payload(args.q, args.cap, edge))
 
@@ -197,6 +203,7 @@ def _cmd_sweep_region(args) -> int:
     if args.weights.startswith("file:"):
         raise ValueError("sweep-region scans the rate; fixed file weights make no sense here")
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
+    _edge_family(args.weights, args.lam_min, args.cap)  # validate before any output
     tasks = [(args.q, args.cap, args.weights, lam) for lam in lams]
     rows = _map_tasks(_sweep_task, tasks, args.jobs)
     return _emit_csv(args, "sweep-region", "lambda,condition_a,nu_minus,nu_plus", rows)

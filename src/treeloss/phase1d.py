@@ -16,18 +16,25 @@ and everything reduces to two ingredients:
 When the window inequality ``(q-1)^2 S_{cap-1}^2 > (q+1)^2 S_cap S_{cap-2}``
 holds (``condition_a``), the quadratic has two positive roots and mapping them
 through ``nu_of_fixed_point`` yields the open interval of nu with multiple
-limiting laws. Sign decisions run in exact rational arithmetic so that points
-on the boundary are detected exactly rather than by float luck.
+limiting laws.
+
+Sign decisions are exact, so that points on the boundary are detected
+exactly rather than by float luck. They are taken on the integer numerators
+N of the partial sums, S_k = N_k / D, that every weight vector builds once
+at construction: the margins, the quadratic's coefficients and its
+discriminant are integers at scale D**2 (D**4 for the discriminant), and a
+float is formed from them only by Python's correctly rounded ``int / int``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._num import power
 from .rfmap import Uniqueness
-from .weights import WeightVector, log_concavity_margin, poisson_weights
+from .weights import WeightVector, poisson_weights
 
 __all__ = [
     "AssumptionViolation",
@@ -68,12 +75,29 @@ def _validate_qcw(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
         raise ValueError(f"edge weights need length cap+1={cap + 1}, got {len(w)}")
 
 
-def _require_assumption(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
+def _exact_window_sums(cap: int, w: WeightVector) -> tuple[int, int, int, int]:
+    """(D, N_{cap-2}, N_{cap-1}, N_cap): the exact sums S_k = N_k / D the window uses."""
+    d, nums = w._exact_sums
+    return (d, *nums[cap - 2 : cap + 1])
+
+
+def _require_assumption(
+    q: int, cap: int, w: WeightVector, min_q: int = 1
+) -> tuple[int, int, int, int]:
+    """Validate, then check strict log-concavity exactly; returns ``_exact_window_sums``."""
     _validate_qcw(q, cap, w, min_q)
-    if not log_concavity_margin(w, cap) > 0:
+    sums = _exact_window_sums(cap, w)
+    _, n0, n1, n2 = sums
+    if not n1 * n1 > n2 * n0:
         raise AssumptionViolation(
             f"partial sums not strictly log-concave at cap={cap}; phase analysis undefined"
         )
+    return sums
+
+
+def _condition_a_numerator(q: int, n0: int, n1: int, n2: int) -> int:
+    """condition_a_margin times D**2."""
+    return (q - 1) ** 2 * n1 * n1 - (q + 1) ** 2 * n2 * n0
 
 
 @dataclass(frozen=True)
@@ -188,6 +212,11 @@ def fixed_point(p: PhaseParams, tol: float = 1e-13) -> float:
 def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:
     """The nu for which x is the fixed point of the scalar map (increasing in x)."""
     _require_assumption(q, cap, w)
+    return _nu_of(q, cap, w, x)
+
+
+def _nu_of(q: int, cap: int, w: WeightVector, x) -> float:
+    """nu_of_fixed_point without the assumption check, for callers that made it."""
     x = _check_point(x)
     sm2, sm1, sc = _lams(cap, w)
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
@@ -205,17 +234,17 @@ def stability_quadratic(q: int, cap: int, w: WeightVector, alpha) -> float:
     return sm1 * sm2 * a * a + ((1 - q) * sm1 * sm1 + (1 + q) * sc * sm2) * a + sc * sm1
 
 
-def condition_a_margin(q: int, cap: int, w: WeightVector):
+def condition_a_margin(q: int, cap: int, w: WeightVector) -> Fraction:
     """(q-1)^2 S_{cap-1}^2 - (q+1)^2 S_cap S_{cap-2} as an exact rational."""
     _validate_qcw(q, cap, w)
-    s = w.exact_partial_sum
-    return (q - 1) ** 2 * s(cap - 1) ** 2 - (q + 1) ** 2 * s(cap) * s(cap - 2)
+    d, n0, n1, n2 = _exact_window_sums(cap, w)
+    return Fraction(_condition_a_numerator(q, n0, n1, n2), d * d)
 
 
 def condition_a(q: int, cap: int, w: WeightVector) -> bool:
     """True iff the window-existence inequality holds strictly (exact arithmetic)."""
-    _require_assumption(q, cap, w)
-    return condition_a_margin(q, cap, w) > 0
+    _, n0, n1, n2 = _require_assumption(q, cap, w)
+    return _condition_a_numerator(q, n0, n1, n2) > 0
 
 
 @dataclass(frozen=True)
@@ -240,29 +269,33 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     Roots of the stability quadratic are taken sign-aware: the larger root
     from the quadratic formula's additive branch (the linear coefficient is
     negative whenever the window exists), the smaller from the root product
-    S_cap / S_{cap-2}. Coefficients and discriminant are formed exactly first.
+    S_cap / S_{cap-2}. The margin, the coefficients a2, a1, a0 (scaled by
+    D**2) and the discriminant (scaled by D**4) are exact integers built from
+    the weight vector's integer partial sums, so every sign is decided
+    exactly; each float is their correctly rounded quotient, the value
+    ``float(Fraction)`` would give.
     """
-    _require_assumption(q, cap, w)
-    margin = condition_a_margin(q, cap, w)
+    d, n0, n1, n2 = _require_assumption(q, cap, w)
+    margin = _condition_a_numerator(q, n0, n1, n2)
     if margin < 0:
         return PhaseWindow(present=False)
     if margin == 0:
         return PhaseWindow(present=False, boundary=True)
 
-    s = w.exact_partial_sum
-    a2 = s(cap - 1) * s(cap - 2)
-    a1 = (1 - q) * s(cap - 1) ** 2 + (1 + q) * s(cap) * s(cap - 2)
-    a0 = s(cap) * s(cap - 1)
+    dd = d * d
+    a2 = n1 * n0
+    a1 = (1 - q) * n1 * n1 + (1 + q) * n2 * n0
+    a0 = n2 * n1
     disc = a1 * a1 - 4 * a2 * a0
     if disc <= 0 or a1 >= 0:
         raise RuntimeError(
             "internal consistency: window inequality holds but the quadratic "
-            f"does not have two positive roots (disc={float(disc)}, a1={float(a1)})"
+            f"does not have two positive roots (disc={disc / (dd * dd)}, a1={a1 / dd})"
         )
-    alpha_plus = (float(-a1) + math.sqrt(float(disc))) / (2.0 * float(a2))
-    alpha_minus = float(a0 / a2) / alpha_plus
-    nu_minus = nu_of_fixed_point(q, cap, w, alpha_minus)
-    nu_plus = nu_of_fixed_point(q, cap, w, alpha_plus)
+    alpha_plus = (-a1 / dd + math.sqrt(disc / (dd * dd))) / (2.0 * (a2 / dd))
+    alpha_minus = (a0 / a2) / alpha_plus
+    nu_minus = _nu_of(q, cap, w, alpha_minus)
+    nu_plus = _nu_of(q, cap, w, alpha_plus)
     if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
         raise RuntimeError("internal consistency: window endpoints out of order")
     return PhaseWindow(

@@ -7,9 +7,11 @@ every downstream formula consumes partial sums, never the raw entries.
 
 Entries may be floats or exact rationals (``fractions.Fraction``); arithmetic
 follows the entry type, so vectors built from Fraction rates stay exact all
-the way through the partial sums. The exact accessors convert float entries
-to the rationals they represent, which makes sign decisions (log-concavity,
-window existence) free of rounding.
+the way through the partial sums. Every entry, floats included, is a rational
+number, so construction also keeps the exact partial sums as plain integers
+over one common denominator: ``S_k == N_k / D`` exactly. Sign decisions
+(log-concavity, window existence) are taken on those integers, free of
+rounding and without rebuilding Fractions on every call.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ class WeightVector:
     Invariants: ``entries[0] > 0``, all entries nonnegative and finite, and
     ``partial_sums[k] == partial_sums[k-1] + entries[k]`` by construction
     (running recurrence, so the identity holds exactly even in floats).
+
+    The private attribute ``_exact_sums`` holds ``(D, (N_0, ..., N_top))``,
+    the exact partial sums as integer numerators over the least common
+    denominator of the entries. It is not a field, so equality and repr
+    see only ``entries`` and ``partial_sums``.
     """
 
     entries: tuple
@@ -66,6 +73,7 @@ class WeightVector:
             sums.append(acc)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "partial_sums", tuple(sums))
+        object.__setattr__(self, "_exact_sums", _integer_sums(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,14 +95,28 @@ class WeightVector:
         return tuple(Fraction(e) for e in self.entries)
 
     def exact_partial_sum(self, k: int) -> Fraction:
+        """S_k as the exact rational the entries sum to (float entries included)."""
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"partial sum index must be an int, got {k!r}")
         if not 0 <= k <= self.top_index:
             raise ValueError(f"partial sum index {k} outside [0, {self.top_index}]")
-        total = Fraction(0)
-        for e in self.entries[: k + 1]:
-            total += Fraction(e)
-        return total
+        d, nums = self._exact_sums
+        return Fraction(nums[k], d)
+
+
+def _integer_sums(entries: tuple) -> tuple[int, tuple]:
+    """(D, (N_0, ..., N_top)) with S_k == N_k / D exactly, D the entries' common denominator."""
+    ratios = [
+        e.as_integer_ratio() if isinstance(e, float) else (int(e.numerator), int(e.denominator))
+        for e in entries
+    ]
+    d = math.lcm(*(den for _, den in ratios))
+    nums = []
+    acc = 0
+    for num, den in ratios:
+        acc += num * (d // den)
+        nums.append(acc)
+    return d, tuple(nums)
 
 
 def poisson_weights(rate, top_index: int) -> WeightVector:
@@ -148,19 +170,21 @@ def log_concavity_margin(w: WeightVector, cap: int) -> Fraction:
 
     Positive iff the partial-sum sequence is strictly log-concave at index
     cap-1, which is what makes the scalar occupancy-ratio map decreasing.
+    Computed on the integer numerators at scale D**2.
     """
     if not (isinstance(cap, int) and cap >= 2):
         raise ValueError(f"cap must be an int >= 2, got {cap!r}")
     if w.top_index < cap:
         raise ValueError(f"need entries up to index {cap}, have {w.top_index}")
-    s = w.exact_partial_sum
-    return s(cap - 1) ** 2 - s(cap) * s(cap - 2)
+    d, nums = w._exact_sums
+    n0, n1, n2 = nums[cap - 2 : cap + 1]
+    return Fraction(n1 * n1 - n2 * n0, d * d)
 
 
 def partial_sums_log_concave(w: WeightVector, cap: int) -> bool:
     """True iff the log-concavity margin at cap is strictly positive.
 
-    Decided in exact rational arithmetic; a margin of exactly zero (e.g. a
+    Decided exactly on the integer partial sums; a margin of exactly zero (e.g. a
     vector whose partial sums are constant from cap-2 on) returns False.
     """
     return log_concavity_margin(w, cap) > 0

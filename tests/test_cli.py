@@ -18,6 +18,23 @@ from treeloss.simulate import SimConfig, run as sim_run
 from treeloss.treecalc import TreeSpec
 from treeloss.weights import poisson_weights
 
+from test_phase1d import _ref_phase_window
+
+
+README_WINDOW_JSON = """{
+  "alphas": {
+    "alpha_minus": 1.0528431717211417,
+    "alpha_plus": 1.9292996854217155
+  },
+  "boundary": false,
+  "condition_a": true,
+  "window": {
+    "nu_minus": 26.770974722340235,
+    "nu_plus": 90.72625356427147
+  }
+}
+"""
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -79,6 +96,35 @@ class TestWindowCommand:
             "--format", "csv",
         )
         assert code == 2
+
+    def test_readme_example_bytes(self, capsys):
+        code, out, _ = _run(
+            capsys, "window", "--q", "10", "--cap", "2", "--weights", "poisson", "--lam", "0.75"
+        )
+        assert code == 0
+        assert out == README_WINDOW_JSON
+
+    @pytest.mark.parametrize("caps", [
+        ("--cv", "2", "--ce", "1"),
+        ("--cv", "2"),
+        ("--ce", "1"),
+        ("--cv", "1", "--ce", "3"),
+    ])
+    def test_closed_form_only_for_cv1_full_edge_cap(self, capsys, caps):
+        code, out, err = _run(
+            capsys, "window", "--q", "10", "--cap", "2", "--lam", "0.75", *caps
+        )
+        assert code == 2
+        assert out == ""
+        assert "cv = 1 and ce = cap" in err
+
+    def test_explicit_cv1_full_edge_cap_accepted(self, capsys):
+        code, out, _ = _run(
+            capsys, "window", "--q", "10", "--cap", "2", "--weights", "poisson",
+            "--lam", "0.75", "--cv", "1", "--ce", "2",
+        )
+        assert code == 0
+        assert out == README_WINDOW_JSON
 
 
 class TestTopLevel:
@@ -255,6 +301,50 @@ class TestSweepRegionCommand:
         rows = [line.split(",") for line in out.strip().splitlines()[2:]]
         assert [r[1] for r in rows] == ["false", "false", "true"]
         assert rows[0][2] == ""  # endpoints blank when the window is absent
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rows_equal_fraction_reference_bytes(self, capsys, jobs):
+        # 2,001 rows straddling the Poisson threshold lambda = 6
+        lo, hi, step = 5.99, 6.01, 1e-5
+        code, out, _ = _run(
+            capsys,
+            "sweep-region", "--q", "6", "--cap", "2", "--weights", "poisson",
+            "--lam-min", repr(lo), "--lam-max", repr(hi), "--lam-step", repr(step),
+            "--jobs", jobs,
+        )
+        assert code == 0
+        lines = [f"# treeloss {__version__} sweep-region", "lambda,condition_a,nu_minus,nu_plus"]
+        for k in range(int(math.floor((hi - lo) / step + 1e-9)) + 1):
+            lam = lo + k * step
+            win = _ref_phase_window(6, 2, poisson_weights(lam, 2))
+            cells = [f"{lam:.17g}", "true" if win.present else "false"]
+            cells += [f"{x:.17g}" if x is not None else "" for x in (win.nu_minus, win.nu_plus)]
+            lines.append(",".join(cells))
+        assert len(lines) == 2003
+        assert {line.split(",")[1] for line in lines[2:]} == {"true", "false"}
+        assert out == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--weights", "bogus", "--lam-min", "1"), "unknown weights family 'bogus'"),
+        (("--lam-min", "0"), "rate must be positive and finite, got 0.0"),
+    ])
+    def test_invalid_family_refused_before_the_pool_starts(
+        self, capsys, monkeypatch, flags, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool started")
+
+        monkeypatch.setattr("treeloss.cli.ProcessPoolExecutor", no_pool)
+        base = {"--weights": "poisson", "--lam-min": "1"}
+        base.update(zip(flags[::2], flags[1::2]))
+        code, out, err = _run(
+            capsys, "sweep-region", "--q", "6", "--cap", "2",
+            *(x for kv in base.items() for x in kv),
+            "--lam-max", "2", "--lam-step", "0.5", "--jobs", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_file_weights_rejected_for_sweeps(self, capsys, tmp_path):
         wf = tmp_path / "w.txt"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treeloss.phase1d import (
     AssumptionViolation,
@@ -24,8 +24,14 @@ from treeloss.phase1d import (
     schwarzian,
     stability_quadratic,
 )
+from treeloss._num import power
 from treeloss.rfmap import Uniqueness
-from treeloss.weights import WeightVector, geometric_weights, poisson_weights
+from treeloss.weights import (
+    WeightVector,
+    geometric_weights,
+    log_concavity_margin,
+    poisson_weights,
+)
 
 
 REFERENCE = PhaseParams(q=10, cap=2, edge_weights=poisson_weights(0.75, 2), nu=50.0)
@@ -298,3 +304,163 @@ class TestAssumptions:
             poisson_window_statistic(0, 2, 1.0)
         with pytest.raises(ValueError):
             poisson_window_statistic(3, 1, 1.0)
+
+
+# ------------------------------------------------------------------ exactness
+# The Fraction formulas the integer-scaled exact sums replaced, kept as the
+# reference they must reproduce: every exact value by ==, every window float
+# bit for bit (float.hex) and every failure by exception type.
+
+
+def _ref_exact_partial_sum(w, k):
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"partial sum index must be an int, got {k!r}")
+    if not 0 <= k <= w.top_index:
+        raise ValueError(f"partial sum index {k} outside [0, {w.top_index}]")
+    total = Fraction(0)
+    for e in w.entries[: k + 1]:
+        total += Fraction(e)
+    return total
+
+
+def _ref_log_concavity_margin(w, cap):
+    if not (isinstance(cap, int) and cap >= 2):
+        raise ValueError(f"cap must be an int >= 2, got {cap!r}")
+    if w.top_index < cap:
+        raise ValueError(f"need entries up to index {cap}, have {w.top_index}")
+    s = lambda k: _ref_exact_partial_sum(w, k)  # noqa: E731
+    return s(cap - 1) ** 2 - s(cap) * s(cap - 2)
+
+
+def _ref_validate(q, cap, w):
+    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+        raise ValueError(f"q must be an int >= 1, got {q!r}")
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 2:
+        raise ValueError(f"cap must be an int >= 2, got {cap!r}")
+    if len(w) != cap + 1:
+        raise ValueError(f"edge weights need length cap+1={cap + 1}, got {len(w)}")
+
+
+def _ref_require_assumption(q, cap, w):
+    _ref_validate(q, cap, w)
+    if not _ref_log_concavity_margin(w, cap) > 0:
+        raise AssumptionViolation("partial sums not strictly log-concave")
+
+
+def _ref_condition_a_margin(q, cap, w):
+    _ref_validate(q, cap, w)
+    s = lambda k: _ref_exact_partial_sum(w, k)  # noqa: E731
+    return (q - 1) ** 2 * s(cap - 1) ** 2 - (q + 1) ** 2 * s(cap) * s(cap - 2)
+
+
+def _ref_nu_of_fixed_point(q, cap, w, x):
+    _ref_require_assumption(q, cap, w)
+    x = float(x)
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise ValueError(f"evaluation point must be finite and >= 0, got {x!r}")
+    sm2, sm1, sc = (float(w.partial_sum(k)) for k in (cap - 2, cap - 1, cap))
+    return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
+
+
+def _ref_phase_window(q, cap, w):
+    _ref_require_assumption(q, cap, w)
+    margin = _ref_condition_a_margin(q, cap, w)
+    if margin < 0:
+        return PhaseWindow(present=False)
+    if margin == 0:
+        return PhaseWindow(present=False, boundary=True)
+    s = lambda k: _ref_exact_partial_sum(w, k)  # noqa: E731
+    a2 = s(cap - 1) * s(cap - 2)
+    a1 = (1 - q) * s(cap - 1) ** 2 + (1 + q) * s(cap) * s(cap - 2)
+    a0 = s(cap) * s(cap - 1)
+    disc = a1 * a1 - 4 * a2 * a0
+    if disc <= 0 or a1 >= 0:
+        raise RuntimeError("internal consistency")
+    alpha_plus = (float(-a1) + math.sqrt(float(disc))) / (2.0 * float(a2))
+    alpha_minus = float(a0 / a2) / alpha_plus
+    nu_minus = _ref_nu_of_fixed_point(q, cap, w, alpha_minus)
+    nu_plus = _ref_nu_of_fixed_point(q, cap, w, alpha_plus)
+    if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
+        raise RuntimeError("internal consistency: window endpoints out of order")
+    return PhaseWindow(True, False, alpha_minus, alpha_plus, nu_minus, nu_plus)
+
+
+def _bits(x):
+    return float.hex(x) if isinstance(x, float) else x
+
+
+def _outcome(fn, *args):
+    """A comparable result: the value (floats as hex), or the exception type."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the type is what is compared
+        return ("raised", type(exc))
+    if isinstance(value, PhaseWindow):
+        return ("window", tuple(_bits(v) for v in vars(value).values()))
+    return ("value", type(value), value)
+
+
+def _assert_matches_reference(q, cap, w):
+    assert _outcome(phase_window, q, cap, w) == _outcome(_ref_phase_window, q, cap, w)
+    assert _outcome(condition_a_margin, q, cap, w) == _outcome(_ref_condition_a_margin, q, cap, w)
+    assert _outcome(log_concavity_margin, w, cap) == _outcome(_ref_log_concavity_margin, w, cap)
+    for k in range(-1, len(w) + 1):
+        assert _outcome(w.exact_partial_sum, k) == _outcome(_ref_exact_partial_sum, w, k)
+
+
+_ENTRY = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+    st.floats(min_value=0.0, max_value=1e-300, allow_subnormal=True),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.integers(0, 10**40),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**9),
+    st.sampled_from([0, 0.0, Fraction(0), 1, 1.0, 5e-324, 1.7976931348623157e308]),
+)
+
+
+class TestExactness:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(2, 7),
+        st.sampled_from([0, 0, 0, 0, -1, 1]),  # a wrong length now and then
+        st.data(),
+    )
+    def test_matches_fraction_reference(self, q, cap, length_offset, data):
+        first = data.draw(_ENTRY.filter(lambda e: e > 0), label="entry 0")
+        rest = data.draw(st.lists(_ENTRY, min_size=cap + length_offset,
+                                  max_size=cap + length_offset), label="entries")
+        _assert_matches_reference(q, cap, WeightVector((first, *rest)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.integers(2, 7),
+           st.one_of(st.floats(min_value=0.01, max_value=50.0),
+                     st.fractions(min_value="1/100", max_value=50, max_denominator=1000)),
+           st.sampled_from([poisson_weights, geometric_weights]))
+    def test_families_match_fraction_reference(self, q, cap, rate, family):
+        _assert_matches_reference(q, cap, family(rate, cap))
+
+    @pytest.mark.parametrize("q,w", [
+        (6, poisson_weights(Fraction(6), 2)),
+        (6, poisson_weights(6.0, 2)),
+        (14, geometric_weights(Fraction(7, 8), 2)),
+        (14, geometric_weights(0.875, 2)),
+        (14, geometric_weights(Fraction(8, 7), 2)),
+    ])
+    def test_exact_boundaries(self, q, w):
+        assert condition_a_margin(q, 2, w) == 0
+        assert phase_window(q, 2, w) == PhaseWindow(present=False, boundary=True)
+        _assert_matches_reference(q, 2, w)
+
+    def test_boundary_neighbours_match_reference(self):
+        # 8/7 is not a float; its nearest float lands just off the boundary
+        for q, w in [(14, geometric_weights(8 / 7, 2)),
+                     (14, geometric_weights(Fraction(8, 7) + Fraction(1, 10**12), 2)),
+                     (6, poisson_weights(math.nextafter(6.0, 7.0), 2)),
+                     (6, poisson_weights(math.nextafter(6.0, 5.0), 2))]:
+            _assert_matches_reference(q, 2, w)
+
+    def test_readme_window_is_bit_identical(self):
+        win = phase_window(10, 2, poisson_weights(0.75, 2))
+        assert (win.alpha_minus, win.alpha_plus) == (1.0528431717211417, 1.9292996854217155)
+        assert (win.nu_minus, win.nu_plus) == (26.770974722340235, 90.72625356427147)

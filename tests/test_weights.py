@@ -1,5 +1,7 @@
 """Weight vectors: construction, exact arithmetic, files, log-concavity."""
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,27 @@ class TestFamilies:
         w = WeightVector((1.0, 0.1))
         assert w.exact_entries() == (Fraction(1), Fraction(0.1))
         assert w.exact_partial_sum(1) == Fraction(1) + Fraction(0.1)
+
+    def test_exact_sums_of_mixed_entries(self):
+        w = WeightVector((Fraction(1, 3), 0.5, 2, 0, 5e-324))
+        want = Fraction(0)
+        for k, e in enumerate(w.entries):
+            want += Fraction(e)
+            assert w.exact_partial_sum(k) == want
+        for k in (-1, 5, 1.0, True):
+            with pytest.raises(ValueError):
+                w.exact_partial_sum(k)
+
+    def test_exact_sums_leave_fields_equality_and_pickling_alone(self):
+        w = poisson_weights(0.75, 3)
+        assert [f.name for f in dataclasses.fields(w)] == ["entries", "partial_sums"]
+        assert repr(w) == f"WeightVector(entries={w.entries!r}, partial_sums={w.partial_sums!r})"
+        assert w == WeightVector(w.entries) and hash(w) == hash(WeightVector(w.entries))
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w
+        assert [back.exact_partial_sum(k) for k in range(4)] == [
+            w.exact_partial_sum(k) for k in range(4)
+        ]
 
 
 class TestWeightFiles:
