@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from ._num import power
 from .rfmap import Uniqueness
-from .weights import WeightVector, poisson_weights
+from .weights import WeightVector, _exact_window_sums, poisson_weights
 
 __all__ = [
     "AssumptionViolation",
@@ -75,16 +75,10 @@ def _validate_qcw(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
         raise ValueError(f"edge weights need length cap+1={cap + 1}, got {len(w)}")
 
 
-def _exact_window_sums(cap: int, w: WeightVector) -> tuple[int, int, int, int]:
-    """(D, N_{cap-2}, N_{cap-1}, N_cap): the exact sums S_k = N_k / D the window uses."""
-    d, nums = w._exact_sums
-    return (d, *nums[cap - 2 : cap + 1])
-
-
 def _require_assumption(
     q: int, cap: int, w: WeightVector, min_q: int = 1
 ) -> tuple[int, int, int, int]:
-    """Validate, then check strict log-concavity exactly; returns ``_exact_window_sums``."""
+    """Validate, check strict log-concavity exactly, return ``_exact_window_sums(cap, w)``."""
     _validate_qcw(q, cap, w, min_q)
     sums = _exact_window_sums(cap, w)
     _, n0, n1, n2 = sums
@@ -216,7 +210,7 @@ def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:
 
 
 def _nu_of(q: int, cap: int, w: WeightVector, x) -> float:
-    """nu_of_fixed_point without the assumption check, for callers that made it."""
+    """nu_of_fixed_point for callers that have already checked the assumption."""
     x = _check_point(x)
     sm2, sm1, sc = _lams(cap, w)
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
@@ -269,11 +263,10 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     Roots of the stability quadratic are taken sign-aware: the larger root
     from the quadratic formula's additive branch (the linear coefficient is
     negative whenever the window exists), the smaller from the root product
-    S_cap / S_{cap-2}. The margin, the coefficients a2, a1, a0 (scaled by
-    D**2) and the discriminant (scaled by D**4) are exact integers built from
-    the weight vector's integer partial sums, so every sign is decided
-    exactly; each float is their correctly rounded quotient, the value
-    ``float(Fraction)`` would give.
+    S_cap / S_{cap-2}. The margin, the coefficients a2, a1, a0 (times D**2)
+    and the discriminant (times D**4) are exact integers, so every sign is
+    exact; each float is a correctly rounded quotient of two of them, the
+    value ``float(Fraction)`` gives.
     """
     d, n0, n1, n2 = _require_assumption(q, cap, w)
     margin = _condition_a_numerator(q, n0, n1, n2)

@@ -176,9 +176,14 @@ def log_concavity_margin(w: WeightVector, cap: int) -> Fraction:
         raise ValueError(f"cap must be an int >= 2, got {cap!r}")
     if w.top_index < cap:
         raise ValueError(f"need entries up to index {cap}, have {w.top_index}")
-    d, nums = w._exact_sums
-    n0, n1, n2 = nums[cap - 2 : cap + 1]
+    d, n0, n1, n2 = _exact_window_sums(cap, w)
     return Fraction(n1 * n1 - n2 * n0, d * d)
+
+
+def _exact_window_sums(cap: int, w: WeightVector) -> tuple[int, int, int, int]:
+    """(D, N_{cap-2}, N_{cap-1}, N_cap): the exact sums S_k = N_k / D at cap."""
+    d, nums = w._exact_sums
+    return (d, *nums[cap - 2 : cap + 1])
 
 
 def partial_sums_log_concave(w: WeightVector, cap: int) -> bool:
