@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .phase1d import AssumptionViolation, condition_a, condition_a_margin, phase_window
+from .phase1d import AssumptionViolation, _validate_qcw, condition_a, condition_a_margin, phase_window
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
 from .treecalc import TreeSpec, blocking_curve, center_occupancy, multicast_blocking, rooted_state, unicast_blocking
 from .weights import WeightVector, geometric_weights, load_weight_file, poisson_weights
@@ -136,8 +136,16 @@ def _cmd_classify(args) -> int:
     return _emit_json(args, payload)
 
 
+def _float_window(q: int, cap: int, edge: WeightVector):
+    """``phase_window``, refusing weights whose window floats overflow or vanish."""
+    try:
+        return phase_window(q, cap, edge)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"edge weights too extreme for a float window: {exc}") from exc
+
+
 def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
-    win = phase_window(q, cap, edge)
+    win = _float_window(q, cap, edge)
     payload = {
         "condition_a": win.present,
         "boundary": win.boundary,
@@ -193,7 +201,7 @@ def _cmd_blocking_curve(args) -> int:
 def _sweep_task(task) -> tuple:
     q, cap, family, lam = task
     edge = _edge_family(family, lam, cap)
-    win = phase_window(q, cap, edge)
+    win = _float_window(q, cap, edge)
     if win.present:
         return (lam, True, win.nu_minus, win.nu_plus)
     return (lam, False, None, None)
@@ -203,7 +211,8 @@ def _cmd_sweep_region(args) -> int:
     if args.weights.startswith("file:"):
         raise ValueError("sweep-region scans the rate; fixed file weights make no sense here")
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
-    _edge_family(args.weights, args.lam_min, args.cap)  # validate before any output
+    # validate before any output and before the pool starts
+    _validate_qcw(args.q, args.cap, _edge_family(args.weights, args.lam_min, args.cap))
     tasks = [(args.q, args.cap, args.weights, lam) for lam in lams]
     rows = _map_tasks(_sweep_task, tasks, args.jobs)
     return _emit_csv(args, "sweep-region", "lambda,condition_a,nu_minus,nu_plus", rows)

@@ -19,13 +19,22 @@ run on independent counter-based RNG streams spawned from one seed, so
 results are reproducible bit-for-bit and replications could be farmed out
 in parallel without changing the answer; aggregation is in replication
 order.
+
+Each replication draws standard exponentials from its stream in blocks of
+``_BLOCK`` and forms an exponential of rate r as ``(1.0 / r) * e``. numpy's
+``exponential(scale)`` computes exactly ``scale * standard_exponential()``,
+and filling an array consumes the bit generator in the same order as
+repeated scalar calls, so every draw is the same float as a scalar
+``rng.exponential(1.0 / r)`` would give at that point, and the estimates
+are bit-identical to drawing one value per event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import Optional
 
 from .oracle import Configuration, build_tree, is_feasible
@@ -111,8 +120,29 @@ def _edge_rate(p: ModelParams) -> float:
     return float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
 
 
+# Standard exponentials drawn per numpy call. The size sets only the cost:
+# the draws come out in stream order whatever it is.
+_BLOCK = 4096
+
+# Event kinds: arrival, per-call departure, shared-server completion, each
+# at a node or an edge.
+_ARRIVE_N, _ARRIVE_E, _DEPART_N, _DEPART_E, _COMPLETE_N, _COMPLETE_E = range(6)
+
+
+def _standard_exponentials(rng):
+    """Yield ``rng``'s standard exponentials in stream order, a block at a time.
+
+    A memoryview yields each value as a Python float without a list of all
+    of them.
+    """
+    while True:
+        yield from memoryview(rng.standard_exponential(_BLOCK))
+
+
 def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     p = cfg.params
+    cv, ce, cap = p.cv, p.ce, p.cap
+    adjacency, edge_ends = tree.adjacency, tree.edge_ends
     node_rate = _node_rate(p)
     edge_rate = _edge_rate(p)
     n, e = len(tree.nodes), len(tree.edges)
@@ -125,43 +155,27 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
         target_edge = 0 if tree.edges else -1  # -1: no edges, nothing to count
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
-    deterministic = cfg.duration_mode == "deterministic"
+    check_feasibility = cfg.check_feasibility
+    push, pop = heappush, heappop
+    draw = _standard_exponentials(rng).__next__
+    # exponential(scale) is scale * standard exponential, and 1.0 * x == x
+    duration = repeat(1.0).__next__ if cfg.duration_mode == "deterministic" else draw
+    node_scale = 1.0 / node_rate if node_rate > 0 else 0.0
+    edge_scale = 1.0 / edge_rate if edge_rate > 0 else 0.0
 
-    def duration() -> float:
-        return 1.0 if deterministic else float(rng.exponential(1.0))
-
+    # (time, sequence number, kind, element); the sequence number breaks ties
     heap: list = []
-    seq = 0
-
-    def push(t: float, kind: str, idx: int):
-        nonlocal seq
-        heappush(heap, (t, seq, kind, idx))
-        seq += 1
-
     if node_rate > 0:
-        for i in range(n):
-            push(float(rng.exponential(1.0 / node_rate)), "an", i)
+        heap += [(node_scale * draw(), i, _ARRIVE_N, i) for i in range(n)]
     if edge_rate > 0:
-        for k in range(e):
-            push(float(rng.exponential(1.0 / edge_rate)), "ae", k)
+        base = len(heap)
+        heap += [(edge_scale * draw(), base + k, _ARRIVE_E, k) for k in range(e)]
+    heapify(heap)
+    seq = len(heap)
 
-    occ_time = [0.0] * (p.cv + 1)
+    occ_time = [0.0] * (cv + 1)
     offered_n = blocked_n = offered_e = blocked_e = events = 0
     last = 0.0
-
-    def admit_node(i: int) -> bool:
-        if occ_n[i] + 1 > p.cv:
-            return False
-        for wp, ei in tree.adjacency[i]:
-            if occ_n[i] + 1 + occ_e[ei] + occ_n[wp] > p.cap:
-                return False
-        return True
-
-    def admit_edge(k: int) -> bool:
-        if occ_e[k] + 1 > p.ce:
-            return False
-        up, vp = tree.edge_ends[k]
-        return occ_n[up] + occ_e[k] + 1 + occ_n[vp] <= p.cap
 
     def assert_legal():
         cfg_now = Configuration(
@@ -172,65 +186,78 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
             raise RuntimeError("internal consistency: simulated state left the feasible set")
 
     while heap:
-        t, _, kind, idx = heappop(heap)
+        t, _, kind, idx = pop(heap)
         if t > horizon:
             break
-        lo, hi = max(last, warmup), t
-        if hi > lo:
-            occ_time[occ_n[center]] += hi - lo
+        lo = last if last >= warmup else warmup
+        if t > lo:
+            occ_time[occ_n[center]] += t - lo
         last = t
 
-        if kind == "an":
+        if kind == _ARRIVE_N:
             counted = t >= warmup
             if counted:
                 events += 1
                 if idx == center:
                     offered_n += 1
-            if admit_node(idx):
-                if shared:
-                    if occ_n[idx] == 0:
-                        push(t + duration(), "cn", idx)
-                    occ_n[idx] += 1
-                else:
-                    occ_n[idx] += 1
-                    push(t + duration(), "dn", idx)
+            occ = occ_n[idx] + 1
+            admit = occ <= cv
+            if admit:
+                for wp, ei in adjacency[idx]:
+                    if occ + occ_e[ei] + occ_n[wp] > cap:
+                        admit = False
+                        break
+            if admit:
+                if not shared:
+                    push(heap, (t + duration(), seq, _DEPART_N, idx))
+                    seq += 1
+                elif occ == 1:
+                    push(heap, (t + duration(), seq, _COMPLETE_N, idx))
+                    seq += 1
+                occ_n[idx] = occ
             elif counted and idx == center:
                 blocked_n += 1
-            push(t + float(rng.exponential(1.0 / node_rate)), "an", idx)
-        elif kind == "ae":
+            push(heap, (t + node_scale * draw(), seq, _ARRIVE_N, idx))
+            seq += 1
+        elif kind == _ARRIVE_E:
             counted = t >= warmup
             if counted:
                 events += 1
                 if idx == target_edge:
                     offered_e += 1
-            if admit_edge(idx):
-                if shared:
-                    if occ_e[idx] == 0:
-                        push(t + duration(), "ce", idx)
-                    occ_e[idx] += 1
-                else:
-                    occ_e[idx] += 1
-                    push(t + duration(), "de", idx)
+            occ = occ_e[idx] + 1
+            up, vp = edge_ends[idx]
+            if occ <= ce and occ_n[up] + occ + occ_n[vp] <= cap:
+                if not shared:
+                    push(heap, (t + duration(), seq, _DEPART_E, idx))
+                    seq += 1
+                elif occ == 1:
+                    push(heap, (t + duration(), seq, _COMPLETE_E, idx))
+                    seq += 1
+                occ_e[idx] = occ
             elif counted and idx == target_edge:
                 blocked_e += 1
-            push(t + float(rng.exponential(1.0 / edge_rate)), "ae", idx)
-        elif kind == "dn":
+            push(heap, (t + edge_scale * draw(), seq, _ARRIVE_E, idx))
+            seq += 1
+        elif kind == _DEPART_N:
             occ_n[idx] -= 1
-        elif kind == "de":
+        elif kind == _DEPART_E:
             occ_e[idx] -= 1
-        elif kind == "cn":
+        elif kind == _COMPLETE_N:
             occ_n[idx] -= 1
             if occ_n[idx] >= 1:
-                push(t + duration(), "cn", idx)
-        else:  # "ce"
+                push(heap, (t + duration(), seq, _COMPLETE_N, idx))
+                seq += 1
+        else:  # _COMPLETE_E
             occ_e[idx] -= 1
             if occ_e[idx] >= 1:
-                push(t + duration(), "ce", idx)
+                push(heap, (t + duration(), seq, _COMPLETE_E, idx))
+                seq += 1
 
-        if cfg.check_feasibility:
+        if check_feasibility:
             assert_legal()
 
-    lo = max(last, warmup)
+    lo = last if last >= warmup else warmup
     if horizon > lo:
         occ_time[occ_n[center]] += horizon - lo
     span = horizon - warmup

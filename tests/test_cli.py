@@ -35,6 +35,29 @@ README_WINDOW_JSON = """{
 }
 """
 
+# `treeloss simulate` as the README runs it
+README_SIMULATE_JSON = """{
+  "edge_beta": 0.4086781076811585,
+  "edge_beta_se": 0.0020045484626920263,
+  "edge_blocked": 19302,
+  "edge_offered": 47229,
+  "node_beta": 0.7730029464024409,
+  "node_beta_se": 0.0023185305852493807,
+  "node_blocked": 36483,
+  "node_offered": 47193,
+  "occupancy": [
+    0.7745872382443274,
+    0.22541276175567257
+  ],
+  "occupancy_se": [
+    0.002989596499135986,
+    0.0029895964991359823
+  ],
+  "post_warmup_events": 331379,
+  "replications": 24
+}
+"""
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -88,6 +111,23 @@ class TestWindowCommand:
         )
         assert code == 3
         assert err
+
+    @pytest.mark.parametrize("q,entries,reason", [
+        (6, ("1", "1e150", "1e155"), "integer division result too large for a float"),
+        (49, ("1.2885089446087878e-284", "2.806662057886418e-181",
+              "2.1783822470271507e-139"), "float division by zero"),
+    ])
+    def test_extreme_weights_are_usage_error(self, capsys, tmp_path, q, entries, reason):
+        # the window's floats overflow (first) or its leading coefficient
+        # underflows to zero (second); phase_window itself still raises
+        wf = tmp_path / "w.txt"
+        wf.write_text("\n".join(entries) + "\n")
+        code, out, err = _run(
+            capsys, "window", "--q", str(q), "--cap", "2", "--weights", f"file:{wf}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: edge weights too extreme for a float window: {reason}\n"
 
     def test_json_only_command_rejects_csv(self, capsys):
         code, _, _ = _run(
@@ -346,6 +386,40 @@ class TestSweepRegionCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--q", "q must be an int >= 1, got 0"),
+        ("--cap", "cap must be an int >= 2, got 0"),
+    ])
+    def test_invalid_q_or_cap_refused_before_the_pool_starts(
+        self, capsys, monkeypatch, flag, message
+    ):
+        argv = [
+            "sweep-region", "--q", "6", "--cap", "2", "--weights", "poisson",
+            "--lam-min", "1", "--lam-max", "2", "--lam-step", "0.5", flag, "0",
+        ]
+        serial = _run(capsys, *argv, "--jobs", "1")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool started")
+
+        monkeypatch.setattr("treeloss.cli.ProcessPoolExecutor", no_pool)
+        assert _run(capsys, *argv, "--jobs", "2") == serial == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_huge_rate_is_usage_error(self, capsys, jobs):
+        code, out, err = _run(
+            capsys,
+            "sweep-region", "--q", "6", "--cap", "2", "--weights", "poisson",
+            "--lam-min", "1e150", "--lam-max", "2e150", "--lam-step", "1e150",
+            "--jobs", jobs,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: edge weights too extreme for a float window: "
+            "integer division result too large for a float\n"
+        )
+
     def test_file_weights_rejected_for_sweeps(self, capsys, tmp_path):
         wf = tmp_path / "w.txt"
         wf.write_text("1\n1\n1\n")
@@ -426,6 +500,16 @@ class TestSimulateCommand:
         assert doc["node_offered"] == stats.node_offered
         assert doc["node_beta"] == stats.node_beta
         assert doc["edge_beta"] is None  # nan serialized as null
+
+    def test_readme_example_bytes(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            "simulate", "--q", "2", "--cap", "2", "--weights", "poisson", "--lam", "1",
+            "--nu", "1", "--radius", "1", "--horizon", "2000", "--reps", "24",
+            "--seed", "2024",
+        )
+        assert code == 0
+        assert out == README_SIMULATE_JSON
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,9 +1,21 @@
 """Event-driven simulator: reproducibility, exact-law agreement, comparisons."""
 import math
+from heapq import heappop, heappush
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from treeloss.oracle import exact_blocking, occupancy_distribution, path_tree, spherical_tree
+from treeloss import simulate
+from treeloss.oracle import (
+    Configuration,
+    build_tree,
+    exact_blocking,
+    is_feasible,
+    occupancy_distribution,
+    path_tree,
+    spherical_tree,
+)
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import CompareReport, SimConfig, compare, compare_runs, run
 from treeloss.treecalc import TreeSpec
@@ -30,6 +42,221 @@ def _network_params(nu=1.2, lam=0.8):
         node_weights=poisson_weights(nu, 1),
         edge_weights=poisson_weights(lam, 1),
     )
+
+
+def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
+    """The simulator with one numpy call per draw, kept as the reference."""
+    p = cfg.params
+    node_rate = float(p.node_weights.entries[1])
+    edge_rate = float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
+    n, e = len(tree.nodes), len(tree.edges)
+    occ_n = [0] * n
+    occ_e = [0] * e
+    center = tree.node_index(cfg.node_target)
+    if cfg.edge_target is not None:
+        target_edge = tree.edge_index(cfg.edge_target)
+    else:
+        target_edge = 0 if tree.edges else -1  # -1: no edges, nothing to count
+    warmup, horizon = cfg.warmup_time, cfg.horizon_time
+    shared = cfg.service_mode == "shared_server"
+    deterministic = cfg.duration_mode == "deterministic"
+
+    def duration() -> float:
+        return 1.0 if deterministic else float(rng.exponential(1.0))
+
+    heap: list = []
+    seq = 0
+
+    def push(t: float, kind: str, idx: int):
+        nonlocal seq
+        heappush(heap, (t, seq, kind, idx))
+        seq += 1
+
+    if node_rate > 0:
+        for i in range(n):
+            push(float(rng.exponential(1.0 / node_rate)), "an", i)
+    if edge_rate > 0:
+        for k in range(e):
+            push(float(rng.exponential(1.0 / edge_rate)), "ae", k)
+
+    occ_time = [0.0] * (p.cv + 1)
+    offered_n = blocked_n = offered_e = blocked_e = events = 0
+    last = 0.0
+
+    def admit_node(i: int) -> bool:
+        if occ_n[i] + 1 > p.cv:
+            return False
+        for wp, ei in tree.adjacency[i]:
+            if occ_n[i] + 1 + occ_e[ei] + occ_n[wp] > p.cap:
+                return False
+        return True
+
+    def admit_edge(k: int) -> bool:
+        if occ_e[k] + 1 > p.ce:
+            return False
+        up, vp = tree.edge_ends[k]
+        return occ_n[up] + occ_e[k] + 1 + occ_n[vp] <= p.cap
+
+    def assert_legal():
+        cfg_now = Configuration(
+            node_occ={v: occ_n[i] for i, v in enumerate(tree.nodes)},
+            edge_occ={ed: occ_e[k] for k, ed in enumerate(tree.edges)},
+        )
+        if not is_feasible(p, tree, cfg_now):
+            raise RuntimeError("internal consistency: simulated state left the feasible set")
+
+    while heap:
+        t, _, kind, idx = heappop(heap)
+        if t > horizon:
+            break
+        lo, hi = max(last, warmup), t
+        if hi > lo:
+            occ_time[occ_n[center]] += hi - lo
+        last = t
+
+        if kind == "an":
+            counted = t >= warmup
+            if counted:
+                events += 1
+                if idx == center:
+                    offered_n += 1
+            if admit_node(idx):
+                if shared:
+                    if occ_n[idx] == 0:
+                        push(t + duration(), "cn", idx)
+                    occ_n[idx] += 1
+                else:
+                    occ_n[idx] += 1
+                    push(t + duration(), "dn", idx)
+            elif counted and idx == center:
+                blocked_n += 1
+            push(t + float(rng.exponential(1.0 / node_rate)), "an", idx)
+        elif kind == "ae":
+            counted = t >= warmup
+            if counted:
+                events += 1
+                if idx == target_edge:
+                    offered_e += 1
+            if admit_edge(idx):
+                if shared:
+                    if occ_e[idx] == 0:
+                        push(t + duration(), "ce", idx)
+                    occ_e[idx] += 1
+                else:
+                    occ_e[idx] += 1
+                    push(t + duration(), "de", idx)
+            elif counted and idx == target_edge:
+                blocked_e += 1
+            push(t + float(rng.exponential(1.0 / edge_rate)), "ae", idx)
+        elif kind == "dn":
+            occ_n[idx] -= 1
+        elif kind == "de":
+            occ_e[idx] -= 1
+        elif kind == "cn":
+            occ_n[idx] -= 1
+            if occ_n[idx] >= 1:
+                push(t + duration(), "cn", idx)
+        else:  # "ce"
+            occ_e[idx] -= 1
+            if occ_e[idx] >= 1:
+                push(t + duration(), "ce", idx)
+
+        if cfg.check_feasibility:
+            assert_legal()
+
+    lo = max(last, warmup)
+    if horizon > lo:
+        occ_time[occ_n[center]] += horizon - lo
+    span = horizon - warmup
+    occupancy = tuple(x / span for x in occ_time)
+    return offered_n, blocked_n, offered_e, blocked_e, occupancy, events
+
+
+def _reference_run(cfg: SimConfig):
+    """``run`` with its event loop replaced by the per-draw reference."""
+    with mock.patch.object(simulate, "_simulate_once", _ref_simulate_once):
+        return run(cfg)
+
+
+@st.composite
+def _sim_configs(draw):
+    q = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 4))
+    cv = draw(st.integers(1, cap))
+    ce = draw(st.integers(0, cap))
+    if draw(st.integers(0, 9)) == 0:  # no node stream: edge arrivals alone
+        node_weights = WeightVector((1.0,) + (0.0,) * cv)
+        nu = 0.0
+    else:
+        nu = draw(st.floats(0.05, 4.0))
+        node_weights = poisson_weights(nu, cv)
+    lam = draw(st.floats(0.05, 4.0))
+    params = ModelParams(q, cap, cv, ce, node_weights, poisson_weights(lam, ce))
+    kind = draw(st.sampled_from(["rooted", "spherical"]))
+    spec = TreeSpec(kind, draw(st.integers(0 if kind == "rooted" else 1, 2)))
+    tree, _ = build_tree(spec, q)
+    warmup = draw(st.sampled_from([None, 0.0, draw(st.floats(0.5, 20.0))]))
+    start = 10.0 * (1.0 + nu + (lam if ce else 0.0)) if warmup is None else warmup
+    edge_target = None
+    if tree.edges and draw(st.booleans()):
+        edge_target = draw(st.sampled_from(tree.edges))
+        if draw(st.booleans()):
+            edge_target = edge_target[::-1]
+    return SimConfig(
+        params=params,
+        tree=spec,
+        service_mode=draw(st.sampled_from(["per_call", "shared_server"])),
+        duration_mode=draw(st.sampled_from(["exponential", "deterministic"])),
+        warmup_time=warmup,
+        horizon_time=start + draw(st.floats(1.0, 40.0)),
+        replications=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)),
+        node_target=draw(st.sampled_from(tree.nodes)),
+        edge_target=edge_target,
+        check_feasibility=draw(st.integers(0, 9)) < 3,
+    )
+
+
+class TestBitIdentity:
+    """The block-drawing event loop gives the per-draw reference's results.
+
+    Results are compared by ``repr``, which spells every float exactly and,
+    unlike ``==``, treats the NaN estimates of streams with no offers as
+    equal; every field of ``SimStats`` is in it, the per-replication tuples
+    included.
+    """
+
+    @given(_sim_configs())
+    @example(
+        SimConfig(
+            params=_network_params(),
+            tree=TreeSpec("spherical", 1),
+            service_mode="shared_server",
+            duration_mode="deterministic",
+            warmup_time=0.0,
+            horizon_time=60.0,
+            replications=2,
+            seed=4,
+            node_target=2,
+            edge_target=(2, 0),
+            check_feasibility=True,
+        )
+    )
+    def test_equals_per_draw_reference(self, cfg):
+        assert repr(run(cfg)) == repr(_reference_run(cfg))
+
+    def test_readme_configuration_across_blocks(self):
+        cfg = SimConfig(
+            params=ModelParams(2, 2, 1, 2, poisson_weights(1, 1), poisson_weights(1, 2)),
+            tree=TreeSpec("spherical", 1),
+            horizon_time=2000.0,
+            replications=2,
+            seed=2024,
+        )
+        stats = run(cfg)
+        # every arrival draws once, so each replication spans several blocks
+        assert stats.post_warmup_events > 2 * simulate._BLOCK * cfg.replications
+        assert repr(stats) == repr(_reference_run(cfg))
 
 
 class TestReproducibility:
