@@ -124,18 +124,14 @@ def _edge_rate(p: ModelParams) -> float:
 # the draws come out in stream order whatever it is.
 _BLOCK = 4096
 
-# Event kinds: arrival, per-call departure, shared-server completion, each
-# at a node or an edge.
+# Event kinds, each at a node (N) or an edge (E).
 _ARRIVE_N, _ARRIVE_E, _DEPART_N, _DEPART_E, _COMPLETE_N, _COMPLETE_E = range(6)
 
 
 def _standard_exponentials(rng):
-    """Yield ``rng``'s standard exponentials in stream order, a block at a time.
-
-    A memoryview yields each value as a Python float without a list of all
-    of them.
-    """
+    """Yield ``rng``'s standard exponentials in stream order, a block at a time."""
     while True:
+        # a memoryview yields Python floats without holding a list of them
         yield from memoryview(rng.standard_exponential(_BLOCK))
 
 

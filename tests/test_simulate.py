@@ -195,7 +195,7 @@ def _sim_configs(draw):
     kind = draw(st.sampled_from(["rooted", "spherical"]))
     spec = TreeSpec(kind, draw(st.integers(0 if kind == "rooted" else 1, 2)))
     tree, _ = build_tree(spec, q)
-    warmup = draw(st.sampled_from([None, 0.0, draw(st.floats(0.5, 20.0))]))
+    warmup = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.5, 20.0)))
     start = 10.0 * (1.0 + nu + (lam if ce else 0.0)) if warmup is None else warmup
     edge_target = None
     if tree.edges and draw(st.booleans()):
