@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .phase1d import AssumptionViolation, _validate_qcw, condition_a, condition_a_margin, phase_window
+from .phase1d import AssumptionViolation, condition_a, condition_a_margin, phase_window
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
 from .treecalc import TreeSpec, blocking_curve, center_occupancy, multicast_blocking, rooted_state, unicast_blocking
 from .weights import WeightVector, geometric_weights, load_weight_file, poisson_weights
@@ -211,9 +211,10 @@ def _cmd_sweep_region(args) -> int:
     if args.weights.startswith("file:"):
         raise ValueError("sweep-region scans the rate; fixed file weights make no sense here")
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
-    # validate before any output and before the pool starts
-    _validate_qcw(args.q, args.cap, _edge_family(args.weights, args.lam_min, args.cap))
     tasks = [(args.q, args.cap, args.weights, lam) for lam in lams]
+    # validate before the pool starts; a rate family fails first at a grid end
+    _sweep_task(tasks[0])
+    _sweep_task(tasks[-1])
     rows = _map_tasks(_sweep_task, tasks, args.jobs)
     return _emit_csv(args, "sweep-region", "lambda,condition_a,nu_minus,nu_plus", rows)
 

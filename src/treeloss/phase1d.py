@@ -4,9 +4,11 @@ With ``cv = 1`` and ``ce = cap`` the ratio recursion collapses to a scalar map
 
     m(x) = nu * ((S_{cap-1} + x S_{cap-2}) / (S_cap + x S_{cap-1}))**q
 
-in the cached partial sums S of the edge weights. Under strict log-concavity
-of the partial sums at cap-1 the map is decreasing with a unique fixed point,
-and everything reduces to two ingredients:
+in the cached partial sums S of the edge weights. The map itself lives in
+``rfmap``: ``ratio_map``, ``ratio_map_derivative`` and ``fixed_point`` run its
+map step, slope and bisection. This module holds the closed form. Under
+strict log-concavity of the partial sums at cap-1 the map is decreasing with
+a unique fixed point, and everything reduces to two ingredients:
 
 * ``nu_of_fixed_point``, the increasing bijection sending a prescribed fixed
   point x to the nu that realizes it, and
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._num import power
-from .rfmap import Uniqueness
+from .rfmap import ModelParams, Uniqueness, _bisect, _coefficients, _map_step, _scalar_slope
 from .weights import WeightVector, _exact_window_sums, poisson_weights
 
 __all__ = [
@@ -44,8 +46,6 @@ __all__ = [
     "ClosedFormVerdict",
     "ratio_map",
     "ratio_map_derivative",
-    "ratio_map_second_derivative",
-    "ratio_map_third_derivative",
     "schwarzian",
     "fixed_point",
     "nu_of_fixed_point",
@@ -99,7 +99,9 @@ class PhaseParams:
     """Scalar-map parameters: branching q >= 2, joint cap >= 2, edge weights, nu > 0.
 
     Construction enforces strict log-concavity of the edge partial sums at
-    ``cap``; vectors failing it raise AssumptionViolation.
+    ``cap``; vectors failing it raise AssumptionViolation. The private
+    attribute ``_model`` holds the equivalent cv = 1, ce = cap ``ModelParams``;
+    it is not a field, so ==, hash and repr ignore it.
     """
 
     q: int
@@ -113,6 +115,8 @@ class PhaseParams:
         if not (nu > 0.0 and math.isfinite(nu)):
             raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
         object.__setattr__(self, "nu", nu)
+        model = ModelParams(self.q, self.cap, 1, self.cap, WeightVector((1, nu)), self.edge_weights)
+        object.__setattr__(self, "_model", model)
 
 
 def _lams(cap: int, w: WeightVector) -> tuple[float, float, float]:
@@ -130,77 +134,41 @@ def _check_point(x) -> float:
 
 def ratio_map(p: PhaseParams, x) -> float:
     """The scalar occupancy-ratio map at x >= 0."""
-    x = _check_point(x)
-    sm2, sm1, sc = _lams(p.cap, p.edge_weights)
-    return p.nu * power((sm1 + x * sm2) / (sc + x * sm1), p.q)
+    return _map_step(p._model)((_check_point(x),))[0]
 
 
 def ratio_map_derivative(p: PhaseParams, x) -> float:
     """First derivative; strictly negative under the log-concavity assumption."""
     x = _check_point(x)
-    sm2, sm1, sc = _lams(p.cap, p.edge_weights)
-    d = sm1 + x * sm2
-    e = sc + x * sm1
-    return ratio_map(p, x) * p.q * (sc * sm2 - sm1 * sm1) / (d * e)
-
-
-def _curvature_factor(p: PhaseParams, x: float) -> tuple[float, float, float]:
-    """(M, D*E, B) with m''= m' M/(DE) and m''' = m' (M B - 2 S_{c-1} S_{c-2} DE)/(DE)^2."""
-    sm2, sm1, sc = _lams(p.cap, p.edge_weights)
-    d = sm1 + x * sm2
-    e = sc + x * sm1
-    m = (p.q - 1) * sc * sm2 - (p.q + 1) * sm1 * sm1 - 2 * x * sm1 * sm2
-    b = (p.q - 2) * sc * sm2 - (p.q + 2) * sm1 * sm1 - 4 * x * sm1 * sm2
-    return m, d * e, b
-
-
-def ratio_map_second_derivative(p: PhaseParams, x) -> float:
-    x = _check_point(x)
-    m, de, _ = _curvature_factor(p, x)
-    return ratio_map_derivative(p, x) * m / de
-
-
-def ratio_map_third_derivative(p: PhaseParams, x) -> float:
-    x = _check_point(x)
-    sm2, sm1, _ = _lams(p.cap, p.edge_weights)
-    m, de, b = _curvature_factor(p, x)
-    g = m * b - 2 * sm1 * sm2 * de
-    return ratio_map_derivative(p, x) * g / (de * de)
+    return _scalar_slope(_coefficients(p._model), p.q, x, ratio_map(p, x))
 
 
 def schwarzian(p: PhaseParams, x) -> float:
-    """Schwarzian derivative m'''/m' - (3/2)(m''/m')^2; negative under the assumption."""
+    """Schwarzian derivative m'''/m' - (3/2)(m''/m')^2; negative under the assumption.
+
+    m = nu g**q with g = (a0 + a1 x)/(b0 + b1 x) a Moebius map (Schwarzian 0), so
+    S m = -(q**2 - 1)/2 (g'/g)**2 with g'/g = (a1 b0 - a0 b1)/((a0 + a1 x)(b0 + b1 x)).
+    """
     x = _check_point(x)
-    sm2, sm1, _ = _lams(p.cap, p.edge_weights)
-    m, de, b = _curvature_factor(p, x)
-    second_ratio = m / de  # m''/m'
-    third_ratio = (m * b - 2 * sm1 * sm2 * de) / (de * de)  # m'''/m'
-    return third_ratio - 1.5 * second_ratio * second_ratio
+    (b0, b1), (a0, a1) = _coefficients(p._model)[:2]
+    r = (a1 * b0 - a0 * b1) / ((a0 + a1 * x) * (b0 + b1 * x))
+    return -0.5 * (p.q * p.q - 1) * r * r
 
 
-def fixed_point(p: PhaseParams, tol: float = 1e-13) -> float:
-    """Locate the unique fixed point in [0, nu] by bisection.
+def fixed_point(p: PhaseParams) -> float:
+    """Locate the unique fixed point in [0, nu] by bisection to float resolution.
 
+    Returns the float x with m(x) > x and m(x+) <= x+, x+ the next float up.
     The bracket must satisfy m(0) > 0 and m(nu) <= nu; anything else is a
     violated precondition and raises BracketError rather than widening the
     bracket silently.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    lo, hi = 0.0, p.nu
-    if not ratio_map(p, lo) > lo:
+    step = _map_step(p._model)
+    if not step((0.0,))[0] > 0.0:
         raise BracketError("map value at 0 is not positive; bracket [0, nu] invalid")
-    if ratio_map(p, hi) - hi > 0.0:
+    if step((p.nu,))[0] - p.nu > 0.0:
         raise BracketError("map value at nu exceeds nu; bracket [0, nu] invalid")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + mid):
-            break
-        if ratio_map(p, mid) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: step((x,))[0] - x, 0.0, p.nu, 1, math.inf)[0]
 
 
 def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:

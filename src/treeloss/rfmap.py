@@ -309,6 +309,12 @@ def classify_by_iteration(
     )
 
 
+def _scalar_slope(rows, q, x: float, mx: float) -> float:
+    """m'(x) for cv == 1, given mx = m(x): q m(x) (a1 b0 - a0 b1) / ((a0 + a1 x)(b0 + b1 x))."""
+    (b0, b1), (a0, a1) = rows[0], rows[1]
+    return q * (mx / (a0 + a1 * x)) * ((a1 * b0 - a0 * b1) / (b0 + b1 * x))
+
+
 def _decide_scalar(step, rows, q, even, odd, n, max_iter) -> UniquenessVerdict:
     """Decide a slow cv == 1 run from its parity sandwich [even, odd] at step n."""
 
@@ -318,10 +324,7 @@ def _decide_scalar(step, rows, q, even, odd, n, max_iter) -> UniquenessVerdict:
     x, used = _bisect(lambda x: m(x) - x, even, odd, 1, max_iter - n)
     n += used
     if x is not None:
-        (b0, b1), (a0, a1) = rows[0], rows[1]
-        # m'(x) = q m(x) (a1 b0 - a0 b1) / ((a0 + a1 x)(b0 + b1 x)), and m(x*) = x*
-        slope = q * (x / (a0 + a1 * x)) * ((a1 * b0 - a0 * b1) / (b0 + b1 * x))
-        if abs(slope) <= 1.0:
+        if abs(_scalar_slope(rows, q, x, x)) <= 1.0:  # m(x*) = x*
             return UniquenessVerdict(
                 Uniqueness.UNIQUE, n, fixed_point=(x,), method="bisection"
             )

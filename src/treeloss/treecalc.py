@@ -98,8 +98,10 @@ def _capacity_sums(p: ModelParams, xi: Sequence[float], used: int) -> tuple:
     )
 
 
-def _center_log_weights(p: ModelParams, xi: Sequence[float], used: int, top: int) -> list:
-    """log(nu_i * T_i**(q+1)) for i = 0..top, with -inf for vanishing terms."""
+def _center_log_weights(
+    p: ModelParams, xi: Sequence[float], used: int, top: int, exponent: int
+) -> list:
+    """log(nu_i * T_i**exponent) for i = 0..top, with -inf for vanishing terms."""
     sums = _capacity_sums(p, xi, used)
     out = []
     for i in range(top + 1):
@@ -107,7 +109,7 @@ def _center_log_weights(p: ModelParams, xi: Sequence[float], used: int, top: int
         if nu_i == 0.0 or sums[i] <= 0.0:
             out.append(-math.inf)
         else:
-            out.append(math.log(nu_i) + (p.q + 1) * math.log(sums[i]))
+            out.append(math.log(nu_i) + exponent * math.log(sums[i]))
     return out
 
 
@@ -116,15 +118,15 @@ def center_occupancy(p: ModelParams, radius: int) -> tuple:
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
         raise ValueError(f"radius must be an int >= 1, got {radius!r}")
     xi = rooted_state(p, radius - 1).xi
-    logs = _center_log_weights(p, xi, used=0, top=p.cv)
+    logs = _center_log_weights(p, xi, used=0, top=p.cv, exponent=p.q + 1)
     total = log_sum_exp(logs)
     return tuple(math.exp(lw - total) if lw > -math.inf else 0.0 for lw in logs)
 
 
 def _multicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     """Center-call blocking evaluated at a given subtree ratio vector."""
-    log_den = log_sum_exp(_center_log_weights(p, xi, used=0, top=p.cv))
-    log_num = log_sum_exp(_center_log_weights(p, xi, used=1, top=p.cv - 1))
+    log_den = log_sum_exp(_center_log_weights(p, xi, used=0, top=p.cv, exponent=p.q + 1))
+    log_num = log_sum_exp(_center_log_weights(p, xi, used=1, top=p.cv - 1, exponent=p.q + 1))
     if log_num == -math.inf:
         return 1.0
     return min(1.0, max(0.0, 1.0 - math.exp(log_num - log_den)))
@@ -143,14 +145,7 @@ def multicast_blocking(p: ModelParams, radius: int) -> float:
 
 
 def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
-    sums = _capacity_sums(p, xi, used=0)
-    log_side = []
-    for i in range(p.cv + 1):
-        nu_i = float(p.node_weights.entries[i])
-        if nu_i == 0.0 or sums[i] <= 0.0:
-            log_side.append(-math.inf)
-        else:
-            log_side.append(math.log(nu_i) + p.q * math.log(sums[i]))
+    log_side = _center_log_weights(p, xi, used=0, top=p.cv, exponent=p.q)
     log_all = []
     log_blocked = []
     for i in range(p.cv + 1):

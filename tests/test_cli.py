@@ -367,6 +367,11 @@ class TestSweepRegionCommand:
     @pytest.mark.parametrize("flags,message", [
         (("--weights", "bogus", "--lam-min", "1"), "unknown weights family 'bogus'"),
         (("--lam-min", "0"), "rate must be positive and finite, got 0.0"),
+        (("--lam-max", "1e200", "--lam-step", "1e195"),
+         "weight entries must be finite and >= 0: (1.0, 1e+200, inf)"),
+        (("--lam-max", "1e150", "--lam-step", "1e145"),
+         "edge weights too extreme for a float window: "
+         "integer division result too large for a float"),
     ])
     def test_invalid_family_refused_before_the_pool_starts(
         self, capsys, monkeypatch, flags, message
@@ -375,12 +380,11 @@ class TestSweepRegionCommand:
             raise AssertionError("the worker pool started")
 
         monkeypatch.setattr("treeloss.cli.ProcessPoolExecutor", no_pool)
-        base = {"--weights": "poisson", "--lam-min": "1"}
+        base = {"--weights": "poisson", "--lam-min": "1", "--lam-max": "2", "--lam-step": "0.5"}
         base.update(zip(flags[::2], flags[1::2]))
         code, out, err = _run(
             capsys, "sweep-region", "--q", "6", "--cap", "2",
-            *(x for kv in base.items() for x in kv),
-            "--lam-max", "2", "--lam-step", "0.5", "--jobs", "2",
+            *(x for kv in base.items() for x in kv), "--jobs", "2",
         )
         assert code == 2
         assert out == ""
