@@ -6,6 +6,27 @@ import math
 from typing import Iterable
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool: the type every count in the model has."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, least: int, most: int | None = None) -> int:
+    """Return ``value`` if it is an int (not a bool) in [least, most], else raise ValueError."""
+    if not is_int(value) or value < least or (most is not None and value > most):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
+    return value
+
+
+def check_nonneg(name: str, value) -> float:
+    """``float(value)`` if that is finite and >= 0, else raise ValueError."""
+    x = float(value)
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
 def power(base: float, exponent: float) -> float:
     """base**exponent for base >= 0 via exp-of-log; overflow saturates to inf.
 

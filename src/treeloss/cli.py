@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
+from ._num import check_int
 from .phase1d import AssumptionViolation, condition_a, condition_a_margin, phase_window
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
 from .treecalc import TreeSpec, blocking_curve, center_occupancy, multicast_blocking, rooted_state, unicast_blocking
@@ -170,8 +171,7 @@ def _cmd_window(args) -> int:
 
 
 def _curve_task(task) -> tuple:
-    q, cap, cv, ce, family, lam, nu, tol, sep, max_iter = task
-    edge = _edge_family(family, lam, ce)
+    q, cap, cv, ce, edge, nu, tol, sep, max_iter = task
     [pt] = blocking_curve(q, cap, cv, ce, edge, [nu], tol=tol, sep=sep, max_iter=max_iter)
     return (
         pt.nu,
@@ -185,11 +185,10 @@ def _curve_task(task) -> tuple:
 
 def _cmd_blocking_curve(args) -> int:
     ce = args.cap if args.ce is None else args.ce
-    _edge_family(args.weights, args.lam, ce)  # validate before any output
+    edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
     tasks = [
-        (args.q, args.cap, args.cv, ce, args.weights, args.lam, nu,
-         args.tol, args.sep, args.max_iter)
+        (args.q, args.cap, args.cv, ce, edge, nu, args.tol, args.sep, args.max_iter)
         for nu in nus
     ]
     rows = _map_tasks(_curve_task, tasks, args.jobs)
@@ -220,8 +219,7 @@ def _cmd_sweep_region(args) -> int:
 
 
 def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    if jobs < 1:
-        raise ValueError("--jobs must be >= 1")
+    check_int("--jobs", jobs, 1)
     if jobs == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -239,6 +237,7 @@ def _tree_spec(args) -> TreeSpec:
 def _cmd_enumerate(args) -> int:
     p = _model_params(args)
     spec = _tree_spec(args)
+    _oracle._check_spec_size(p, spec)
     tree, center = _oracle.build_tree(spec, p.q)
     z = _oracle.exact_partition(p, tree, center)
     occ = _oracle.occupancy_distribution(p, tree, center)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from ._num import check_int, is_int
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
 
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 GUARD_LIMIT = 10**8
+# every raw count is at least 2**|V| (cv >= 1), and 2**27 > GUARD_LIMIT
+_GUARD_NODES = 27
 
 
 class TreeTooLargeError(ValueError):
@@ -68,7 +71,7 @@ class FiniteTree:
         object.__setattr__(self, "edges", edges)
         if len(set(nodes)) != len(nodes) or not nodes:
             raise ValueError("nodes must be a nonempty sequence of distinct labels")
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in nodes):
+        if not all(is_int(v) for v in nodes):
             raise ValueError("node labels must be ints")
         pos = {v: i for i, v in enumerate(nodes)}
         if len(set(edges)) != len(edges):
@@ -111,8 +114,7 @@ class Configuration:
 
 
 def path_tree(n: int) -> FiniteTree:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"need n >= 1 nodes, got {n!r}")
+    check_int("n", n, 1)
     return FiniteTree(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
 
 
@@ -128,16 +130,10 @@ def _grow(edges: list, root: int, q: int, height: int, nxt: int) -> int:
     return nxt
 
 
-def _check_qh(q: int, size: int, least: int, what: str):
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"branching q must be an int >= 1, got {q!r}")
-    if not isinstance(size, int) or isinstance(size, bool) or size < least:
-        raise ValueError(f"{what} must be an int >= {least}, got {size!r}")
-
-
 def rooted_tree(q: int, height: int) -> FiniteTree:
     """Root 0 with q child subtrees; every internal node has q children."""
-    _check_qh(q, height, 0, "height")
+    check_int("q", q, 1)
+    check_int("height", height, 0)
     edges: list = []
     n = _grow(edges, 0, q, height, 1)
     return FiniteTree(tuple(range(n)), tuple(edges))
@@ -145,7 +141,8 @@ def rooted_tree(q: int, height: int) -> FiniteTree:
 
 def spherical_tree(q: int, radius: int) -> FiniteTree:
     """Center 0 joined to q+1 rooted subtrees of height radius-1."""
-    _check_qh(q, radius, 1, "radius")
+    check_int("q", q, 1)
+    check_int("radius", radius, 1)
     edges: list = []
     nxt = 1
     for _ in range(q + 1):
@@ -158,7 +155,8 @@ def spherical_tree(q: int, radius: int) -> FiniteTree:
 
 def edge_centered_tree(q: int, radius: int) -> FiniteTree:
     """Adjacent hubs 0-1, each joined to q rooted subtrees of height radius-1."""
-    _check_qh(q, radius, 1, "radius")
+    check_int("q", q, 1)
+    check_int("radius", radius, 1)
     edges: list = [(0, 1)]
     nxt = 2
     for hub in (0, 1):
@@ -184,32 +182,37 @@ def is_feasible(p: ModelParams, t: FiniteTree, c: Configuration) -> bool:
         raise ValueError("configuration must assign exactly the tree's nodes")
     if set(edge_occ) != set(t.edges):
         raise ValueError("configuration must assign exactly the tree's edges")
-    for occ in node_occ.values():
-        if not isinstance(occ, int) or isinstance(occ, bool):
-            raise ValueError(f"occupancies must be ints, got {occ!r}")
-        if occ < 0 or occ > p.cv:
-            return False
-    for occ in edge_occ.values():
-        if not isinstance(occ, int) or isinstance(occ, bool):
-            raise ValueError(f"occupancies must be ints, got {occ!r}")
-        if occ < 0 or occ > p.ce:
-            return False
+    for occs, top in ((node_occ.values(), p.cv), (edge_occ.values(), p.ce)):
+        for occ in occs:
+            if not is_int(occ):
+                raise ValueError(f"occupancies must be ints, got {occ!r}")
+            if not 0 <= occ <= top:
+                return False
     return all(
         node_occ[u] + edge_occ[(u, v)] + node_occ[v] <= p.cap for u, v in t.edges
     )
 
 
-def _raw_size(p: ModelParams, t: FiniteTree) -> int:
-    return (p.cv + 1) ** len(t.nodes) * (p.ce + 1) ** len(t.edges)
-
-
-def _check_size(p: ModelParams, t: FiniteTree):
-    raw = _raw_size(p, t)
-    if raw > GUARD_LIMIT:
+def _check_size(p: ModelParams, nodes: int, exact: bool = True):
+    """Refuse a tree of ``nodes`` nodes (at least that many unless ``exact``) and nodes - 1
+    edges whose raw assignment count (cv+1)^|V| (ce+1)^|E| exceeds GUARD_LIMIT."""
+    if nodes >= _GUARD_NODES or (p.cv + 1) ** nodes * (p.ce + 1) ** (nodes - 1) > GUARD_LIMIT:
+        size = f"{nodes} nodes and {nodes - 1} edges" if exact else f"at least {nodes} nodes"
         raise TreeTooLargeError(
-            f"{raw} assignments exceed the enumeration guard ({GUARD_LIMIT}); "
-            "refusing to enumerate"
+            f"a tree of {size} at cv = {p.cv}, ce = {p.ce} has more than {GUARD_LIMIT} "
+            "assignments; refusing to enumerate"
         )
+
+
+def _check_spec_size(p: ModelParams, spec: TreeSpec):
+    """``_check_size`` for ``build_tree(spec, p.q)`` by its closed-form node count, before building."""
+    nodes = layer = 1
+    for depth in range(spec.size):
+        layer *= p.q + 1 if depth == 0 and spec.kind == "spherical" else p.q
+        nodes += layer
+        if nodes >= _GUARD_NODES:
+            break
+    _check_size(p, nodes, exact=nodes < _GUARD_NODES)
 
 
 @lru_cache(maxsize=64)
@@ -309,7 +312,7 @@ def _lead_for_target(t: FiniteTree, target):
 
 def exact_partition(p: ModelParams, t: FiniteTree, root) -> tuple:
     """Z(i), i = 0..cv: total weight of feasible assignments with root occupancy i."""
-    _check_size(p, t)
+    _check_size(p, len(t.nodes))
     tally = _tally(t, p.cap, p.cv, p.ce, ("root", t.node_index(root)))
     return tuple(
         _fold(tally, p.node_weights.entries, p.edge_weights.entries, p.cv + 1)
@@ -331,7 +334,7 @@ def exact_blocking(p: ModelParams, t: FiniteTree, target):
     incident edge. Edge target (pair): needs a free edge slot and a unit of
     budget on that edge. Exact weights give an exact rational back.
     """
-    _check_size(p, t)
+    _check_size(p, len(t.nodes))
     tally = _tally(t, p.cap, p.cv, p.ce, _lead_for_target(t, target))
     refused, admitted = _fold(
         tally, p.node_weights.entries, p.edge_weights.entries, 2

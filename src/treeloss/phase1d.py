@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._num import power
-from .rfmap import ModelParams, Uniqueness, _bisect, _coefficients, _map_step, _scalar_slope
+from ._num import check_int, check_nonneg, power
+from .rfmap import ModelParams, Uniqueness, _bisect, _log_slope, _map_step, _scalar_slope
 from .weights import WeightVector, _exact_window_sums, poisson_weights
 
 __all__ = [
@@ -67,10 +67,8 @@ class BracketError(RuntimeError):
 
 
 def _validate_qcw(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
-    if not isinstance(q, int) or isinstance(q, bool) or q < min_q:
-        raise ValueError(f"q must be an int >= {min_q}, got {q!r}")
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 2:
-        raise ValueError(f"cap must be an int >= 2, got {cap!r}")
+    check_int("q", q, min_q)
+    check_int("cap", cap, 2)
     if len(w) != cap + 1:
         raise ValueError(f"edge weights need length cap+1={cap + 1}, got {len(w)}")
 
@@ -125,22 +123,15 @@ def _lams(cap: int, w: WeightVector) -> tuple[float, float, float]:
     return float(s(cap - 2)), float(s(cap - 1)), float(s(cap))
 
 
-def _check_point(x) -> float:
-    x = float(x)
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise ValueError(f"evaluation point must be finite and >= 0, got {x!r}")
-    return x
-
-
 def ratio_map(p: PhaseParams, x) -> float:
     """The scalar occupancy-ratio map at x >= 0."""
-    return _map_step(p._model)((_check_point(x),))[0]
+    return _map_step(p._model)((check_nonneg("evaluation point", x),))[0]
 
 
 def ratio_map_derivative(p: PhaseParams, x) -> float:
     """First derivative; strictly negative under the log-concavity assumption."""
-    x = _check_point(x)
-    return _scalar_slope(_coefficients(p._model), p.q, x, ratio_map(p, x))
+    x = check_nonneg("evaluation point", x)
+    return _scalar_slope(p._model, x, ratio_map(p, x))
 
 
 def schwarzian(p: PhaseParams, x) -> float:
@@ -149,9 +140,7 @@ def schwarzian(p: PhaseParams, x) -> float:
     m = nu g**q with g = (a0 + a1 x)/(b0 + b1 x) a Moebius map (Schwarzian 0), so
     S m = -(q**2 - 1)/2 (g'/g)**2 with g'/g = (a1 b0 - a0 b1)/((a0 + a1 x)(b0 + b1 x)).
     """
-    x = _check_point(x)
-    (b0, b1), (a0, a1) = _coefficients(p._model)[:2]
-    r = (a1 * b0 - a0 * b1) / ((a0 + a1 * x) * (b0 + b1 * x))
+    r = _log_slope(p._model, check_nonneg("evaluation point", x))
     return -0.5 * (p.q * p.q - 1) * r * r
 
 
@@ -179,7 +168,7 @@ def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:
 
 def _nu_of(q: int, cap: int, w: WeightVector, x) -> float:
     """nu_of_fixed_point for callers that have already checked the assumption."""
-    x = _check_point(x)
+    x = check_nonneg("evaluation point", x)
     sm2, sm1, sc = _lams(cap, w)
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
 
@@ -191,7 +180,7 @@ def stability_quadratic(q: int, cap: int, w: WeightVector, alpha) -> float:
     + S_cap S_{cap-1}; nonnegative at the fixed point means |slope| <= 1 there.
     """
     _validate_qcw(q, cap, w)
-    a = _check_point(alpha)
+    a = check_nonneg("evaluation point", alpha)
     sm2, sm1, sc = _lams(cap, w)
     return sm1 * sm2 * a * a + ((1 - q) * sm1 * sm1 + (1 + q) * sc * sm2) * a + sc * sm1
 
@@ -302,10 +291,8 @@ def poisson_window_statistic(q: int, cap: int, rate):
     positive it stays positive as the rate grows, so threshold hunting in the
     rate is a single bracket search. Exact when ``rate`` is a Fraction.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"q must be an int >= 1, got {q!r}")
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 2:
-        raise ValueError(f"cap must be an int >= 2, got {cap!r}")
+    check_int("q", q, 1)
+    check_int("cap", cap, 2)
     w = poisson_weights(rate, cap)
     e = w.entries
     s = w.partial_sums

@@ -31,11 +31,10 @@ A verdict is Inconclusive only when the step budget runs out.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._num import power
+from ._num import check_int, check_nonneg, power
 from .weights import WeightVector
 
 __all__ = [
@@ -68,18 +67,10 @@ class ModelParams:
     edge_weights: WeightVector
 
     def __post_init__(self):
-        for name in ("q", "cap", "cv", "ce"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an int, got {v!r}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if not 1 <= self.cv <= self.cap:
-            raise ValueError(f"cv must lie in [1, cap={self.cap}], got {self.cv}")
-        if not 0 <= self.ce <= self.cap:
-            raise ValueError(f"ce must lie in [0, cap={self.cap}], got {self.ce}")
+        check_int("q", self.q, 1)
+        check_int("cap", self.cap, 1)
+        check_int("cv", self.cv, 1, self.cap)
+        check_int("ce", self.ce, 0, self.cap)
         if len(self.node_weights) != self.cv + 1:
             raise ValueError(
                 f"node_weights needs length cv+1={self.cv + 1}, got {len(self.node_weights)}"
@@ -141,12 +132,9 @@ def _map_step(p: ModelParams):
 
 
 def _check_ratio_vector(p: ModelParams, xi) -> tuple:
-    vec = tuple(float(x) for x in xi)
+    vec = tuple(check_nonneg("ratio entry", x) for x in xi)
     if len(vec) != p.cv:
         raise ValueError(f"ratio vector needs length cv={p.cv}, got {len(vec)}")
-    for x in vec:
-        if not (x >= 0.0 and math.isfinite(x)):
-            raise ValueError(f"ratio entries must be finite and >= 0: {vec!r}")
     return vec
 
 
@@ -241,16 +229,13 @@ def classify_by_iteration(
     """
     if not 0.0 < tol < sep:
         raise ValueError(f"need 0 < tol < sep, got tol={tol}, sep={sep}")
-    if not (isinstance(max_iter, int) and max_iter >= 4):
-        raise ValueError(f"max_iter must be an int >= 4, got {max_iter!r}")
+    check_int("max_iter", max_iter, 4)
 
     step = _map_step(p)
-    rows = _coefficients(p)
     cv = p.cv
 
-    # scalar map slope sign: decreasing iff the numerator x denominator
-    # cross-difference is <= 0
-    monotone = cv == 1 and (rows[1][1] * rows[0][0] - rows[1][0] * rows[0][1]) <= 0.0
+    # the scalar map is decreasing iff its exact cross ratio is <= 0
+    monotone = cv == 1 and _cross_ratio(p) <= 0.0
 
     zero = (0.0,) * cv
     xs = [zero]  # xs[n] = xi^(n); only the last four are kept
@@ -297,7 +282,7 @@ def classify_by_iteration(
                     )
 
         if monotone and n == _SWITCH_STEP:
-            return _decide_scalar(step, rows, p.q, last_even, last_odd, n, max_iter)
+            return _decide_scalar(step, p, last_even, last_odd, n, max_iter)
 
         if len(xs) > 4:
             xs.pop(0)
@@ -309,13 +294,32 @@ def classify_by_iteration(
     )
 
 
-def _scalar_slope(rows, q, x: float, mx: float) -> float:
-    """m'(x) for cv == 1, given mx = m(x): q m(x) (a1 b0 - a0 b1) / ((a0 + a1 x)(b0 + b1 x))."""
-    (b0, b1), (a0, a1) = rows[0], rows[1]
-    return q * (mx / (a0 + a1 * x)) * ((a1 * b0 - a0 * b1) / (b0 + b1 * x))
+@lru_cache(maxsize=512)
+def _cross_ratio(p: ModelParams) -> float:
+    """r = (a1 b0 - a0 b1) / (b0 b1) for cv == 1, one correctly rounded quotient of exact sums.
+
+    Rows 0 and 1 of the coefficients are (b0, b1) and (a0, a1), so the
+    numerator is S(c2) S(c0) - S(c1)**2 with c_k = min(cap - k, ce). As a
+    float difference it cancels when the top edge weights are small against
+    the partial sums; here it is formed on the integer numerators N_k.
+    """
+    _, nums = p.edge_weights._exact_sums
+    n0, n1, n2 = (nums[min(p.cap - k, p.ce)] if p.cap >= k else 0 for k in range(3))
+    return (n2 * n0 - n1 * n1) / (n0 * n1)
 
 
-def _decide_scalar(step, rows, q, even, odd, n, max_iter) -> UniquenessVerdict:
+def _log_slope(p: ModelParams, x: float) -> float:
+    """g'(x)/g(x) for cv == 1, g = (a0 + a1 x)/(b0 + b1 x); each factor after r is <= 1."""
+    (b0, b1), (a0, a1) = _coefficients(p)[:2]
+    return _cross_ratio(p) * (b0 / (b0 + b1 * x)) * (b1 / (a0 + a1 * x))
+
+
+def _scalar_slope(p: ModelParams, x: float, mx: float) -> float:
+    """m'(x) for cv == 1, given mx = m(x): m = nu g**q, so m' = q m g'/g."""
+    return p.q * (mx * _log_slope(p, x))
+
+
+def _decide_scalar(step, p, even, odd, n, max_iter) -> UniquenessVerdict:
     """Decide a slow cv == 1 run from its parity sandwich [even, odd] at step n."""
 
     def m(x):
@@ -324,7 +328,7 @@ def _decide_scalar(step, rows, q, even, odd, n, max_iter) -> UniquenessVerdict:
     x, used = _bisect(lambda x: m(x) - x, even, odd, 1, max_iter - n)
     n += used
     if x is not None:
-        if abs(_scalar_slope(rows, q, x, x)) <= 1.0:  # m(x*) = x*
+        if abs(_scalar_slope(p, x, x)) <= 1.0:  # m(x*) = x*
             return UniquenessVerdict(
                 Uniqueness.UNIQUE, n, fixed_point=(x,), method="bisection"
             )
@@ -347,9 +351,8 @@ def pair_interaction(p: ModelParams, i: int, j: int) -> float:
     activity (nu_i nu_j)**(1/(q+1)) times the partial sum of edge weights
     that still fit over the shared edge.
     """
-    for name, v in (("i", i), ("j", j)):
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= p.cv:
-            raise ValueError(f"{name} must be an int in [0, cv={p.cv}], got {v!r}")
+    check_int("i", i, 0, p.cv)
+    check_int("j", j, 0, p.cv)
     if i + j > p.cap:
         return 0.0
     room = _coefficients(p)[i][j]
@@ -358,14 +361,11 @@ def pair_interaction(p: ModelParams, i: int, j: int) -> float:
 
 
 def _check_interaction_vector(p: ModelParams, psi) -> tuple:
-    vec = tuple(float(x) for x in psi)
+    vec = tuple(check_nonneg("interaction entry", x) for x in psi)
     if len(vec) != p.cv + 1:
         raise ValueError(f"interaction vector needs length cv+1={p.cv + 1}, got {len(vec)}")
     if vec[0] != 1.0:
         raise ValueError(f"interaction vector must have first entry 1, got {vec[0]!r}")
-    for x in vec:
-        if not (x >= 0.0 and math.isfinite(x)):
-            raise ValueError(f"interaction entries must be finite and >= 0: {vec!r}")
     return vec
 
 

@@ -37,6 +37,7 @@ from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Optional
 
+from ._num import check_int
 from .oracle import Configuration, build_tree, is_feasible
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
@@ -74,10 +75,8 @@ class SimConfig:
             raise ValueError(f"service_mode must be one of {_SERVICE_MODES}")
         if self.duration_mode not in _DURATION_MODES:
             raise ValueError(f"duration_mode must be one of {_DURATION_MODES}")
-        if not isinstance(self.replications, int) or isinstance(self.replications, bool) or self.replications < 1:
-            raise ValueError(f"replications must be an int >= 1, got {self.replications!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
+        check_int("replications", self.replications, 1)
+        check_int("seed", self.seed, 0)
         warmup = self.warmup_time
         if warmup is None:
             warmup = 10.0 * (1.0 + _node_rate(self.params) + _edge_rate(self.params))
@@ -287,25 +286,23 @@ def run(cfg: SimConfig) -> SimStats:
         _simulate_once(cfg, tree, np.random.Generator(np.random.Philox(s)))
         for s in streams
     ]
-    rep_node_beta = tuple(_ratio(b, o) for o, b, _, _, _, _ in reps)
-    rep_edge_beta = tuple(_ratio(b, o) for _, _, o, b, _, _ in reps)
-    rep_occupancy = tuple(occ for _, _, _, _, occ, _ in reps)
+    offered_n, blocked_n, offered_e, blocked_e, rep_occupancy, events = zip(*reps)
+    rep_node_beta = tuple(map(_ratio, blocked_n, offered_n))
+    rep_edge_beta = tuple(map(_ratio, blocked_e, offered_e))
     node_beta, node_se = _mean_se(list(rep_node_beta))
     edge_vals = [v for v in rep_edge_beta if not math.isnan(v)]
     if edge_vals and len(edge_vals) == len(reps):
         edge_beta, edge_se = _mean_se(edge_vals)
     else:
         edge_beta, edge_se = math.nan, math.nan
-    occ_stats = [
-        _mean_se([occ[i] for occ in rep_occupancy]) for i in range(cfg.params.cv + 1)
-    ]
+    occ_stats = [_mean_se(list(column)) for column in zip(*rep_occupancy)]
     return SimStats(
         replications=cfg.replications,
-        post_warmup_events=sum(ev for *_, ev in reps),
-        node_offered=sum(o for o, _, _, _, _, _ in reps),
-        node_blocked=sum(b for _, b, _, _, _, _ in reps),
-        edge_offered=sum(o for _, _, o, _, _, _ in reps),
-        edge_blocked=sum(b for _, _, _, b, _, _ in reps),
+        post_warmup_events=sum(events),
+        node_offered=sum(offered_n),
+        node_blocked=sum(blocked_n),
+        edge_offered=sum(offered_e),
+        edge_blocked=sum(blocked_e),
         node_beta=node_beta,
         node_beta_se=node_se,
         edge_beta=edge_beta,

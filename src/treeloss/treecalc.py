@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ._num import log_sum_exp, power
+from ._num import check_int, log_sum_exp, power
 from .rfmap import (
     ModelParams,
     Uniqueness,
@@ -53,12 +53,10 @@ class TreeSpec:
     def __post_init__(self):
         if self.kind not in ("rooted", "spherical"):
             raise ValueError(f"kind must be 'rooted' or 'spherical', got {self.kind!r}")
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise ValueError(f"size must be an int, got {self.size!r}")
-        if self.kind == "rooted" and self.size < 0:
-            raise ValueError(f"rooted height must be >= 0, got {self.size}")
-        if self.kind == "spherical" and self.size < 1:
-            raise ValueError(f"spherical radius must be >= 1, got {self.size}")
+        if self.kind == "rooted":
+            check_int("rooted height", self.size, 0)
+        else:
+            check_int("spherical radius", self.size, 1)
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,7 @@ class NormalizedState:
 
 def rooted_state(p: ModelParams, height: int) -> NormalizedState:
     """Evolve the height-0 state (xi = node weights, log_z0 = 0) up ``height`` levels."""
-    if not isinstance(height, int) or isinstance(height, bool) or height < 0:
-        raise ValueError(f"height must be an int >= 0, got {height!r}")
+    check_int("height", height, 0)
     xi = tuple(float(v) for v in p.node_weights.entries[1:])
     log_z0 = 0.0
     den = _coefficients(p)[0]
@@ -83,6 +80,11 @@ def rooted_state(p: ModelParams, height: int) -> NormalizedState:
         log_z0 = p.q * (log_z0 + math.log(growth))
         xi = random_field_map(p, xi)
     return NormalizedState(xi=xi, log_z0=log_z0)
+
+
+def _subtree_xi(p: ModelParams, radius: int) -> tuple:
+    """Ratio vector of the height-(radius-1) subtrees hanging off a radius-L center."""
+    return rooted_state(p, check_int("radius", radius, 1) - 1).xi
 
 
 def _capacity_sums(p: ModelParams, xi: Sequence[float], used: int) -> tuple:
@@ -115,10 +117,7 @@ def _center_log_weights(
 
 def center_occupancy(p: ModelParams, radius: int) -> tuple:
     """Occupancy law at the center of the radius-L ball (q+1 subtrees of height L-1)."""
-    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
-        raise ValueError(f"radius must be an int >= 1, got {radius!r}")
-    xi = rooted_state(p, radius - 1).xi
-    logs = _center_log_weights(p, xi, used=0, top=p.cv, exponent=p.q + 1)
+    logs = _center_log_weights(p, _subtree_xi(p, radius), used=0, top=p.cv, exponent=p.q + 1)
     total = log_sum_exp(logs)
     return tuple(math.exp(lw - total) if lw > -math.inf else 0.0 for lw in logs)
 
@@ -139,9 +138,7 @@ def multicast_blocking(p: ModelParams, radius: int) -> float:
     incident edge; the acceptance weight tilts every subtree sum by one unit
     of used capacity.
     """
-    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
-        raise ValueError(f"radius must be an int >= 1, got {radius!r}")
-    return _multicast_blocking_at(p, rooted_state(p, radius - 1).xi)
+    return _multicast_blocking_at(p, _subtree_xi(p, radius))
 
 
 def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
@@ -180,9 +177,7 @@ def unicast_blocking(p: ModelParams, radius: int) -> float:
     refused when the edge cap or the joint budget (with the extra unit)
     would be exceeded.
     """
-    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 1:
-        raise ValueError(f"radius must be an int >= 1, got {radius!r}")
-    return _unicast_blocking_at(p, rooted_state(p, radius - 1).xi)
+    return _unicast_blocking_at(p, _subtree_xi(p, radius))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from fractions import Fraction
 from numbers import Rational
 from pathlib import Path
 
+from ._num import check_int
+
 __all__ = [
     "WeightVector",
     "poisson_weights",
@@ -84,24 +86,12 @@ class WeightVector:
 
     def partial_sum(self, k: int):
         """S_k = entries[0] + ... + entries[k]; k outside [0, top_index] is rejected."""
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"partial sum index must be an int, got {k!r}")
-        if not 0 <= k <= self.top_index:
-            raise ValueError(f"partial sum index {k} outside [0, {self.top_index}]")
-        return self.partial_sums[k]
-
-    def exact_entries(self) -> tuple:
-        """Entries as exact Fractions (floats convert losslessly)."""
-        return tuple(Fraction(e) for e in self.entries)
+        return self.partial_sums[check_int("partial sum index", k, 0, self.top_index)]
 
     def exact_partial_sum(self, k: int) -> Fraction:
         """S_k as the exact rational the entries sum to (float entries included)."""
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"partial sum index must be an int, got {k!r}")
-        if not 0 <= k <= self.top_index:
-            raise ValueError(f"partial sum index {k} outside [0, {self.top_index}]")
         d, nums = self._exact_sums
-        return Fraction(nums[k], d)
+        return Fraction(nums[check_int("partial sum index", k, 0, self.top_index)], d)
 
 
 def _integer_sums(entries: tuple) -> tuple[int, tuple]:
@@ -119,30 +109,25 @@ def _integer_sums(entries: tuple) -> tuple[int, tuple]:
     return d, tuple(nums)
 
 
-def poisson_weights(rate, top_index: int) -> WeightVector:
-    """Entries rate**i / i! for i = 0..top_index. Exact when rate is a Fraction."""
-    if not (isinstance(top_index, int) and top_index >= 0):
-        raise ValueError(f"top_index must be an int >= 0, got {top_index!r}")
+def _rate_series(rate, top_index: int, factorial: bool) -> WeightVector:
+    """Entries w_0 = 1, w_i = w_{i-1} * rate (/ i when ``factorial``), in the arithmetic of ``rate``."""
+    check_int("top_index", top_index, 0)
     if not rate > 0 or rate == math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate!r}")
-    one = rate / rate  # unit in the arithmetic of `rate`
-    entries = [one]
+    entries = [rate / rate]  # unit in the arithmetic of `rate`, so Fractions stay exact
     for i in range(1, top_index + 1):
-        entries.append(entries[-1] * rate / i)
+        entries.append(entries[-1] * rate / i if factorial else entries[-1] * rate)
     return WeightVector(tuple(entries))
+
+
+def poisson_weights(rate, top_index: int) -> WeightVector:
+    """Entries rate**i / i! for i = 0..top_index. Exact when rate is a Fraction."""
+    return _rate_series(rate, top_index, factorial=True)
 
 
 def geometric_weights(rate, top_index: int) -> WeightVector:
     """Entries rate**i for i = 0..top_index (processor-sharing service)."""
-    if not (isinstance(top_index, int) and top_index >= 0):
-        raise ValueError(f"top_index must be an int >= 0, got {top_index!r}")
-    if not rate > 0 or rate == math.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate!r}")
-    one = rate / rate
-    entries = [one]
-    for i in range(1, top_index + 1):
-        entries.append(entries[-1] * rate)
-    return WeightVector(tuple(entries))
+    return _rate_series(rate, top_index, factorial=False)
 
 
 def load_weight_file(path) -> WeightVector:
@@ -172,8 +157,7 @@ def log_concavity_margin(w: WeightVector, cap: int) -> Fraction:
     cap-1, which is what makes the scalar occupancy-ratio map decreasing.
     Computed on the integer numerators at scale D**2.
     """
-    if not (isinstance(cap, int) and cap >= 2):
-        raise ValueError(f"cap must be an int >= 2, got {cap!r}")
+    check_int("cap", cap, 2)
     if w.top_index < cap:
         raise ValueError(f"need entries up to index {cap}, have {w.top_index}")
     d, n0, n1, n2 = _exact_window_sums(cap, w)

@@ -16,7 +16,7 @@ from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import SimConfig, run as sim_run
 from treeloss.treecalc import TreeSpec
-from treeloss.weights import poisson_weights
+from treeloss.weights import load_weight_file, poisson_weights
 
 from test_phase1d import _ref_phase_window
 
@@ -252,6 +252,24 @@ class TestBlockingCurveCommand:
             assert math.isclose(float(row[2]), nu / (1 + nu), rel_tol=1e-12)
             assert row[2] == row[3]
 
+    def test_weight_file_read_once(self, capsys, monkeypatch, tmp_path):
+        wf = tmp_path / "w.txt"
+        wf.write_text("1\n0.5\n0.1\n")
+        reads = []
+
+        def spy(path):
+            reads.append(path)
+            return load_weight_file(path)
+
+        monkeypatch.setattr("treeloss.cli.load_weight_file", spy)
+        code, out, _ = _run(
+            capsys, "blocking-curve", "--q", "3", "--cap", "2", "--weights", f"file:{wf}",
+            "--nu-min", "1", "--nu-max", "5", "--nu-step", "1",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2 + 5
+        assert len(reads) == 1
+
     def test_json_format(self, capsys):
         code, out, _ = _run(capsys, *self.ARGS, "--format", "json")
         assert code == 0
@@ -478,6 +496,19 @@ class TestEnumerateCommand:
         )
         assert code == 2
         assert "refusing" in err
+
+    def test_oversized_spec_refused_before_building(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr("treeloss.oracle.spherical_tree", no_build)
+        code, out, err = _run(
+            capsys,
+            "enumerate", "--q", "10", "--cap", "2", "--weights", "poisson",
+            "--lam", "1", "--nu", "1", "--radius", "5",
+        )
+        assert (code, out) == (2, "")
+        assert "refusing to enumerate" in err and len(err) < 200
 
 
 class TestSimulateCommand:

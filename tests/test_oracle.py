@@ -21,6 +21,7 @@ from treeloss.oracle import (
     rooted_tree,
     spherical_tree,
 )
+from treeloss.oracle import _check_size, _check_spec_size
 from treeloss.rfmap import ModelParams
 from treeloss.treecalc import TreeSpec
 from treeloss.weights import WeightVector, poisson_weights
@@ -254,6 +255,36 @@ class TestGuard:
             exact_partition(p, t, root=0)
         with pytest.raises(TreeTooLargeError):
             exact_blocking(p, t, target=0)
+
+    def test_huge_raw_count_gets_a_short_message(self):
+        # (cv+1)^|V| (ce+1)^|E| has over 4,300 decimal digits here
+        p = _unit_params(2, 1, 2)
+        t = spherical_tree(10, 4)
+        with pytest.raises(TreeTooLargeError) as info:
+            exact_partition(p, t, root=0)
+        assert len(str(info.value)) < 200
+        assert f"{len(t.nodes)} nodes and {len(t.edges)} edges" in str(info.value)
+
+    @pytest.mark.parametrize("cv,ce", [(1, 0), (1, 1), (1, 2), (2, 2)])
+    def test_spec_check_refuses_by_the_raw_count(self, cv, ce):
+        # spherical_tree(4, 2) has 26 nodes: 2**26 raw assignments at cv = 1,
+        # ce = 0 pass, one node more could not
+        def refuses(check) -> bool:
+            try:
+                check()
+            except TreeTooLargeError:
+                return True
+            return False
+
+        for q in (1, 2, 3, 4):
+            p = ModelParams(q, 2, cv, ce, WeightVector((1,) * (cv + 1)), WeightVector((1,) * (ce + 1)))
+            for spec in [TreeSpec("rooted", h) for h in range(5)] + [
+                TreeSpec("spherical", r) for r in range(1, 5)
+            ]:
+                t, _ = build_tree(spec, q)
+                raw = (cv + 1) ** len(t.nodes) * (ce + 1) ** len(t.edges)
+                assert refuses(lambda: _check_spec_size(p, spec)) == (raw > GUARD_LIMIT)
+                assert refuses(lambda: _check_size(p, len(t.nodes))) == (raw > GUARD_LIMIT)
 
     def test_guard_is_a_value_error(self):
         assert issubclass(TreeTooLargeError, ValueError)

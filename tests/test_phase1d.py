@@ -100,6 +100,22 @@ class TestDerivatives:
         assert ratio_map_derivative(p, x) < 0.0
         assert schwarzian(p, x) < 0.0
 
+    @pytest.mark.parametrize("which", ["derivative", "schwarzian"])
+    def test_small_top_weights_do_not_cancel(self, which):
+        # the top Poisson weights are tiny against the partial sums, so
+        # S_c S_{c-2} - S_{c-1}**2 as a float difference loses most digits
+        q, cap, nu, x = 5, 6, 3.0, 5.54
+        p = PhaseParams(q=q, cap=cap, edge_weights=poisson_weights(0.0873, cap), nu=nu)
+        sm2, sm1, sc = (p.edge_weights.exact_partial_sum(k) for k in (cap - 2, cap - 1, cap))
+        fx = Fraction(x)
+        g = (sm1 + fx * sm2) / (sc + fx * sm1)
+        log_slope = (sm2 * sc - sm1 * sm1) / ((sm1 + fx * sm2) * (sc + fx * sm1))
+        if which == "derivative":
+            got, want = ratio_map_derivative(p, x), q * Fraction(nu) * g**q * log_slope
+        else:
+            got, want = schwarzian(p, x), -Fraction(q * q - 1, 2) * log_slope**2
+        assert abs(Fraction(got) / want - 1) <= 1e-13
+
     def test_point_validation(self):
         for bad in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError):

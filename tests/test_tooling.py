@@ -1,4 +1,5 @@
-"""Package hygiene: every exported name resolves, and no module imports scipy."""
+"""Package hygiene: exported names resolve, no module imports scipy, and the
+count rule (an int, not a bool, within bounds) is written once, in ``_num``."""
 import ast
 import importlib
 import pkgutil
@@ -7,6 +8,27 @@ from pathlib import Path
 import pytest
 
 import treeloss
+from treeloss import (
+    ModelParams,
+    SimConfig,
+    TreeSpec,
+    WeightVector,
+    center_occupancy,
+    classify_by_iteration,
+    edge_centered_tree,
+    geometric_weights,
+    log_concavity_margin,
+    multicast_blocking,
+    pair_interaction,
+    path_tree,
+    phase_window,
+    poisson_weights,
+    poisson_window_statistic,
+    rooted_state,
+    rooted_tree,
+    spherical_tree,
+    unicast_blocking,
+)
 
 SRC = Path(treeloss.__file__).parent
 # __main__ runs the command line on import, so it is left out
@@ -37,3 +59,75 @@ def test_no_module_imports_scipy():
     files = sorted(SRC.rglob("*.py"))
     assert files
     assert [str(f.relative_to(SRC)) for f in files if "scipy" in _imported_roots(f)] == []
+
+
+def _model(**changes):
+    fields = dict(q=2, cap=2, cv=1, ce=2, node_weights=poisson_weights(1.0, 1),
+                  edge_weights=poisson_weights(1.0, 2))
+    fields.update(changes)
+    return ModelParams(**fields)
+
+
+# each call passes True where an int of value 1 (or more) is expected
+BOOL_FOR_INT = {
+    "poisson_weights": lambda: poisson_weights(2.0, True),
+    "geometric_weights": lambda: geometric_weights(2.0, True),
+    "partial_sum": lambda: WeightVector((1.0, 0.5)).partial_sum(True),
+    "exact_partial_sum": lambda: WeightVector((1.0, 0.5)).exact_partial_sum(True),
+    "log_concavity_margin": lambda: log_concavity_margin(poisson_weights(1.0, 2), True),
+    "ModelParams.q": lambda: _model(q=True),
+    "ModelParams.cap": lambda: _model(cap=True, ce=1, edge_weights=poisson_weights(1.0, 1)),
+    "ModelParams.cv": lambda: _model(cv=True),
+    "ModelParams.ce": lambda: _model(ce=True, edge_weights=poisson_weights(1.0, 1)),
+    "pair_interaction": lambda: pair_interaction(_model(), True, 0),
+    "classify_by_iteration": lambda: classify_by_iteration(_model(), max_iter=True),
+    "phase_window": lambda: phase_window(True, 2, poisson_weights(1.0, 2)),
+    "poisson_window_statistic": lambda: poisson_window_statistic(True, 2, 1.0),
+    "TreeSpec.rooted": lambda: TreeSpec("rooted", True),
+    "TreeSpec.spherical": lambda: TreeSpec("spherical", True),
+    "rooted_state": lambda: rooted_state(_model(), True),
+    "center_occupancy": lambda: center_occupancy(_model(), True),
+    "multicast_blocking": lambda: multicast_blocking(_model(), True),
+    "unicast_blocking": lambda: unicast_blocking(_model(), True),
+    "path_tree": lambda: path_tree(True),
+    "rooted_tree.q": lambda: rooted_tree(True, 1),
+    "rooted_tree.height": lambda: rooted_tree(2, True),
+    "spherical_tree": lambda: spherical_tree(2, True),
+    "edge_centered_tree": lambda: edge_centered_tree(2, True),
+    "SimConfig.replications": lambda: SimConfig(_model(), TreeSpec("spherical", 1), replications=True),
+    "SimConfig.seed": lambda: SimConfig(_model(), TreeSpec("spherical", 1), seed=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_FOR_INT))
+def test_bool_is_not_an_int(name):
+    with pytest.raises(ValueError, match="must be an int"):
+        BOOL_FOR_INT[name]()
+
+
+def _bool_type_tests(path: Path) -> set:
+    """(file, enclosing function) of every ``isinstance(..., bool)`` call in a module."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            types = node.args[1]
+            names = types.elts if isinstance(types, ast.Tuple) else [types]
+            if any(isinstance(t, ast.Name) and t.id == "bool" for t in names):
+                found.add((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_bool_type_tests_live_in_num():
+    # _num holds the count rule; the other two tell entry types and format output
+    allowed = {("weights.py", "_is_valid_entry"), ("cli.py", "_fmt")}
+    found = set().union(*(_bool_type_tests(f) for f in sorted(SRC.rglob("*.py"))))
+    assert any(f == "_num.py" for f, _ in found)
+    assert sorted(x for x in found if x[0] != "_num.py" and x not in allowed) == []

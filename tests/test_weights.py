@@ -112,7 +112,6 @@ class TestFamilies:
 
     def test_exact_helpers_convert_floats_losslessly(self):
         w = WeightVector((1.0, 0.1))
-        assert w.exact_entries() == (Fraction(1), Fraction(0.1))
         assert w.exact_partial_sum(1) == Fraction(1) + Fraction(0.1)
 
     def test_exact_sums_of_mixed_entries(self):
