@@ -60,8 +60,16 @@ def _edge_family(family: str, lam, ce: int) -> WeightVector:
     raise ValueError(f"unknown weights family {family!r}")
 
 
+def _edge_cap(args) -> int:
+    """``--ce`` (default ``--cap``), after checking ``--cap``, ``--cv`` and ``--ce``
+    under their flag names, so no weight vector is built from a bad count."""
+    check_int("--cap", args.cap, 1)
+    check_int("--cv", args.cv, 1, args.cap)
+    return args.cap if args.ce is None else check_int("--ce", args.ce, 0, args.cap)
+
+
 def _model_params(args) -> ModelParams:
-    ce = args.cap if args.ce is None else args.ce
+    ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)
     node = poisson_weights(args.nu, args.cv)
     return ModelParams(args.q, args.cap, args.cv, ce, node, edge)
@@ -160,6 +168,7 @@ def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
 
 
 def _cmd_window(args) -> int:
+    check_int("--cap", args.cap, 1)
     ce = args.cap if args.ce is None else args.ce
     if args.cv != 1 or ce != args.cap:
         raise ValueError(
@@ -184,7 +193,7 @@ def _curve_task(task) -> tuple:
 
 
 def _cmd_blocking_curve(args) -> int:
-    ce = args.cap if args.ce is None else args.ce
+    ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
     tasks = [
@@ -209,6 +218,7 @@ def _sweep_task(task) -> tuple:
 def _cmd_sweep_region(args) -> int:
     if args.weights.startswith("file:"):
         raise ValueError("sweep-region scans the rate; fixed file weights make no sense here")
+    check_int("cap", args.cap, 2)  # phase_window's rule, before a weight vector is built
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
     tasks = [(args.q, args.cap, args.weights, lam) for lam in lams]
     # validate before the pool starts; a rate family fails first at a grid end

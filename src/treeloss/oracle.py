@@ -8,10 +8,11 @@ shortcuts -- this module is what the fast code is checked against.
 Feasible assignments are tallied by (lead value, node-occupancy histogram,
 edge-occupancy histogram) in one bottom-up pass over the tree: on a tree the
 stationary law is a Markov random field, so subtree count tables convolve
-exactly. Weights enter only when a bucket tally is folded into a number, in
-sorted bucket order with fsum, so the float result does not depend on how
-the tree is stored. With exact (rational) weight entries the fold stays
-exact.
+exactly. Weights enter only when a bucket tally is folded into a number:
+each bucket's term is its count times its histograms' powers, and float
+terms are summed with fsum. fsum is correctly rounded, so the order the
+buckets are visited in -- and with it how the tree is stored -- cannot change
+a float result. With exact (rational) weight entries the fold stays exact.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
 GUARD_LIMIT = 10**8
 # every raw count is at least 2**|V| (cv >= 1), and 2**27 > GUARD_LIMIT
 _GUARD_NODES = 27
+# node counts of tree specs are exact up to here (see _spec_nodes)
+_COUNT_CAP = 2**64
 
 
 class TreeTooLargeError(ValueError):
@@ -204,19 +207,28 @@ def _check_size(p: ModelParams, nodes: int, exact: bool = True):
         )
 
 
+def _spec_nodes(spec: TreeSpec, q: int) -> int:
+    """Node count of ``build_tree(spec, q)`` in closed form, before building.
+
+    A count above ``_COUNT_CAP`` comes back as ``_COUNT_CAP + 1``, so a huge
+    spec costs no huge power and prints as a short number.
+    """
+    layers = spec.size + (spec.kind == "rooted")  # terms of 1 + q + ... + q**(layers-1)
+    if q > 1 and layers > _COUNT_CAP.bit_length():
+        return _COUNT_CAP + 1
+    sub = layers if q == 1 else (q**layers - 1) // (q - 1)
+    nodes = sub if spec.kind == "rooted" else 1 + (q + 1) * sub
+    return min(nodes, _COUNT_CAP + 1)
+
+
 def _check_spec_size(p: ModelParams, spec: TreeSpec):
     """``_check_size`` for ``build_tree(spec, p.q)`` by its closed-form node count, before building."""
-    nodes = layer = 1
-    for depth in range(spec.size):
-        layer *= p.q + 1 if depth == 0 and spec.kind == "spherical" else p.q
-        nodes += layer
-        if nodes >= _GUARD_NODES:
-            break
-    _check_size(p, nodes, exact=nodes < _GUARD_NODES)
+    nodes = _spec_nodes(spec, p.q)
+    _check_size(p, nodes, exact=nodes <= _COUNT_CAP)
 
 
 @lru_cache(maxsize=64)
-def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> dict:
+def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> tuple:
     """Count feasible assignments by (lead value, node histogram, edge histogram).
 
     The tree is rooted at the lead node (an edge lead's first end) and count
@@ -226,6 +238,11 @@ def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> dict:
     digits, so adding two packed keys adds the histograms. The flag records
     whether one more call at the lead would still fit; only the root table
     carries it, every table below holds it at 1.
+
+    Returns (buckets, n + 1, e + 1): buckets maps (lead value, packed node
+    histogram, packed edge histogram) to a count -- the lead value is the
+    root's occupancy for a root lead, else the flag -- and the two digit
+    bases let ``_fold`` decode the histograms.
     """
     n, e = len(t.nodes), len(t.edges)
     kind, arg = lead
@@ -263,40 +280,43 @@ def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> dict:
         tables[x] = merged
     tally: dict = {}
     for (o, flag, hv, he), count in tables[top].items():
-        hv, he = _unpack(hv, n + 1, cv + 1), _unpack(he, e + 1, ce + 1)
         key = (o if kind == "root" else flag, hv, he)
         tally[key] = tally.get(key, 0) + count
-    return tally
+    return tally, n + 1, e + 1
 
 
-def _unpack(packed: int, base: int, digits: int) -> tuple:
+def _powers(packed: int, base: int, entries) -> list:
+    """The nonzero powers x**h of a packed histogram, in occupancy order."""
     out = []
-    for _ in range(digits):
-        packed, d = divmod(packed, base)
-        out.append(d)
-    return tuple(out)
+    for x in entries:
+        packed, h = divmod(packed, base)
+        if h:
+            out.append(x**h)
+    return out
 
 
-def _fold(tally: dict, node_entries, edge_entries, leads: int) -> list:
+def _fold(tally: tuple, node_entries, edge_entries, leads: int) -> list:
     """Collapse a bucket tally into one weighted total per lead value.
 
-    Buckets are visited in sorted key order and float totals use fsum, so the
-    result is independent of enumeration order down to the last bit. Exact
-    (int/Fraction) entries stay exact.
+    A bucket's weight is its count times the powers of its two histograms,
+    multiplied in occupancy order; each distinct histogram is decoded once.
+    Float totals use fsum, which is correctly rounded, and exact (int/Fraction)
+    totals are exact sums, so neither depends on the order buckets are visited.
     """
+    buckets, node_base, edge_base = tally
     exact = not any(isinstance(x, float) for x in node_entries) and not any(
         isinstance(x, float) for x in edge_entries
     )
+    unit = Fraction if exact else float
+    node_powers = {hv: _powers(hv, node_base, node_entries) for hv in {k[1] for k in buckets}}
+    edge_powers = {he: _powers(he, edge_base, edge_entries) for he in {k[2] for k in buckets}}
     terms: list = [[] for _ in range(leads)]
-    for (lead, hv, he) in sorted(tally):
-        count = tally[(lead, hv, he)]
-        w = Fraction(count) if exact else float(count)
-        for x, h in zip(node_entries, hv):
-            if h:
-                w *= x**h
-        for x, h in zip(edge_entries, he):
-            if h:
-                w *= x**h
+    for (lead, hv, he), count in buckets.items():
+        w = unit(count)
+        for f in node_powers[hv]:
+            w *= f
+        for f in edge_powers[he]:
+            w *= f
         terms[lead].append(w)
     if exact:
         return [sum(ts, Fraction(0)) for ts in terms]

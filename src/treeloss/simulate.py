@@ -38,7 +38,7 @@ from itertools import repeat
 from typing import Optional
 
 from ._num import check_int
-from .oracle import Configuration, build_tree, is_feasible
+from .oracle import _COUNT_CAP, Configuration, _spec_nodes, build_tree, is_feasible
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
 
@@ -52,6 +52,10 @@ __all__ = [
     "compare_runs",
 ]
 
+# Largest tree simulated. Building the q = 10, radius 5 ball (122,222 nodes)
+# alone peaks near 100 MB (0.5 s on a 2-core Xeon), and each further radius
+# step multiplies that by about ten.
+_MAX_NODES = 10**5
 _SERVICE_MODES = ("per_call", "shared_server")
 _DURATION_MODES = ("exponential", "deterministic")
 
@@ -77,6 +81,14 @@ class SimConfig:
             raise ValueError(f"duration_mode must be one of {_DURATION_MODES}")
         check_int("replications", self.replications, 1)
         check_int("seed", self.seed, 0)
+        nodes = _spec_nodes(self.tree, self.params.q)
+        if nodes > _MAX_NODES:
+            count = nodes if nodes <= _COUNT_CAP else f"more than {_COUNT_CAP}"
+            size = "height" if self.tree.kind == "rooted" else "radius"
+            raise ValueError(
+                f"a {self.tree.kind} tree of {size} {self.tree.size} at q = {self.params.q} "
+                f"has {count} nodes; simulate takes at most {_MAX_NODES}"
+            )
         warmup = self.warmup_time
         if warmup is None:
             warmup = 10.0 * (1.0 + _node_rate(self.params) + _edge_rate(self.params))

@@ -321,6 +321,29 @@ class TestBlockingCurveCommand:
         assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--q", "2", "--cap", "2", "--cv", "-1", "--lam", "1", "--nu", "1"),
+     "--cv must be an int in [1, 2], got -1"),
+    (("sweep-region", "--q", "2", "--cap", "-1", "--lam-min", "1", "--lam-max", "2",
+      "--lam-step", "1"),
+     "cap must be an int >= 2, got -1"),
+    (("enumerate", "--q", "2", "--cap", "2", "--ce", "-2", "--lam", "1", "--nu", "1",
+      "--radius", "1"),
+     "--ce must be an int in [0, 2], got -2"),
+    (("window", "--q", "2", "--cap", "-1", "--lam", "1"),
+     "--cap must be an int >= 1, got -1"),
+])
+def test_bad_count_is_named_by_its_flag_before_weights_are_built(
+    capsys, monkeypatch, argv, message
+):
+    def no_weights(*args):
+        raise AssertionError("weights were built")
+
+    monkeypatch.setattr("treeloss.cli._edge_family", no_weights)
+    monkeypatch.setattr("treeloss.cli.poisson_weights", no_weights)
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_import_leaves_numpy_unloaded():
     # only the simulator needs numpy; the analytic commands must start without it
     src = str(Path(treeloss.__file__).resolve().parents[1])
@@ -552,6 +575,24 @@ class TestSimulateCommand:
         assert main([*self.ARGS, "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_oversized_tree_is_refused_at_once(self):
+        # 122,222,222 nodes: run in a child capped at 1 GiB of address space,
+        # so a missing guard fails the test instead of exhausting memory
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeloss", "simulate", "--q", "10", "--cap", "2",
+             "--lam", "1", "--nu", "1", "--radius", "8"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: a spherical tree of radius 8 at q = 10 has 122222222 nodes; "
+            b"simulate takes at most 100000\n"
+        )
+        assert proc.stdout == b""
 
 
 class TestSelftestCommand:

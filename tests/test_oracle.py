@@ -2,6 +2,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,8 @@ from treeloss.oracle import (
     rooted_tree,
     spherical_tree,
 )
-from treeloss.oracle import _check_size, _check_spec_size
+from treeloss import oracle
+from treeloss.oracle import _check_size, _check_spec_size, _spec_nodes
 from treeloss.rfmap import ModelParams
 from treeloss.treecalc import TreeSpec
 from treeloss.weights import WeightVector, poisson_weights
@@ -170,8 +172,8 @@ def _assert_matches_literal(p, t, roots, targets):
 
 
 @st.composite
-def _small_trees(draw):
-    n = draw(st.integers(1, 4))
+def _small_trees(draw, most=4):
+    n = draw(st.integers(1, most))
     labels = draw(st.permutations(range(10, 10 + n)))
     edges = [(labels[i], labels[draw(st.integers(0, i - 1))]) for i in range(1, n)]
     return FiniteTree(tuple(labels), tuple(edges))
@@ -245,6 +247,86 @@ class TestIndependence:
         deep_vals = {exact_blocking(p, t, target=e) for e in deep_edges}
         assert len(center_vals) == 1
         assert len(deep_vals) == 1
+
+
+def _ref_unpack(packed: int, base: int, digits: int) -> tuple:
+    out = []
+    for _ in range(digits):
+        packed, d = divmod(packed, base)
+        out.append(d)
+    return tuple(out)
+
+
+def _ref_fold(tally, node_entries, edge_entries, leads):
+    """The fold with histograms unpacked into tuples and buckets weighed in
+    sorted order, every power recomputed per bucket; kept as the reference."""
+    buckets, node_base, edge_base = tally
+    unpacked: dict = {}
+    for (lead, hv, he), count in buckets.items():
+        key = (lead, _ref_unpack(hv, node_base, len(node_entries)),
+               _ref_unpack(he, edge_base, len(edge_entries)))
+        unpacked[key] = unpacked.get(key, 0) + count
+    exact = not any(isinstance(x, float) for x in node_entries) and not any(
+        isinstance(x, float) for x in edge_entries
+    )
+    terms: list = [[] for _ in range(leads)]
+    for (lead, hv, he) in sorted(unpacked):
+        count = unpacked[(lead, hv, he)]
+        w = Fraction(count) if exact else float(count)
+        for x, h in zip(node_entries, hv):
+            if h:
+                w *= x**h
+        for x, h in zip(edge_entries, he):
+            if h:
+                w *= x**h
+        terms[lead].append(w)
+    if exact:
+        return [sum(ts, Fraction(0)) for ts in terms]
+    return [math.fsum(ts) for ts in terms]
+
+
+def _bits(v):
+    """A value as its exact bits: floats by hex, anything else with its type."""
+    return v.hex() if isinstance(v, float) else (type(v).__name__, v)
+
+
+def _outcome(f):
+    """``f()``'s result, bit by bit, or the type of the error it raised."""
+    try:
+        v = f()
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+    return tuple(map(_bits, v)) if isinstance(v, tuple) else _bits(v)
+
+
+# zeros, ints, Fractions and floats of magnitude 1e-300 to 1e300
+_POSITIVE_ENTRY = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.integers(1, 10**6),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+)
+_ENTRY = st.one_of(st.just(0.0), st.just(0), st.just(Fraction(0)), _POSITIVE_ENTRY)
+
+
+class TestFoldReference:
+    @given(_small_trees(most=6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 3),
+           st.data())
+    def test_fold_is_bit_identical_to_the_sorted_fold(self, t, cap, cv, ce, data):
+        cv, ce = min(cv, cap), min(ce, cap)
+        unit = data.draw(st.sampled_from([1, 1.0, Fraction(1)]))
+        node = (unit, *data.draw(st.lists(_ENTRY, min_size=cv, max_size=cv)))
+        edge = (data.draw(_POSITIVE_ENTRY), *data.draw(st.lists(_ENTRY, min_size=ce, max_size=ce)))
+        p = ModelParams(1, cap, cv, ce, WeightVector(node), WeightVector(edge))
+        # root, node and edge leads
+        calls = [(exact_partition, data.draw(st.sampled_from(t.nodes))),
+                 (exact_blocking, data.draw(st.sampled_from(t.nodes)))]
+        if t.edges:
+            calls.append((exact_blocking, data.draw(st.sampled_from(t.edges))))
+        for fn, where in calls:
+            got = _outcome(lambda: fn(p, t, where))
+            with mock.patch.object(oracle, "_fold", _ref_fold):
+                want = _outcome(lambda: fn(p, t, where))
+            assert got == want
 
 
 class TestGuard:
@@ -349,6 +431,18 @@ class TestBuilders:
         assert center == 0 and len(t.nodes) == 7
         t, center = build_tree(TreeSpec("spherical", 1), q=2)
         assert center == 0 and len(t.nodes) == 4
+
+    def test_spec_node_count_is_closed_form(self):
+        for q in (1, 2, 3, 5):
+            for spec in [TreeSpec("rooted", h) for h in range(5)] + [
+                TreeSpec("spherical", r) for r in range(1, 5)
+            ]:
+                assert _spec_nodes(spec, q) == len(build_tree(spec, q)[0].nodes)
+        assert _spec_nodes(TreeSpec("spherical", 8), 10) == 122_222_222
+        assert _spec_nodes(TreeSpec("rooted", 10**18), 1) == 10**18 + 1
+        # past 2**64 nodes the count saturates instead of computing a huge power
+        assert _spec_nodes(TreeSpec("spherical", 10**9), 10) == 2**64 + 1
+        assert _spec_nodes(TreeSpec("rooted", 2), 10**30) == 2**64 + 1
 
     def test_builder_validation(self):
         for bad_call in (

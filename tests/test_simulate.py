@@ -493,6 +493,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(params=p, tree=TreeSpec("rooted", 0), warmup_time=-1.0)
 
+    def test_tree_size_limit(self):
+        p = _single_node_params()  # q = 1: a rooted tree of height h has h + 1 nodes
+        SimConfig(params=p, tree=TreeSpec("rooted", 99_999))
+        with pytest.raises(ValueError, match="height 100000 at q = 1 has 100001 nodes"):
+            SimConfig(params=p, tree=TreeSpec("rooted", 100_000))
+        with pytest.raises(ValueError, match=f"has more than {2**64} nodes"):
+            SimConfig(params=_network_params(), tree=TreeSpec("spherical", 10**9))
+
     def test_default_warmup_scales_with_rates(self):
         cfg = SimConfig(params=_single_node_params(nu=4.0), tree=TreeSpec("rooted", 0))
         assert cfg.warmup_time == 10.0 * (1.0 + 4.0)
