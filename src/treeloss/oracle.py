@@ -1,26 +1,23 @@
 """Exact ground truth on small finite trees.
 
-Everything here counts assignments directly: per-element caps plus the
-per-edge budget decide which occupancy assignments are feasible, and weights
-are raw products over nodes and edges. No ratio map and no partial-sum
-shortcuts -- this module is what the fast code is checked against.
+Per-element caps plus the per-edge budget decide which occupancy assignments
+are feasible, and an assignment's weight is the product of its node and edge
+entries. No ratio map and no float recursion: this module is what the fast
+code is checked against.
 
-Feasible assignments are tallied by (lead value, node-occupancy histogram,
-edge-occupancy histogram) in one bottom-up pass over the tree: on a tree the
-stationary law is a Markov random field, so subtree count tables convolve
-exactly. Weights enter only when a bucket tally is folded into a number:
-each bucket's term is its count times its histograms' powers, and float
-terms are summed with fsum. fsum is correctly rounded, so the order the
-buckets are visited in -- and with it how the tree is stored -- cannot change
-a float result. With exact (rational) weight entries the fold stays exact.
+On a tree the stationary law is a Markov random field, so each total is one
+sum-product pass from the leaves to a root (exact belief propagation). The
+pass runs on integers: every entry, floats included, is a rational, so each
+weight vector's entries are scaled to integers over its common denominator.
+Each public result is then one quotient of two integers, an exact Fraction
+when no entry is a float and otherwise the correctly rounded float. How the
+tree is stored therefore cannot change a result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from ._num import check_int, is_int
 from .rfmap import ModelParams
@@ -122,14 +119,16 @@ def path_tree(n: int) -> FiniteTree:
 
 
 def _grow(edges: list, root: int, q: int, height: int, nxt: int) -> int:
-    # q children under root, each the root of a height-(height-1) subtree
-    if height <= 0:
-        return nxt
-    for _ in range(q):
+    # q children under root, each the root of a height-(height-1) subtree,
+    # labelled in preorder from nxt; an explicit stack, so depth costs no recursion
+    stack = [(root, height)] * q if height > 0 else []  # (parent, its height) per child to make
+    while stack:
+        parent, h = stack.pop()
         child = nxt
         nxt += 1
-        edges.append((root, child))
-        nxt = _grow(edges, child, q, height - 1, nxt)
+        edges.append((parent, child))
+        if h > 1:
+            stack.extend([(child, h - 1)] * q)
     return nxt
 
 
@@ -227,24 +226,24 @@ def _check_spec_size(p: ModelParams, spec: TreeSpec):
     _check_size(p, nodes, exact=nodes <= _COUNT_CAP)
 
 
-@lru_cache(maxsize=64)
-def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> tuple:
-    """Count feasible assignments by (lead value, node histogram, edge histogram).
+def _sum_product(p: ModelParams, t: FiniteTree, lead) -> list:
+    """Integer weight totals of the feasible assignments, by one pass over the tree.
 
-    The tree is rooted at the lead node (an edge lead's first end) and count
-    tables are convolved upward, child by child. A table maps (occupancy of
-    the subtree's top node, lead flag, packed node histogram, packed edge
-    histogram) to a count. Histograms are packed as base-(n+1) and base-(e+1)
-    digits, so adding two packed keys adds the histograms. The flag records
-    whether one more call at the lead would still fit; only the root table
-    carries it, every table below holds it at 1.
+    Entries enter as integers over their vector's common denominator: node
+    entry i is N_i - N_{i-1} of ``_exact_sums``, and the edge sums clipped at
+    k are N_min(ce, k) themselves, so every total is exact. The tree is rooted
+    at the lead node (an edge lead's first end) and each node keeps one table
+    by its occupancy, the weight of its subtree; a child's message to its
+    parent at occupancy a is sum_b T[b] * N_min(ce, cap - a - b). Beside the
+    root's table runs the weight for which one more call at the lead still
+    fits: a node call needs a free node slot and a unit of budget on every
+    incident edge, an edge call a free edge slot and a unit of budget on its
+    own edge.
 
-    Returns (buckets, n + 1, e + 1): buckets maps (lead value, packed node
-    histogram, packed edge histogram) to a count -- the lead value is the
-    root's occupancy for a root lead, else the flag -- and the two digit
-    bases let ``_fold`` decode the histograms.
+    Returns the totals per root occupancy for a root lead, else [refused,
+    admitted].
     """
-    n, e = len(t.nodes), len(t.edges)
+    _check_size(p, len(t.nodes))
     kind, arg = lead
     top = arg[0] if kind == "edge" else arg
     order, up = [top], {top: None}
@@ -253,74 +252,44 @@ def _tally(t: FiniteTree, cap: int, cv: int, ce: int, lead) -> tuple:
             if y not in up:
                 up[y] = (x, ei)
                 order.append(y)
-    node_digit = [(n + 1) ** o for o in range(cv + 1)]
-    edge_digit = [(e + 1) ** j for j in range(ce + 1)]
-    tables = {x: {(o, 1, node_digit[o], 0): 1 for o in range(cv + 1)} for x in order}
-    if kind == "node":
-        tables[top] = {(o, int(o < cv), node_digit[o], 0): 1 for o in range(cv + 1)}
+    _, node_sums = p.node_weights._exact_sums
+    _, edge_sums = p.edge_weights._exact_sums
+    node = [s - r for s, r in zip(node_sums, (0, *node_sums))]
+
+    def message(child: list, room: int, budget: int) -> list:
+        # by parent occupancy a: the sum over child occupancies b of T[b] times
+        # the weight of the edge occupancies j <= min(room, budget - a - b)
+        if room < 0:
+            return [0] * (p.cv + 1)
+        return [
+            sum(w * edge_sums[min(room, budget - a - b)]
+                for b, w in enumerate(child[: budget - a + 1]))
+            for a in range(p.cv + 1)
+        ]
+
+    tables = {x: list(node) for x in order}
+    fits = [w if kind != "node" or a < p.cv else 0 for a, w in enumerate(node)]
     for y in reversed(order[1:]):
         x, ei = up[y]
-        # a node call needs a unit of budget on every incident edge, an edge
-        # call a free edge slot and a unit of budget on its own edge
-        gated = x == top and (kind == "node" or (kind == "edge" and ei == arg[2]))
-        edge_room = ce if kind == "node" else ce - 1
-        msg: list = [{} for _ in range(cv + 1)]  # by parent occupancy
-        for (b, _, hv, he), count in tables.pop(y).items():
-            for j in range(min(ce, cap - b) + 1):
-                he_j = he + edge_digit[j]
-                for a in range(min(cv, cap - b - j) + 1):
-                    ok = int(not gated or (a + j + b < cap and j <= edge_room))
-                    key = (ok, hv, he_j)
-                    msg[a][key] = msg[a].get(key, 0) + count
-        merged: dict = {}
-        for (a, flag, hv, he), count in tables[x].items():
-            for (ok, hv_c, he_c), count_c in msg[a].items():
-                key = (a, flag & ok, hv + hv_c, he + he_c)
-                merged[key] = merged.get(key, 0) + count * count_c
-        tables[x] = merged
-    tally: dict = {}
-    for (o, flag, hv, he), count in tables[top].items():
-        key = (o if kind == "root" else flag, hv, he)
-        tally[key] = tally.get(key, 0) + count
-    return tally, n + 1, e + 1
+        child = tables.pop(y)
+        full = message(child, p.ce, p.cap)
+        tables[x] = [w * m for w, m in zip(tables[x], full)]
+        if x == top:
+            gated = kind == "node" or (kind == "edge" and ei == arg[2])
+            room = p.ce if kind == "node" else p.ce - 1
+            part = message(child, room, p.cap - 1) if gated else full
+            fits = [w * m for w, m in zip(fits, part)]
+    if kind == "root":
+        return tables[top]
+    admitted = sum(fits)
+    return [sum(tables[top]) - admitted, admitted]
 
 
-def _powers(packed: int, base: int, entries) -> list:
-    """The nonzero powers x**h of a packed histogram, in occupancy order."""
-    out = []
-    for x in entries:
-        packed, h = divmod(packed, base)
-        if h:
-            out.append(x**h)
-    return out
-
-
-def _fold(tally: tuple, node_entries, edge_entries, leads: int) -> list:
-    """Collapse a bucket tally into one weighted total per lead value.
-
-    A bucket's weight is its count times the powers of its two histograms,
-    multiplied in occupancy order; each distinct histogram is decoded once.
-    Float totals use fsum, which is correctly rounded, and exact (int/Fraction)
-    totals are exact sums, so neither depends on the order buckets are visited.
-    """
-    buckets, node_base, edge_base = tally
-    exact = not any(isinstance(x, float) for x in node_entries) and not any(
-        isinstance(x, float) for x in edge_entries
-    )
-    unit = Fraction if exact else float
-    node_powers = {hv: _powers(hv, node_base, node_entries) for hv in {k[1] for k in buckets}}
-    edge_powers = {he: _powers(he, edge_base, edge_entries) for he in {k[2] for k in buckets}}
-    terms: list = [[] for _ in range(leads)]
-    for (lead, hv, he), count in buckets.items():
-        w = unit(count)
-        for f in node_powers[hv]:
-            w *= f
-        for f in edge_powers[he]:
-            w *= f
-        terms[lead].append(w)
-    if exact:
-        return [sum(ts, Fraction(0)) for ts in terms]
-    return [math.fsum(ts) for ts in terms]
+def _quotient(p: ModelParams, num: int, den: int):
+    """num / den: a Fraction for exact weights, else the correctly rounded float."""
+    if any(isinstance(x, float) for x in (*p.node_weights.entries, *p.edge_weights.entries)):
+        return num / den
+    return Fraction(num, den)
 
 
 def _lead_for_target(t: FiniteTree, target):
@@ -331,20 +300,24 @@ def _lead_for_target(t: FiniteTree, target):
 
 
 def exact_partition(p: ModelParams, t: FiniteTree, root) -> tuple:
-    """Z(i), i = 0..cv: total weight of feasible assignments with root occupancy i."""
-    _check_size(p, len(t.nodes))
-    tally = _tally(t, p.cap, p.cv, p.ce, ("root", t.node_index(root)))
-    return tuple(
-        _fold(tally, p.node_weights.entries, p.edge_weights.entries, p.cv + 1)
-    )
+    """Z(i), i = 0..cv: total weight of feasible assignments with root occupancy i.
+
+    Float weights give the correctly rounded floats; a total beyond the float
+    range is refused with ``ValueError``.
+    """
+    totals = _sum_product(p, t, ("root", t.node_index(root)))
+    dv, de = p.node_weights._exact_sums[0], p.edge_weights._exact_sums[0]
+    den = dv ** len(t.nodes) * de ** len(t.edges)
+    try:
+        return tuple(_quotient(p, z, den) for z in totals)
+    except OverflowError:
+        raise ValueError("the partition function exceeds the float range") from None
 
 
 def occupancy_distribution(p: ModelParams, t: FiniteTree, node) -> tuple:
-    z = exact_partition(p, t, node)
-    total = sum(z)
-    if total <= 0:
-        raise ValueError("degenerate weights: total measure is zero")
-    return tuple(zi / total for zi in z)
+    totals = _sum_product(p, t, ("root", t.node_index(node)))
+    total = sum(totals)
+    return tuple(_quotient(p, z, total) for z in totals)
 
 
 def exact_blocking(p: ModelParams, t: FiniteTree, target):
@@ -354,12 +327,5 @@ def exact_blocking(p: ModelParams, t: FiniteTree, target):
     incident edge. Edge target (pair): needs a free edge slot and a unit of
     budget on that edge. Exact weights give an exact rational back.
     """
-    _check_size(p, len(t.nodes))
-    tally = _tally(t, p.cap, p.cv, p.ce, _lead_for_target(t, target))
-    refused, admitted = _fold(
-        tally, p.node_weights.entries, p.edge_weights.entries, 2
-    )
-    total = refused + admitted
-    if total <= 0:
-        raise ValueError("degenerate weights: total measure is zero")
-    return refused / total
+    refused, admitted = _sum_product(p, t, _lead_for_target(t, target))
+    return _quotient(p, refused, refused + admitted)

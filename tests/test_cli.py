@@ -533,6 +533,17 @@ class TestEnumerateCommand:
         assert (code, out) == (2, "")
         assert "refusing to enumerate" in err and len(err) < 200
 
+    def test_partition_beyond_the_float_range_is_refused(self, capsys, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_text("1\n1e200\n1e200\n")
+        code, out, err = _run(
+            capsys,
+            "enumerate", "--q", "2", "--cap", "2", "--weights", f"file:{w}",
+            "--nu", "1", "--radius", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the partition function exceeds the float range\n"
+
 
 class TestSimulateCommand:
     ARGS = (
@@ -575,6 +586,16 @@ class TestSimulateCommand:
         assert main([*self.ARGS, "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_deep_tree_runs(self, capsys):
+        # 1,501 levels: deeper than Python's recursion limit
+        code, out, _ = _run(
+            capsys,
+            "simulate", "--q", "1", "--cap", "2", "--lam", "1", "--nu", "1",
+            "--height", "1500", "--warmup", "0", "--horizon", "1", "--reps", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["replications"] == 1
 
     def test_oversized_tree_is_refused_at_once(self):
         # 122,222,222 nodes: run in a child capped at 1 GiB of address space,

@@ -1,4 +1,5 @@
-"""Exact tally: hand counts, exactness, literal enumeration, order independence."""
+"""Exact sum-product: hand counts, exactness, literal enumeration, order independence,
+rounding, tree builders."""
 import itertools
 import math
 from fractions import Fraction
@@ -249,56 +250,6 @@ class TestIndependence:
         assert len(deep_vals) == 1
 
 
-def _ref_unpack(packed: int, base: int, digits: int) -> tuple:
-    out = []
-    for _ in range(digits):
-        packed, d = divmod(packed, base)
-        out.append(d)
-    return tuple(out)
-
-
-def _ref_fold(tally, node_entries, edge_entries, leads):
-    """The fold with histograms unpacked into tuples and buckets weighed in
-    sorted order, every power recomputed per bucket; kept as the reference."""
-    buckets, node_base, edge_base = tally
-    unpacked: dict = {}
-    for (lead, hv, he), count in buckets.items():
-        key = (lead, _ref_unpack(hv, node_base, len(node_entries)),
-               _ref_unpack(he, edge_base, len(edge_entries)))
-        unpacked[key] = unpacked.get(key, 0) + count
-    exact = not any(isinstance(x, float) for x in node_entries) and not any(
-        isinstance(x, float) for x in edge_entries
-    )
-    terms: list = [[] for _ in range(leads)]
-    for (lead, hv, he) in sorted(unpacked):
-        count = unpacked[(lead, hv, he)]
-        w = Fraction(count) if exact else float(count)
-        for x, h in zip(node_entries, hv):
-            if h:
-                w *= x**h
-        for x, h in zip(edge_entries, he):
-            if h:
-                w *= x**h
-        terms[lead].append(w)
-    if exact:
-        return [sum(ts, Fraction(0)) for ts in terms]
-    return [math.fsum(ts) for ts in terms]
-
-
-def _bits(v):
-    """A value as its exact bits: floats by hex, anything else with its type."""
-    return v.hex() if isinstance(v, float) else (type(v).__name__, v)
-
-
-def _outcome(f):
-    """``f()``'s result, bit by bit, or the type of the error it raised."""
-    try:
-        v = f()
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        return type(exc)
-    return tuple(map(_bits, v)) if isinstance(v, tuple) else _bits(v)
-
-
 # zeros, ints, Fractions and floats of magnitude 1e-300 to 1e300
 _POSITIVE_ENTRY = st.one_of(
     st.floats(1e-300, 1e300),
@@ -308,25 +259,39 @@ _POSITIVE_ENTRY = st.one_of(
 _ENTRY = st.one_of(st.just(0.0), st.just(0), st.just(Fraction(0)), _POSITIVE_ENTRY)
 
 
-class TestFoldReference:
+def _values(v) -> tuple:
+    return v if isinstance(v, tuple) else (v,)
+
+
+class TestCorrectRounding:
     @given(_small_trees(most=6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 3),
            st.data())
-    def test_fold_is_bit_identical_to_the_sorted_fold(self, t, cap, cv, ce, data):
+    def test_floats_are_the_correctly_rounded_exact_values(self, t, cap, cv, ce, data):
         cv, ce = min(cv, cap), min(ce, cap)
-        unit = data.draw(st.sampled_from([1, 1.0, Fraction(1)]))
-        node = (unit, *data.draw(st.lists(_ENTRY, min_size=cv, max_size=cv)))
+        node = (1.0, *data.draw(st.lists(_ENTRY, min_size=cv, max_size=cv)))
         edge = (data.draw(_POSITIVE_ENTRY), *data.draw(st.lists(_ENTRY, min_size=ce, max_size=ce)))
         p = ModelParams(1, cap, cv, ce, WeightVector(node), WeightVector(edge))
+        exact = ModelParams(1, cap, cv, ce, WeightVector(tuple(map(Fraction, node))),
+                            WeightVector(tuple(map(Fraction, edge))))
         # root, node and edge leads
         calls = [(exact_partition, data.draw(st.sampled_from(t.nodes))),
+                 (occupancy_distribution, data.draw(st.sampled_from(t.nodes))),
                  (exact_blocking, data.draw(st.sampled_from(t.nodes)))]
         if t.edges:
             calls.append((exact_blocking, data.draw(st.sampled_from(t.edges))))
         for fn, where in calls:
-            got = _outcome(lambda: fn(p, t, where))
-            with mock.patch.object(oracle, "_fold", _ref_fold):
-                want = _outcome(lambda: fn(p, t, where))
-            assert got == want
+            want = _values(fn(exact, t, where))
+            assert all(isinstance(v, Fraction) for v in want)
+            try:
+                want_bits = [float(v).hex() for v in want]
+            except OverflowError:
+                # an exact value beyond the float range is refused, not saturated
+                with pytest.raises(ValueError, match="float range"):
+                    fn(p, t, where)
+                continue
+            got = _values(fn(p, t, where))
+            assert all(isinstance(v, float) for v in got)
+            assert [v.hex() for v in got] == want_bits
 
 
 class TestGuard:
@@ -409,6 +374,18 @@ class TestFeasibility:
             is_feasible(self.P, self.T, self._cfg(True, 0, 0))
 
 
+def _ref_grow(edges: list, root: int, q: int, height: int, nxt: int) -> int:
+    """The recursive builder the stack-based ``oracle._grow`` replaced; kept as the reference."""
+    if height <= 0:
+        return nxt
+    for _ in range(q):
+        child = nxt
+        nxt += 1
+        edges.append((root, child))
+        nxt = _ref_grow(edges, child, q, height - 1, nxt)
+    return nxt
+
+
 class TestBuilders:
     def test_shapes(self):
         assert len(rooted_tree(2, 2).nodes) == 7
@@ -443,6 +420,22 @@ class TestBuilders:
         # past 2**64 nodes the count saturates instead of computing a huge power
         assert _spec_nodes(TreeSpec("spherical", 10**9), 10) == 2**64 + 1
         assert _spec_nodes(TreeSpec("rooted", 2), 10**30) == 2**64 + 1
+
+    def test_builders_match_the_recursive_reference(self):
+        builders = (rooted_tree, spherical_tree, edge_centered_tree)
+        for q in (1, 2, 3):
+            for builder in builders:
+                for size in range(builder is not rooted_tree, 5):
+                    got = builder(q, size)
+                    with mock.patch.object(oracle, "_grow", _ref_grow):
+                        want = builder(q, size)
+                    assert got == want
+
+    def test_deep_path_builds(self):
+        # far past Python's recursion limit
+        t = rooted_tree(1, 5000)
+        assert len(t.nodes) == 5001
+        assert t.edges[-1] == (4999, 5000)
 
     def test_builder_validation(self):
         for bad_call in (
