@@ -87,9 +87,9 @@ class ModelParams:
 def _coefficients(p: ModelParams) -> tuple:
     """Clipped partial-sum rows: rows[k][j] = S(min(cap-k-j, ce)) as floats.
 
-    k runs over 0..cv+1 and j over 0..cv, with S of a negative index equal to
-    0. Row 0 is the map's denominator, rows 1..cv its numerators; the extra
-    row cv+1 serves blocking sums that reserve one unit of budget.
+    k and j run over 0..cv, with S of a negative index equal to 0. Row 0 is
+    the map's denominator and rows 1..cv its numerators; the center
+    quantities in ``treecalc`` read the same rows.
     """
 
     def clipped(a: int) -> float:
@@ -99,7 +99,7 @@ def _coefficients(p: ModelParams) -> tuple:
 
     return tuple(
         tuple(clipped(p.cap - k - j) for j in range(p.cv + 1))
-        for k in range(p.cv + 2)
+        for k in range(p.cv + 1)
     )
 
 

@@ -2,8 +2,14 @@
 
 Calls arrive in independent Poisson streams: one per node (rate = second node
 weight entry) and one per edge (rate = second edge weight entry; absent when
-the per-edge call cap is zero). An arrival is admitted iff the element's own
-cap and every touched budget constraint still hold with one more call.
+the per-edge call cap is zero). Nodes and edges are one kind of element:
+elements 0..n-1 are the nodes and n..n+e-1 the edges, each with its own cap
+(cv or ce) and the edge budgets it draws on (a node every incident edge's, an
+edge its own). An arrival is admitted iff the element's own cap and every
+budget it draws on still hold with one more call, which is the
+route-and-resource rule of a loss network (Kelly 1991). There are three
+event kinds: an arrival, the departure of one call, and a service
+completion.
 
 Two service disciplines:
 
@@ -135,8 +141,9 @@ def _edge_rate(p: ModelParams) -> float:
 # the draws come out in stream order whatever it is.
 _BLOCK = 4096
 
-# Event kinds, each at a node (N) or an edge (E).
-_ARRIVE_N, _ARRIVE_E, _DEPART_N, _DEPART_E, _COMPLETE_N, _COMPLETE_E = range(6)
+# Event kinds: a call arrives, a per-call holding time ends, or a shared
+# server completes its current call.
+_ARRIVE, _DEPART, _COMPLETE = range(3)
 
 
 def _standard_exponentials(rng):
@@ -148,117 +155,79 @@ def _standard_exponentials(rng):
 
 def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     p = cfg.params
-    cv, ce, cap = p.cv, p.ce, p.cap
-    adjacency, edge_ends = tree.adjacency, tree.edge_ends
-    node_rate = _node_rate(p)
-    edge_rate = _edge_rate(p)
+    cap = p.cap
     n, e = len(tree.nodes), len(tree.edges)
-    occ_n = [0] * n
-    occ_e = [0] * e
+    # Elements 0..n-1 are the nodes, n..n+e-1 the edges. budget[x] lists, for
+    # each budget x draws on, the other two elements of its node-edge-node triple.
+    top = [p.cv] * n + [p.ce] * e
+    rates = [_node_rate(p)] * n + [_edge_rate(p)] * e
+    scale = [1.0 / r if r > 0 else 0.0 for r in rates]
+    budget = [[(n + ei, w) for w, ei in adj] for adj in tree.adjacency]
+    budget += [[ends] for ends in tree.edge_ends]
+    occ = [0] * (n + e)
+    offered = [0] * (n + e)
+    blocked = [0] * (n + e)
     center = tree.node_index(cfg.node_target)
-    if cfg.edge_target is not None:
-        target_edge = tree.edge_index(cfg.edge_target)
-    else:
-        target_edge = 0 if tree.edges else -1  # -1: no edges, nothing to count
+    target = n + (tree.edge_index(cfg.edge_target) if cfg.edge_target is not None else 0)
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
+    service = _COMPLETE if shared else _DEPART
     check_feasibility = cfg.check_feasibility
     push, pop = heappush, heappop
     draw = _standard_exponentials(rng).__next__
     # exponential(scale) is scale * standard exponential, and 1.0 * x == x
     duration = repeat(1.0).__next__ if cfg.duration_mode == "deterministic" else draw
-    node_scale = 1.0 / node_rate if node_rate > 0 else 0.0
-    edge_scale = 1.0 / edge_rate if edge_rate > 0 else 0.0
 
     # (time, sequence number, kind, element); the sequence number breaks ties
-    heap: list = []
-    if node_rate > 0:
-        heap += [(node_scale * draw(), i, _ARRIVE_N, i) for i in range(n)]
-    if edge_rate > 0:
-        base = len(heap)
-        heap += [(edge_scale * draw(), base + k, _ARRIVE_E, k) for k in range(e)]
+    armed = [x for x in range(n + e) if rates[x] > 0]
+    heap = [(scale[x] * draw(), s, _ARRIVE, x) for s, x in enumerate(armed)]
     heapify(heap)
     seq = len(heap)
 
-    occ_time = [0.0] * (cv + 1)
-    offered_n = blocked_n = offered_e = blocked_e = events = 0
+    occ_time = [0.0] * (p.cv + 1)
     last = 0.0
 
     def assert_legal():
         cfg_now = Configuration(
-            node_occ={v: occ_n[i] for i, v in enumerate(tree.nodes)},
-            edge_occ={ed: occ_e[k] for k, ed in enumerate(tree.edges)},
+            node_occ=dict(zip(tree.nodes, occ[:n])),
+            edge_occ=dict(zip(tree.edges, occ[n:])),
         )
         if not is_feasible(p, tree, cfg_now):
             raise RuntimeError("internal consistency: simulated state left the feasible set")
 
     while heap:
-        t, _, kind, idx = pop(heap)
+        t, _, kind, x = pop(heap)
         if t > horizon:
             break
         lo = last if last >= warmup else warmup
         if t > lo:
-            occ_time[occ_n[center]] += t - lo
+            occ_time[occ[center]] += t - lo
         last = t
 
-        if kind == _ARRIVE_N:
-            counted = t >= warmup
-            if counted:
-                events += 1
-                if idx == center:
-                    offered_n += 1
-            occ = occ_n[idx] + 1
-            admit = occ <= cv
+        if kind == _ARRIVE:
+            o = occ[x] + 1
+            admit = o <= top[x]
             if admit:
-                for wp, ei in adjacency[idx]:
-                    if occ + occ_e[ei] + occ_n[wp] > cap:
+                for a, b in budget[x]:
+                    if o + occ[a] + occ[b] > cap:
                         admit = False
                         break
             if admit:
-                if not shared:
-                    push(heap, (t + duration(), seq, _DEPART_N, idx))
+                # a shared server is started by the call that finds it idle
+                if not shared or o == 1:
+                    push(heap, (t + duration(), seq, service, x))
                     seq += 1
-                elif occ == 1:
-                    push(heap, (t + duration(), seq, _COMPLETE_N, idx))
-                    seq += 1
-                occ_n[idx] = occ
-            elif counted and idx == center:
-                blocked_n += 1
-            push(heap, (t + node_scale * draw(), seq, _ARRIVE_N, idx))
+                occ[x] = o
+            if t >= warmup:
+                offered[x] += 1
+                if not admit:
+                    blocked[x] += 1
+            push(heap, (t + scale[x] * draw(), seq, _ARRIVE, x))
             seq += 1
-        elif kind == _ARRIVE_E:
-            counted = t >= warmup
-            if counted:
-                events += 1
-                if idx == target_edge:
-                    offered_e += 1
-            occ = occ_e[idx] + 1
-            up, vp = edge_ends[idx]
-            if occ <= ce and occ_n[up] + occ + occ_n[vp] <= cap:
-                if not shared:
-                    push(heap, (t + duration(), seq, _DEPART_E, idx))
-                    seq += 1
-                elif occ == 1:
-                    push(heap, (t + duration(), seq, _COMPLETE_E, idx))
-                    seq += 1
-                occ_e[idx] = occ
-            elif counted and idx == target_edge:
-                blocked_e += 1
-            push(heap, (t + edge_scale * draw(), seq, _ARRIVE_E, idx))
-            seq += 1
-        elif kind == _DEPART_N:
-            occ_n[idx] -= 1
-        elif kind == _DEPART_E:
-            occ_e[idx] -= 1
-        elif kind == _COMPLETE_N:
-            occ_n[idx] -= 1
-            if occ_n[idx] >= 1:
-                push(heap, (t + duration(), seq, _COMPLETE_N, idx))
-                seq += 1
-        else:  # _COMPLETE_E
-            occ_e[idx] -= 1
-            if occ_e[idx] >= 1:
-                push(heap, (t + duration(), seq, _COMPLETE_E, idx))
+        else:  # _DEPART or _COMPLETE
+            occ[x] -= 1
+            if kind == _COMPLETE and occ[x] >= 1:
+                push(heap, (t + duration(), seq, _COMPLETE, x))
                 seq += 1
 
         if check_feasibility:
@@ -266,10 +235,11 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
 
     lo = last if last >= warmup else warmup
     if horizon > lo:
-        occ_time[occ_n[center]] += horizon - lo
+        occ_time[occ[center]] += horizon - lo
     span = horizon - warmup
     occupancy = tuple(x / span for x in occ_time)
-    return offered_n, blocked_n, offered_e, blocked_e, occupancy, events
+    edge_counts = (offered[target], blocked[target]) if e else (0, 0)
+    return offered[center], blocked[center], *edge_counts, occupancy, sum(offered)
 
 
 def _mean_se(values: list) -> tuple:
@@ -377,18 +347,11 @@ def compare(stats: SimStats, exact: dict) -> CompareReport:
     if not exact:
         raise ValueError("no comparison targets given")
     entries = []
-    if "node_beta" in exact:
-        ref = float(exact["node_beta"])
-        entries.append(
-            CompareEntry("node_beta", stats.node_beta, ref, stats.node_beta_se,
-                         _zscore(stats.node_beta, ref, stats.node_beta_se))
-        )
-    if "edge_beta" in exact:
-        ref = float(exact["edge_beta"])
-        entries.append(
-            CompareEntry("edge_beta", stats.edge_beta, ref, stats.edge_beta_se,
-                         _zscore(stats.edge_beta, ref, stats.edge_beta_se))
-        )
+    for name in ("node_beta", "edge_beta"):
+        if name in exact:
+            ref = float(exact[name])
+            est, se = getattr(stats, name), getattr(stats, f"{name}_se")
+            entries.append(CompareEntry(name, est, ref, se, _zscore(est, ref, se)))
     if "occupancy" in exact:
         ref = tuple(float(x) for x in exact["occupancy"])
         if len(ref) != len(stats.occupancy):

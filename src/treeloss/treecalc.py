@@ -87,45 +87,38 @@ def _subtree_xi(p: ModelParams, radius: int) -> tuple:
     return rooted_state(p, check_int("radius", radius, 1) - 1).xi
 
 
-def _capacity_sums(p: ModelParams, xi: Sequence[float], used: int) -> tuple:
-    """sum_j S(min(cap - used - i - j, ce)) xi_j for each center occupancy i.
+def _row_sums(p: ModelParams, xi: Sequence[float]) -> tuple:
+    """T_k = sum_j S(min(cap - k - j, ce)) xi_j for k = 0..cv, with xi_0 = 1.
 
-    ``used`` reserves budget on every incident edge (1 while testing whether
-    one more node call fits); S of a negative index contributes 0.
+    T_i weighs the subtrees of a center at occupancy i; T_{i+1} weighs them
+    when one more center call takes one unit of every incident edge budget.
+    S of a negative index contributes 0.
     """
-    rows = _coefficients(p)[used:]
     full = (1.0,) + tuple(xi)
-    return tuple(
-        sum(rows[i][j] * full[j] for j in range(p.cv + 1)) for i in range(p.cv + 1)
-    )
+    return tuple(sum(r * x for r, x in zip(row, full)) for row in _coefficients(p))
 
 
-def _center_log_weights(
-    p: ModelParams, xi: Sequence[float], used: int, top: int, exponent: int
-) -> list:
-    """log(nu_i * T_i**exponent) for i = 0..top, with -inf for vanishing terms."""
-    sums = _capacity_sums(p, xi, used)
-    out = []
-    for i in range(top + 1):
-        nu_i = float(p.node_weights.entries[i])
-        if nu_i == 0.0 or sums[i] <= 0.0:
-            out.append(-math.inf)
-        else:
-            out.append(math.log(nu_i) + exponent * math.log(sums[i]))
-    return out
+def _log_weights(p: ModelParams, sums: Sequence[float], exponent: int) -> list:
+    """log(nu_i * sums[i]**exponent) over the paired entries, -inf where a factor vanishes."""
+    return [
+        -math.inf if nu_i == 0.0 or s <= 0.0 else math.log(nu_i) + exponent * math.log(s)
+        for nu_i, s in zip(map(float, p.node_weights.entries), sums)
+    ]
 
 
 def center_occupancy(p: ModelParams, radius: int) -> tuple:
     """Occupancy law at the center of the radius-L ball (q+1 subtrees of height L-1)."""
-    logs = _center_log_weights(p, _subtree_xi(p, radius), used=0, top=p.cv, exponent=p.q + 1)
+    logs = _log_weights(p, _row_sums(p, _subtree_xi(p, radius)), p.q + 1)
     total = log_sum_exp(logs)
     return tuple(math.exp(lw - total) if lw > -math.inf else 0.0 for lw in logs)
 
 
 def _multicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     """Center-call blocking evaluated at a given subtree ratio vector."""
-    log_den = log_sum_exp(_center_log_weights(p, xi, used=0, top=p.cv, exponent=p.q + 1))
-    log_num = log_sum_exp(_center_log_weights(p, xi, used=1, top=p.cv - 1, exponent=p.q + 1))
+    sums = _row_sums(p, xi)
+    log_den = log_sum_exp(_log_weights(p, sums, p.q + 1))
+    # a call admitted at center occupancy i < cv weighs nu_i T_{i+1}**(q+1)
+    log_num = log_sum_exp(_log_weights(p, sums[1:], p.q + 1))
     if log_num == -math.inf:
         return 1.0
     return min(1.0, max(0.0, 1.0 - math.exp(log_num - log_den)))
@@ -142,30 +135,31 @@ def multicast_blocking(p: ModelParams, radius: int) -> float:
 
 
 def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
-    log_side = _center_log_weights(p, xi, used=0, top=p.cv, exponent=p.q)
+    """Central-edge blocking at a given subtree ratio vector, summed by hub pair.
+
+    A hub at occupancy i weighs side_i = nu_i T_i**q. With hubs at i and k
+    the edge holds at most c = min(ce, cap - i - k) calls, and a call is
+    refused exactly when the edge holds c, so the pair weighs
+    side_i side_k S_c in all (S_c = _coefficients(p)[i][k]) and
+    side_i side_k lam_c refused.
+    """
+    log_side = _log_weights(p, _row_sums(p, xi), p.q)
+    rows = _coefficients(p)
     log_all = []
     log_blocked = []
-    for i in range(p.cv + 1):
-        if log_side[i] == -math.inf:
-            continue
-        for k in range(p.cv + 1):
-            if log_side[k] == -math.inf:
+    for i, side_i in enumerate(log_side):
+        for k, side_k in enumerate(log_side):
+            if side_i == -math.inf or side_k == -math.inf or i + k > p.cap:
                 continue
-            for j in range(p.ce + 1):
-                if i + j + k > p.cap:
-                    break
-                lam_j = float(p.edge_weights.entries[j])
-                if lam_j == 0.0:
-                    continue
-                lw = log_side[i] + math.log(lam_j) + log_side[k]
-                log_all.append(lw)
-                if j + 1 > p.ce or i + j + 1 + k > p.cap:
-                    log_blocked.append(lw)
-    total = log_sum_exp(log_all)
+            pair = side_i + side_k
+            log_all.append(pair + math.log(rows[i][k]))
+            lam_c = float(p.edge_weights.entries[min(p.ce, p.cap - i - k)])
+            if lam_c > 0.0:
+                log_blocked.append(pair + math.log(lam_c))
     blocked = log_sum_exp(log_blocked)
     if blocked == -math.inf:
         return 0.0
-    return min(1.0, max(0.0, math.exp(blocked - total)))
+    return min(1.0, max(0.0, math.exp(blocked - log_sum_exp(log_all))))
 
 
 def unicast_blocking(p: ModelParams, radius: int) -> float:

@@ -4,7 +4,7 @@ from heapq import heappop, heappush
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeloss import simulate
 from treeloss.oracle import (
@@ -226,6 +226,7 @@ class TestBitIdentity:
     included.
     """
 
+    @settings(max_examples=200)
     @given(_sim_configs())
     @example(
         SimConfig(

@@ -2,8 +2,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from treeloss import treecalc
+from treeloss._num import log_sum_exp
 from treeloss.oracle import (
     edge_centered_tree,
     exact_blocking,
@@ -197,6 +199,70 @@ class TestUnicastBlocking:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             unicast_blocking(_params(), 0)
+
+
+def _unicast_triple_sum(p, xi):
+    """Central-edge blocking as the literal sum over (hub i, edge j, hub k) states."""
+    full = (1.0,) + tuple(xi)
+
+    def clipped(a):
+        return float(p.edge_weights.partial_sums[min(a, p.ce)]) if a >= 0 else 0.0
+
+    log_side = []
+    for i in range(p.cv + 1):
+        t = sum(clipped(p.cap - i - j) * full[j] for j in range(p.cv + 1))
+        nu_i = float(p.node_weights.entries[i])
+        log_side.append(math.log(nu_i) + p.q * math.log(t) if nu_i > 0 and t > 0 else -math.inf)
+    log_all, log_blocked = [], []
+    for i in range(p.cv + 1):
+        for k in range(p.cv + 1):
+            for j in range(p.ce + 1):
+                lam_j = float(p.edge_weights.entries[j])
+                if i + j + k > p.cap or lam_j == 0.0 or -math.inf in (log_side[i], log_side[k]):
+                    continue
+                lw = log_side[i] + math.log(lam_j) + log_side[k]
+                log_all.append(lw)
+                if j + 1 > p.ce or i + j + 1 + k > p.cap:
+                    log_blocked.append(lw)
+    blocked = log_sum_exp(log_blocked)
+    if blocked == -math.inf:
+        return 0.0
+    return min(1.0, max(0.0, math.exp(blocked - log_sum_exp(log_all))))
+
+
+_ratio_entries = st.one_of(st.just(0.0), st.floats(-20.0, 20.0).map(lambda u: 10.0**u))
+
+
+@st.composite
+def _ratio_cases(draw):
+    """Any caps, weights with zero entries, and a free ratio vector up to 1e20."""
+    cap = draw(st.integers(1, 5))
+    cv = draw(st.integers(1, cap))
+    ce = draw(st.integers(0, cap))
+    nodes = WeightVector((1.0,) + tuple(draw(_ratio_entries) for _ in range(cv)))
+    edges = WeightVector(
+        (draw(st.floats(0.01, 5.0)),) + tuple(draw(_ratio_entries) for _ in range(ce))
+    )
+    p = ModelParams(draw(st.integers(1, 15)), cap, cv, ce, nodes, edges)
+    return p, tuple(draw(_ratio_entries) for _ in range(cv))
+
+
+class TestUnicastByHubPair:
+    """Summing by hub pair agrees with the literal sum over (hub, edge, hub) states."""
+
+    @given(_ratio_cases())
+    @example((ModelParams(3, 2, 1, 0, poisson_weights(2.0, 1), WeightVector((1.0,))), (4.0,)))
+    @example(
+        (
+            ModelParams(2, 3, 3, 2, WeightVector((1.0, 0.5, 0.0, 2.0)),
+                        WeightVector((1.0, 0.0, 3.0))),
+            (1e20, 0.0, 1e-20),
+        )
+    )
+    def test_matches_triple_sum(self, case):
+        p, xi = case
+        got = treecalc._unicast_blocking_at(p, xi)
+        assert math.isclose(got, _unicast_triple_sum(p, xi), rel_tol=1e-12)
 
 
 class TestBlockingCurve:
