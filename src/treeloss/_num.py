@@ -1,4 +1,5 @@
-"""Small numeric helpers shared across modules."""
+"""Small helpers shared across modules: count checks, float arithmetic and the
+process-pool map behind every ``--jobs`` option."""
 
 from __future__ import annotations
 
@@ -17,6 +18,21 @@ def check_int(name: str, value, least: int, most: int | None = None) -> int:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
     return value
+
+
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, on ``jobs`` worker processes when that is > 1.
+
+    Results come back in task order, so output built from them does not depend
+    on ``jobs``. ``concurrent.futures`` is imported only when a pool starts,
+    which keeps its cost off serial runs.
+    """
+    if jobs == 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
 
 def check_nonneg(name: str, value) -> float:

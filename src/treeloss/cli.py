@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from ._num import check_int
+from ._num import check_int, map_tasks
 from .phase1d import AssumptionViolation, condition_a, condition_a_margin, phase_window
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
 from .treecalc import TreeSpec, blocking_curve, center_occupancy, multicast_blocking, rooted_state, unicast_blocking
@@ -200,7 +200,7 @@ def _cmd_blocking_curve(args) -> int:
         (args.q, args.cap, args.cv, ce, edge, nu, args.tol, args.sep, args.max_iter)
         for nu in nus
     ]
-    rows = _map_tasks(_curve_task, tasks, args.jobs)
+    rows = map_tasks(_curve_task, tasks, check_int("--jobs", args.jobs, 1))
     return _emit_csv(
         args, "blocking-curve", "nu,unique,beta_even,beta_odd,xi_even,xi_odd", rows
     )
@@ -224,16 +224,8 @@ def _cmd_sweep_region(args) -> int:
     # validate before the pool starts; a rate family fails first at a grid end
     _sweep_task(tasks[0])
     _sweep_task(tasks[-1])
-    rows = _map_tasks(_sweep_task, tasks, args.jobs)
+    rows = map_tasks(_sweep_task, tasks, check_int("--jobs", args.jobs, 1))
     return _emit_csv(args, "sweep-region", "lambda,condition_a,nu_minus,nu_plus", rows)
-
-
-def _map_tasks(fn, tasks: list, jobs: int) -> list:
-    check_int("--jobs", jobs, 1)
-    if jobs == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
 
 def _tree_spec(args) -> TreeSpec:
@@ -264,7 +256,16 @@ def _cmd_enumerate(args) -> int:
     return _emit_json(args, payload)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_simulate(args) -> int:
+    jobs = _usable_cpus() if args.jobs is None else check_int("--jobs", args.jobs, 1)
     p = _model_params(args)
     cfg = _sim.SimConfig(
         params=p,
@@ -276,7 +277,7 @@ def _cmd_simulate(args) -> int:
         replications=args.reps,
         seed=args.seed,
     )
-    stats = _sim.run(cfg)
+    stats = _sim.run(cfg, jobs)
     payload = {
         "replications": stats.replications,
         "post_warmup_events": stats.post_warmup_events,
@@ -479,6 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=1000.0)
     sp.add_argument("--reps", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--jobs", type=int, default=None,
+                    help="worker processes for the replications (default: the "
+                         "CPUs this process may use); the output is the same for any N")
     _add_out_flags(sp)
     sp.set_defaults(fn=_cmd_simulate)
 

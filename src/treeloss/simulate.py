@@ -22,9 +22,11 @@ Two service disciplines:
 Estimates use arrival counting (admitted/offered) after a warmup interval,
 plus the time-averaged occupancy of a designated center node. Replications
 run on independent counter-based RNG streams spawned from one seed, so
-results are reproducible bit-for-bit and replications could be farmed out
-in parallel without changing the answer; aggregation is in replication
-order.
+results are reproducible bit-for-bit. ``run(cfg, jobs)`` farms them out to
+``jobs`` worker processes in contiguous slices, each worker building the
+tree once, and joins the slices in replication order before aggregating, so
+every estimate is the same float for any number of workers (independent
+replications in parallel, Heidelberger 1988).
 
 Each replication draws standard exponentials from its stream in blocks of
 ``_BLOCK`` and forms an exponential of rate r as ``(1.0 / r) * e``. numpy's
@@ -39,11 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
 from typing import Optional
 
-from ._num import check_int
+from ._num import check_int, map_tasks
 from .oracle import _COUNT_CAP, Configuration, _spec_nodes, build_tree, is_feasible
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
@@ -165,15 +167,13 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     budget = [[(n + ei, w) for w, ei in adj] for adj in tree.adjacency]
     budget += [[ends] for ends in tree.edge_ends]
     occ = [0] * (n + e)
-    offered = [0] * (n + e)
-    blocked = [0] * (n + e)
     center = tree.node_index(cfg.node_target)
     target = n + (tree.edge_index(cfg.edge_target) if cfg.edge_target is not None else 0)
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
     service = _COMPLETE if shared else _DEPART
     check_feasibility = cfg.check_feasibility
-    push, pop = heappush, heappop
+    push, pop, replace = heappush, heappop, heapreplace
     draw = _standard_exponentials(rng).__next__
     # exponential(scale) is scale * standard exponential, and 1.0 * x == x
     duration = repeat(1.0).__next__ if cfg.duration_mode == "deterministic" else draw
@@ -184,9 +184,6 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     heapify(heap)
     seq = len(heap)
 
-    occ_time = [0.0] * (p.cv + 1)
-    last = 0.0
-
     def assert_legal():
         cfg_now = Configuration(
             node_occ=dict(zip(tree.nodes, occ[:n])),
@@ -195,47 +192,60 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
         if not is_feasible(p, tree, cfg_now):
             raise RuntimeError("internal consistency: simulated state left the feasible set")
 
-    while heap:
-        t, _, kind, x = pop(heap)
-        if t > horizon:
-            break
-        lo = last if last >= warmup else warmup
-        if t > lo:
-            occ_time[occ[center]] += t - lo
-        last = t
+    def tallies():
+        return [0.0] * (p.cv + 1), [0] * (n + e), [0] * (n + e)
 
-        if kind == _ARRIVE:
-            o = occ[x] + 1
-            admit = o <= top[x]
-            if admit:
-                for a, b in budget[x]:
-                    if o + occ[a] + occ[b] > cap:
-                        admit = False
-                        break
-            if admit:
-                # a shared server is started by the call that finds it idle
-                if not shared or o == 1:
-                    push(heap, (t + duration(), seq, service, x))
-                    seq += 1
-                occ[x] = o
-            if t >= warmup:
-                offered[x] += 1
-                if not admit:
-                    blocked[x] += 1
-            push(heap, (t + scale[x] * draw(), seq, _ARRIVE, x))
-            seq += 1
-        else:  # _DEPART or _COMPLETE
-            occ[x] -= 1
-            if kind == _COMPLETE and occ[x] >= 1:
-                push(heap, (t + duration(), seq, _COMPLETE, x))
+    # One loop body, run twice: the events before the warmup (t < warmup, that
+    # is t <= the float below it) go into tallies that are thrown away, and the
+    # rest up to the horizon into the estimates, timed from last = warmup.
+    # Adding t - last = 0.0 leaves an occupancy time as it is.
+    occ_time, offered, blocked = tallies()
+    phases = (
+        (0.0, math.nextafter(warmup, -math.inf), tallies()),
+        (warmup, horizon, (occ_time, offered, blocked)),
+    )
+    for last, end, (times, offers, blocks) in phases:
+        while heap:
+            # The event is handled at the top of the heap, which an arrival's
+            # successor or a re-armed completion then replaces; (t, seq) keys
+            # are unique, so the events come out in the order pops would give.
+            t, _, kind, x = heap[0]
+            if t > end:
+                break
+            times[occ[center]] += t - last
+            last = t
+
+            if kind == _ARRIVE:
+                o = occ[x] + 1
+                admit = o <= top[x]
+                if admit:
+                    for a, b in budget[x]:
+                        if o + occ[a] + occ[b] > cap:
+                            admit = False
+                            break
+                offers[x] += 1
+                if admit:
+                    # a shared server is started by the call that finds it idle
+                    if not shared or o == 1:
+                        push(heap, (t + duration(), seq, service, x))
+                        seq += 1
+                    occ[x] = o
+                else:
+                    blocks[x] += 1
+                replace(heap, (t + scale[x] * draw(), seq, _ARRIVE, x))
                 seq += 1
+            else:  # _DEPART or _COMPLETE
+                occ[x] -= 1
+                if kind == _COMPLETE and occ[x] >= 1:
+                    replace(heap, (t + duration(), seq, _COMPLETE, x))
+                    seq += 1
+                else:
+                    pop(heap)
 
-        if check_feasibility:
-            assert_legal()
+            if check_feasibility:
+                assert_legal()
+        times[occ[center]] += end - last
 
-    lo = last if last >= warmup else warmup
-    if horizon > lo:
-        occ_time[occ[center]] += horizon - lo
     span = horizon - warmup
     occupancy = tuple(x / span for x in occ_time)
     edge_counts = (offered[target], blocked[target]) if e else (0, 0)
@@ -255,19 +265,37 @@ def _ratio(num: int, den: int) -> float:
     return num / den if den > 0 else math.nan
 
 
-def run(cfg: SimConfig) -> SimStats:
-    import numpy as np  # imported here so the analytic commands start without it
+def _run_slice(task) -> list:
+    """Build the tree once and simulate one replication per seed sequence in
+    ``task = (cfg, seeds)``, in order."""
+    import numpy as np
 
+    cfg, seeds = task
     tree, _ = build_tree(cfg.tree, cfg.params.q)
     if cfg.node_target not in tree.nodes:
         raise ValueError(f"node target {cfg.node_target!r} not in tree")
     if cfg.edge_target is not None and tuple(sorted(cfg.edge_target)) not in tree.edges:
         raise ValueError(f"edge target {cfg.edge_target!r} not in tree")
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    reps = [
-        _simulate_once(cfg, tree, np.random.Generator(np.random.Philox(s)))
-        for s in streams
-    ]
+    return [_simulate_once(cfg, tree, np.random.Generator(np.random.Philox(s))) for s in seeds]
+
+
+def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
+    """Simulate ``cfg`` on ``jobs`` worker processes (1: in this one).
+
+    The replications are split into min(jobs, replications) contiguous
+    slices and joined back in order, so the result is the same for any
+    ``jobs``.
+    """
+    # imported here so the analytic commands start without it, and before the
+    # pool forks, so its workers inherit it
+    import numpy as np
+
+    check_int("jobs", jobs, 1)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    workers = min(jobs, cfg.replications)
+    cuts = [cfg.replications * k // workers for k in range(workers + 1)]
+    tasks = [(cfg, seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
+    reps = [rep for part in map_tasks(_run_slice, tasks, workers) for rep in part]
     offered_n, blocked_n, offered_e, blocked_e, rep_occupancy, events = zip(*reps)
     rep_node_beta = tuple(map(_ratio, blocked_n, offered_n))
     rep_edge_beta = tuple(map(_ratio, blocked_e, offered_e))

@@ -11,7 +11,7 @@ import pytest
 
 import treeloss
 from treeloss import __version__
-from treeloss.cli import main
+from treeloss.cli import _usable_cpus, main
 from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import SimConfig, run as sim_run
@@ -357,6 +357,19 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == b"False"
 
 
+def test_import_leaves_the_pool_unloaded():
+    # concurrent.futures costs tens of milliseconds; only a pool run needs it
+    src = str(Path(treeloss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treeloss.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
+
+
 class TestSweepRegionCommand:
     def test_single_point_grid(self, capsys):
         code, out, _ = _run(
@@ -420,7 +433,7 @@ class TestSweepRegionCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("the worker pool started")
 
-        monkeypatch.setattr("treeloss.cli.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         base = {"--weights": "poisson", "--lam-min": "1", "--lam-max": "2", "--lam-step": "0.5"}
         base.update(zip(flags[::2], flags[1::2]))
         code, out, err = _run(
@@ -447,7 +460,7 @@ class TestSweepRegionCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("the worker pool started")
 
-        monkeypatch.setattr("treeloss.cli.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert _run(capsys, *argv, "--jobs", "2") == serial == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -586,6 +599,35 @@ class TestSimulateCommand:
         assert main([*self.ARGS, "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_bytes_do_not_depend_on_jobs(self, capsys):
+        default = _run(capsys, *self.ARGS)
+        assert default[0] == 0
+        for jobs in ("1", "2", "3"):
+            assert _run(capsys, *self.ARGS, "--jobs", jobs) == default
+
+    def test_default_jobs_is_the_usable_cpu_count(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            "treeloss.simulate.run", lambda cfg, jobs: seen.append(jobs) or sim_run(cfg)
+        )
+        assert _run(capsys, *self.ARGS)[0] == 0
+        assert seen == [len(os.sched_getaffinity(0))]
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_refused_before_tree_or_pool(self, capsys, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree or a pool was built")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("treeloss.simulate.build_tree", refuse)
+        assert _run(capsys, *self.ARGS, "--jobs", jobs) == (
+            2, "", f"error: --jobs must be an int >= 1, got {jobs}\n"
+        )
 
     def test_deep_tree_runs(self, capsys):
         # 1,501 levels: deeper than Python's recursion limit

@@ -260,6 +260,55 @@ class TestBitIdentity:
         assert repr(stats) == repr(_reference_run(cfg))
 
 
+class TestWorkers:
+    """``run(cfg, jobs)`` gives the serial result, every field, for any ``jobs``."""
+
+    CONFIGS = {
+        # five replications split unevenly over two and three workers
+        "per-call": SimConfig(
+            params=_network_params(),
+            tree=TreeSpec("spherical", 1),
+            horizon_time=150.0,
+            replications=5,
+            seed=3,
+        ),
+        "shared-deterministic-checked": SimConfig(
+            params=_network_params(),
+            tree=TreeSpec("spherical", 1),
+            service_mode="shared_server",
+            duration_mode="deterministic",
+            horizon_time=80.0,
+            replications=5,
+            seed=9,
+            node_target=2,
+            edge_target=(2, 0),
+            check_feasibility=True,
+        ),
+    }
+
+    @pytest.mark.parametrize("jobs", [2, 3, 6])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_any_worker_count_gives_the_serial_result(self, name, jobs):
+        cfg = self.CONFIGS[name]
+        assert repr(run(cfg, jobs=jobs)) == repr(run(cfg))
+
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
+    def test_jobs_must_be_a_positive_int(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be an int >= 1, got {jobs!r}"):
+            run(self.CONFIGS["per-call"], jobs=jobs)
+
+    def test_target_errors_come_back_from_the_workers(self):
+        cfg = SimConfig(
+            params=_network_params(),
+            tree=TreeSpec("spherical", 1),
+            horizon_time=100.0,
+            replications=2,
+            node_target=99,
+        )
+        with pytest.raises(ValueError, match="node target 99 not in tree"):
+            run(cfg, jobs=2)
+
+
 class TestReproducibility:
     def test_same_seed_same_results(self):
         cfg = SimConfig(

@@ -1,5 +1,6 @@
 """Package hygiene: exported names resolve, no module imports scipy, and the
-count rule (an int, not a bool, within bounds) is written once, in ``_num``."""
+count rule (an int, not a bool, within bounds) and the process pool are each
+written once, in ``_num``."""
 import ast
 import importlib
 import pkgutil
@@ -131,3 +132,14 @@ def test_bool_type_tests_live_in_num():
     found = set().union(*(_bool_type_tests(f) for f in sorted(SRC.rglob("*.py"))))
     assert any(f == "_num.py" for f, _ in found)
     assert sorted(x for x in found if x[0] != "_num.py" and x not in allowed) == []
+
+
+def test_one_process_pool_in_the_package():
+    calls = [
+        f.name
+        for f in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ProcessPoolExecutor"
+    ]
+    assert calls == ["_num.py"]
