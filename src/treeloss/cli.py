@@ -23,6 +23,7 @@ from . import __version__
 from ._num import check_int, map_tasks
 from .phase1d import AssumptionViolation, condition_a, condition_a_margin, phase_window
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
+from .rfmap import _check_iteration
 from .treecalc import TreeSpec, blocking_curve, center_occupancy, multicast_blocking, rooted_state, unicast_blocking
 from .weights import WeightVector, geometric_weights, load_weight_file, poisson_weights
 from . import oracle as _oracle
@@ -196,6 +197,9 @@ def _cmd_blocking_curve(args) -> int:
     ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
+    # validate before the pool starts, in the order the first task would
+    ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nus[0], args.cv), edge)
+    _check_iteration(args.tol, args.sep, args.max_iter)
     tasks = [
         (args.q, args.cap, args.cv, ce, edge, nu, args.tol, args.sep, args.max_iter)
         for nu in nus

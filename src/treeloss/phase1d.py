@@ -6,7 +6,7 @@ With ``cv = 1`` and ``ce = cap`` the ratio recursion collapses to a scalar map
 
 in the cached partial sums S of the edge weights. The map itself lives in
 ``rfmap``: ``ratio_map``, ``ratio_map_derivative`` and ``fixed_point`` run its
-map step, slope and bisection. This module holds the closed form. Under
+scalar map, slope and bisection. This module holds the closed form. Under
 strict log-concavity of the partial sums at cap-1 the map is decreasing with
 a unique fixed point, and everything reduces to two ingredients:
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._num import check_int, check_nonneg, power
-from .rfmap import ModelParams, Uniqueness, _bisect, _log_slope, _map_step, _scalar_slope
+from .rfmap import ModelParams, Uniqueness, _bisect, _log_slope, _scalar_map, _scalar_slope
 from .weights import WeightVector, _exact_window_sums, poisson_weights
 
 __all__ = [
@@ -125,13 +125,13 @@ def _lams(cap: int, w: WeightVector) -> tuple[float, float, float]:
 
 def ratio_map(p: PhaseParams, x) -> float:
     """The scalar occupancy-ratio map at x >= 0."""
-    return _map_step(p._model)((check_nonneg("evaluation point", x),))[0]
+    return _scalar_map(p._model)(check_nonneg("evaluation point", x))
 
 
 def ratio_map_derivative(p: PhaseParams, x) -> float:
     """First derivative; strictly negative under the log-concavity assumption."""
     x = check_nonneg("evaluation point", x)
-    return _scalar_slope(p._model, x, ratio_map(p, x))
+    return _scalar_slope(p._model, x, _scalar_map(p._model)(x))
 
 
 def schwarzian(p: PhaseParams, x) -> float:
@@ -152,12 +152,12 @@ def fixed_point(p: PhaseParams) -> float:
     violated precondition and raises BracketError rather than widening the
     bracket silently.
     """
-    step = _map_step(p._model)
-    if not step((0.0,))[0] > 0.0:
+    m = _scalar_map(p._model)
+    if not m(0.0) > 0.0:
         raise BracketError("map value at 0 is not positive; bracket [0, nu] invalid")
-    if step((p.nu,))[0] - p.nu > 0.0:
+    if m(p.nu) - p.nu > 0.0:
         raise BracketError("map value at nu exceeds nu; bracket [0, nu] invalid")
-    return _bisect(lambda x: step((x,))[0] - x, 0.0, p.nu, 1, math.inf)[0]
+    return _bisect(lambda x: m(x) - x, 0.0, p.nu, 1, math.inf)[0]
 
 
 def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:

@@ -31,6 +31,7 @@ A verdict is Inconclusive only when the step budget runs out.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,8 +105,31 @@ def _coefficients(p: ModelParams) -> tuple:
 
 
 @lru_cache(maxsize=512)
+def _scalar_map(p: ModelParams):
+    """The cv == 1 map m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q as a float closure.
+
+    It does the vector step's float operations in the same order, so
+    ``m(x)`` is ``step((x,))[0]`` bit for bit, underflow and overflow included.
+    """
+    (b0, b1), (a0, a1) = _coefficients(p)
+    nu = float(p.node_weights.entries[1])
+    q = p.q
+
+    def m(x: float) -> float:
+        if nu == 0.0:
+            return 0.0
+        n = a0 + a1 * x
+        return nu * power(n / (b0 + b1 * x), q) if n > 0.0 else 0.0
+
+    return m
+
+
+@lru_cache(maxsize=512)
 def _map_step(p: ModelParams):
     """The ratio map Phi as a closure over its coefficient rows; no validation."""
+    if p.cv == 1:
+        m = _scalar_map(p)
+        return lambda x: (m(x[0]),)
     rows = _coefficients(p)
     den, num = rows[0], rows[1:]
     nus = tuple(float(v) for v in p.node_weights.entries[1:])
@@ -198,6 +222,19 @@ def _bisect(f, lo: float, hi: float, cost: int, budget: int) -> tuple:
             hi = mid
 
 
+def _check_iteration(tol: float, sep: float, max_iter: int) -> None:
+    """Refuse what ``classify_by_iteration`` refuses: need 0 < tol < sep, max_iter >= 4."""
+    if not 0.0 < tol < sep:
+        raise ValueError(f"need 0 < tol < sep, got tol={tol}, sep={sep}")
+    check_int("max_iter", max_iter, 4)
+
+
+def _by_parity(kind: Uniqueness, n: int, a: tuple, b: tuple) -> UniquenessVerdict:
+    """A verdict at step n whose limits are a (iterate n) and b (iterate n-1)."""
+    even, odd = (a, b) if n % 2 == 0 else (b, a)
+    return UniquenessVerdict(kind, n, even_limit=even, odd_limit=odd)
+
+
 def classify_by_iteration(
     p: ModelParams,
     tol: float = 1e-12,
@@ -213,12 +250,14 @@ def classify_by_iteration(
     ``tol < sep`` is required so that slow convergence cannot masquerade as a
     two-cycle.
 
-    For cv == 1 with a nonincreasing map the parity subsequences must form a
-    monotone sandwich (evens rise, odds fall, evens below odds); that ordering
-    is asserted on every step and a violation raises RuntimeError, since it
-    would mean the iteration itself is buggy. If such a run is undecided
-    after 64 steps, the sandwich brackets the fixed point x*, which is
-    bisected to float resolution. The map m has negative Schwarzian, so an
+    For cv == 1 with a nonincreasing map the same tests run in a loop on
+    plain floats of the scalar map, which gives the vector loop's verdict bit
+    for bit. Its parity subsequences must form a monotone sandwich (evens
+    rise, odds fall, evens below odds); that ordering is asserted on every
+    step and a violation raises RuntimeError, since it would mean the
+    iteration itself is buggy. If such a run is undecided after 64 steps,
+    the sandwich brackets the fixed point x*, which is bisected to float
+    resolution. The map m has negative Schwarzian, so an
     attracting fixed point attracts globally (Singer, SIAM J. Appl. Math.
     1978): |m'(x*)| <= 1 means Unique at x*; otherwise the even limit is
     bisected as the root of m(m(y)) - y between the last even iterate and
@@ -227,40 +266,18 @@ def classify_by_iteration(
     map evaluation counts against ``max_iter``; a budget that runs out
     during bisection gives Inconclusive with the last two iterates.
     """
-    if not 0.0 < tol < sep:
-        raise ValueError(f"need 0 < tol < sep, got tol={tol}, sep={sep}")
-    check_int("max_iter", max_iter, 4)
+    _check_iteration(tol, sep, max_iter)
+    # the scalar map is decreasing iff its exact cross ratio is <= 0
+    if p.cv == 1 and _cross_ratio(p) <= 0.0:
+        return _classify_monotone(p, tol, sep, max_iter)
 
     step = _map_step(p)
-    cv = p.cv
-
-    # the scalar map is decreasing iff its exact cross ratio is <= 0
-    monotone = cv == 1 and _cross_ratio(p) <= 0.0
-
-    zero = (0.0,) * cv
-    xs = [zero]  # xs[n] = xi^(n); only the last four are kept
-    last_even, last_odd = zero[0] if cv == 1 else None, None
+    xs = [(0.0,) * p.cv]  # xs[n] = xi^(n); only the last four are kept
 
     for n in range(1, max_iter + 1):
         x_new = step(xs[-1])
         xs.append(x_new)
         scale = 1.0 + max(x_new)
-
-        if monotone:
-            v = x_new[0]
-            slack = tol * scale
-            if n % 2 == 0:
-                if v < last_even - slack or (last_odd is not None and v > last_odd + slack):
-                    raise RuntimeError(
-                        "internal consistency: even iterates left the monotone sandwich"
-                    )
-                last_even = v
-            else:
-                if (last_odd is not None and v > last_odd + slack) or v < last_even - slack:
-                    raise RuntimeError(
-                        "internal consistency: odd iterates left the monotone sandwich"
-                    )
-                last_odd = v
 
         if _sup_gap(x_new, xs[-2]) <= tol * scale:
             return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=x_new)
@@ -269,29 +286,59 @@ def classify_by_iteration(
             gap_here = _sup_gap(x_new, xs[-3])
             gap_prev = _sup_gap(xs[-2], xs[-4])
             cycle = _sup_gap(x_new, xs[-2])
-            if gap_here <= tol * scale and gap_prev <= tol * scale and cycle > sep * scale:
-                a, b = x_new, xs[-2]  # parities n and n-1
-                even_limit, odd_limit = (a, b) if n % 2 == 0 else (b, a)
+            a, b = x_new, xs[-2]
+            if (
+                gap_here <= tol * scale
+                and gap_prev <= tol * scale
+                and cycle > sep * scale
                 # each limit must be numerically fixed under the doubled map
-                if (
-                    _sup_gap(step(step(a)), a) <= 50 * tol * scale
-                    and _sup_gap(step(step(b)), b) <= 50 * tol * scale
-                ):
-                    return UniquenessVerdict(
-                        Uniqueness.MULTIPLE, n, even_limit=even_limit, odd_limit=odd_limit
-                    )
-
-        if monotone and n == _SWITCH_STEP:
-            return _decide_scalar(step, p, last_even, last_odd, n, max_iter)
+                and _sup_gap(step(step(a)), a) <= 50 * tol * scale
+                and _sup_gap(step(step(b)), b) <= 50 * tol * scale
+            ):
+                return _by_parity(Uniqueness.MULTIPLE, n, a, b)
 
         if len(xs) > 4:
             xs.pop(0)
 
-    a, b = xs[-1], xs[-2]
-    even_tail, odd_tail = (a, b) if max_iter % 2 == 0 else (b, a)
-    return UniquenessVerdict(
-        Uniqueness.INCONCLUSIVE, max_iter, even_limit=even_tail, odd_limit=odd_tail
-    )
+    return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, xs[-1], xs[-2])
+
+
+def _classify_monotone(p, tol, sep, max_iter) -> UniquenessVerdict:
+    """``classify_by_iteration``'s loop for a nonincreasing cv == 1 map, on floats."""
+    m = _scalar_map(p)
+    x1, x2, x3 = 0.0, None, None  # iterates n-1, n-2, n-3
+    even, odd = 0.0, math.inf  # the sandwich: last even and odd iterates
+
+    for n in range(1, max_iter + 1):
+        x = m(x1)
+        scale = 1.0 + x
+        slack = tol * scale
+        if x < even - slack or x > odd + slack:
+            parity = "odd" if n % 2 else "even"
+            raise RuntimeError(
+                f"internal consistency: {parity} iterates left the monotone sandwich"
+            )
+        if n % 2:
+            odd = x
+        else:
+            even = x
+
+        if abs(x - x1) <= slack:
+            return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=(x,))
+        if (
+            n >= 3
+            and abs(x - x2) <= slack
+            and abs(x1 - x3) <= slack
+            and abs(x - x1) > sep * scale
+            and abs(m(m(x)) - x) <= 50 * tol * scale
+            and abs(m(m(x1)) - x1) <= 50 * tol * scale
+        ):
+            return _by_parity(Uniqueness.MULTIPLE, n, (x,), (x1,))
+        if n == _SWITCH_STEP:
+            return _decide_scalar(m, p, even, odd, n, max_iter)
+        x1, x2, x3 = x, x1, x2
+
+    return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, (x1,), (x2,))
 
 
 @lru_cache(maxsize=512)
@@ -319,12 +366,8 @@ def _scalar_slope(p: ModelParams, x: float, mx: float) -> float:
     return p.q * (mx * _log_slope(p, x))
 
 
-def _decide_scalar(step, p, even, odd, n, max_iter) -> UniquenessVerdict:
-    """Decide a slow cv == 1 run from its parity sandwich [even, odd] at step n."""
-
-    def m(x):
-        return step((x,))[0]
-
+def _decide_scalar(m, p, even, odd, n, max_iter) -> UniquenessVerdict:
+    """Decide a slow cv == 1 run of the map m from its parity sandwich [even, odd] at step n."""
     x, used = _bisect(lambda x: m(x) - x, even, odd, 1, max_iter - n)
     n += used
     if x is not None:

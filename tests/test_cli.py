@@ -1,4 +1,5 @@
 """Command-line interface: schemas, exit codes, determinism, file output."""
+import hashlib
 import json
 import math
 import os
@@ -34,6 +35,10 @@ README_WINDOW_JSON = """{
   }
 }
 """
+
+# sha256 of the stdout of the README `blocking-curve` and `classify` examples
+README_CURVE_SHA256 = "594b820935b95ffca55217d88066b5ac2e6cb8915f496b182bb2a3b0b818545e"
+README_CLASSIFY_SHA256 = "676588c50dcb7d1443b922529fbfb13c4ab7f08a2e5658cd9040faebebc9e9a7"
 
 # `treeloss simulate` as the README runs it
 README_SIMULATE_JSON = """{
@@ -223,6 +228,15 @@ class TestClassifyCommand:
         doc = json.loads(out)
         assert (doc["kind"], doc["method"]) == (kind, method)
 
+    def test_readme_example_bytes(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            "classify", "--q", "10", "--cap", "2", "--weights", "poisson", "--lam", "0.75",
+            "--nu", "50",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == README_CLASSIFY_SHA256
+
     def test_infinite_rate_is_usage_error(self, capsys):
         code, _, err = _run(
             capsys, "classify", "--q", "2", "--cap", "2", "--lam", "1", "--nu", "inf"
@@ -285,6 +299,37 @@ class TestBlockingCurveCommand:
         assert main([*self.ARGS, "--jobs", "2", "--out", str(parallel)]) == 0
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_readme_example_bytes(self, capsys, jobs):
+        code, out, _ = _run(
+            capsys,
+            "blocking-curve", "--q", "10", "--cap", "2", "--lam", "0.75",
+            "--nu-min", "1", "--nu-max", "150", "--nu-step", "0.5", "--jobs", jobs,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == README_CURVE_SHA256
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--max-iter", "3"), "max_iter must be an int >= 4, got 3"),
+        (("--tol", "1e-3"), "need 0 < tol < sep, got tol=0.001, sep=1e-08"),
+        (("--sep", "0"), "need 0 < tol < sep, got tol=1e-12, sep=0.0"),
+        (("--q", "0"), "q must be an int >= 1, got 0"),
+        (("--nu-min", "-1"), "rate must be positive and finite, got -1.0"),
+        (("--q", "0", "--max-iter", "3"), "q must be an int >= 1, got 0"),
+    ])
+    def test_invalid_flags_refused_before_the_pool_starts(
+        self, capsys, monkeypatch, flags, message
+    ):
+        serial = _run(capsys, *self.ARGS, *flags, "--jobs", "1")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        assert _run(capsys, *self.ARGS, *flags, "--jobs", "2") == serial == (
+            2, "", f"error: {message}\n"
+        )
 
     def test_file_output_leaves_stdout_clean(self, capsys, tmp_path):
         dest = tmp_path / "curve.csv"

@@ -3,12 +3,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from treeloss._num import check_int, power
 from treeloss.phase1d import PhaseParams, classify_closed_form, phase_window
 from treeloss.rfmap import (
+    _SWITCH_STEP,
     ModelParams,
     Uniqueness,
+    UniquenessVerdict,
+    _bisect,
+    _coefficients,
+    _cross_ratio,
+    _scalar_map,
+    _scalar_slope,
     classify_by_iteration,
     conjugate_maps,
     interaction_map,
@@ -296,6 +304,203 @@ class TestScalarFallback:
             assert abs(m(even) - odd) <= 1e-10 * scale
             for y in (even, odd):
                 assert abs(m(m(y)) - y) <= 1e-9 * scale
+
+
+def _vector_step(p):
+    """The generic vector map step for any cv, as ``rfmap._map_step`` writes it."""
+    rows = _coefficients(p)
+    den, num = rows[0], rows[1:]
+    nus = tuple(float(v) for v in p.node_weights.entries[1:])
+    q, cv = p.q, p.cv
+
+    def step(x: tuple) -> tuple:
+        d = den[0]
+        for j in range(cv):
+            d += den[j + 1] * x[j]
+        out = []
+        for k in range(cv):
+            nu_k = nus[k]
+            if nu_k == 0.0:
+                out.append(0.0)
+                continue
+            row = num[k]
+            n = row[0]
+            for j in range(cv):
+                n += row[j + 1] * x[j]
+            out.append(nu_k * power(n / d, q) if n > 0.0 else 0.0)
+        return tuple(out)
+
+    return step
+
+
+def _sup_gap(a: tuple, b: tuple) -> float:
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def _vector_classify(p, tol=1e-12, sep=1e-8, max_iter=10**6):
+    """``classify_by_iteration`` before the scalar path: one vector loop for every cv."""
+    if not 0.0 < tol < sep:
+        raise ValueError(f"need 0 < tol < sep, got tol={tol}, sep={sep}")
+    check_int("max_iter", max_iter, 4)
+
+    step = _vector_step(p)
+    cv = p.cv
+
+    # the scalar map is decreasing iff its exact cross ratio is <= 0
+    monotone = cv == 1 and _cross_ratio(p) <= 0.0
+
+    zero = (0.0,) * cv
+    xs = [zero]  # xs[n] = xi^(n); only the last four are kept
+    last_even, last_odd = zero[0] if cv == 1 else None, None
+
+    for n in range(1, max_iter + 1):
+        x_new = step(xs[-1])
+        xs.append(x_new)
+        scale = 1.0 + max(x_new)
+
+        if monotone:
+            v = x_new[0]
+            slack = tol * scale
+            if n % 2 == 0:
+                if v < last_even - slack or (last_odd is not None and v > last_odd + slack):
+                    raise RuntimeError(
+                        "internal consistency: even iterates left the monotone sandwich"
+                    )
+                last_even = v
+            else:
+                if (last_odd is not None and v > last_odd + slack) or v < last_even - slack:
+                    raise RuntimeError(
+                        "internal consistency: odd iterates left the monotone sandwich"
+                    )
+                last_odd = v
+
+        if _sup_gap(x_new, xs[-2]) <= tol * scale:
+            return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=x_new)
+
+        if len(xs) >= 4:
+            gap_here = _sup_gap(x_new, xs[-3])
+            gap_prev = _sup_gap(xs[-2], xs[-4])
+            cycle = _sup_gap(x_new, xs[-2])
+            if gap_here <= tol * scale and gap_prev <= tol * scale and cycle > sep * scale:
+                a, b = x_new, xs[-2]  # parities n and n-1
+                even_limit, odd_limit = (a, b) if n % 2 == 0 else (b, a)
+                # each limit must be numerically fixed under the doubled map
+                if (
+                    _sup_gap(step(step(a)), a) <= 50 * tol * scale
+                    and _sup_gap(step(step(b)), b) <= 50 * tol * scale
+                ):
+                    return UniquenessVerdict(
+                        Uniqueness.MULTIPLE, n, even_limit=even_limit, odd_limit=odd_limit
+                    )
+
+        if monotone and n == _SWITCH_STEP:
+            return _vector_decide(step, p, last_even, last_odd, n, max_iter)
+
+        if len(xs) > 4:
+            xs.pop(0)
+
+    a, b = xs[-1], xs[-2]
+    even_tail, odd_tail = (a, b) if max_iter % 2 == 0 else (b, a)
+    return UniquenessVerdict(
+        Uniqueness.INCONCLUSIVE, max_iter, even_limit=even_tail, odd_limit=odd_tail
+    )
+
+
+def _vector_decide(step, p, even, odd, n, max_iter):
+    """The bisection fallback of ``_vector_classify``, on 1-tuples of the vector step."""
+
+    def m(x):
+        return step((x,))[0]
+
+    x, used = _bisect(lambda x: m(x) - x, even, odd, 1, max_iter - n)
+    n += used
+    if x is not None:
+        if abs(_scalar_slope(p, x, x)) <= 1.0:  # m(x*) = x*
+            return UniquenessVerdict(
+                Uniqueness.UNIQUE, n, fixed_point=(x,), method="bisection"
+            )
+        y, used = _bisect(lambda y: m(m(y)) - y, even, x, 2, max_iter - n)
+        n += used
+        if y is not None and n < max_iter:
+            return UniquenessVerdict(
+                Uniqueness.MULTIPLE, n + 1, even_limit=(y,), odd_limit=(m(y),),
+                method="bisection",
+            )
+    return UniquenessVerdict(
+        Uniqueness.INCONCLUSIVE, max_iter, even_limit=(even,), odd_limit=(odd,)
+    )
+
+
+# budgets that run out in the plain steps, in the first bisection and in the second
+_BUDGETS = [4, 5, 63, 64, 65, 66, 130, 10**5]
+
+
+@st.composite
+def monotone_scalar_params(draw):
+    """cv = 1 models whose map is nonincreasing, loads from 1e-3 to 1e4."""
+    cap = draw(st.integers(1, 5))
+    ce = draw(st.integers(0, cap))
+    family = draw(st.sampled_from([poisson_weights, geometric_weights]))
+    p = ModelParams(
+        q=draw(st.integers(1, 15)),
+        cap=cap,
+        cv=1,
+        ce=ce,
+        node_weights=poisson_weights(10.0 ** draw(st.floats(-3.0, 4.0)), 1),
+        edge_weights=family(draw(st.floats(min_value=0.05, max_value=5.0)), ce),
+    )
+    assume(_cross_ratio(p) <= 0.0)
+    return p
+
+
+class TestScalarPath:
+    """The float loop and the scalar map give the vector code's results, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(
+        monotone_scalar_params(),
+        st.sampled_from(_BUDGETS),
+        st.sampled_from([(1e-12, 1e-8), (1e-9, 1e-8), (1e-6, 1e-3), (1e-4, 1e-2)]),
+    )
+    @example(_params(nu=26.5), 66, (1e-12, 1e-8))
+    @example(_params(nu=50.0), 130, (1e-12, 1e-8))
+    def test_verdict_equals_vector_loop(self, p, max_iter, tols):
+        tol, sep = tols
+        got = classify_by_iteration(p, tol=tol, sep=sep, max_iter=max_iter)
+        assert got == _vector_classify(p, tol=tol, sep=sep, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [5, 66, 10**5])
+    def test_readme_grid_equals_vector_loop(self, max_iter):
+        for k in range(299):
+            p = _params(nu=1.0 + 0.5 * k)
+            got = classify_by_iteration(p, max_iter=max_iter)
+            assert got == _vector_classify(p, max_iter=max_iter), (k, got)
+
+    @pytest.mark.parametrize("p", [
+        _params(),
+        _params(q=15, cap=1, ce=1, nu=1e4, lam=5.0),  # cap = 1: a1 = 0
+        _params(q=3, cap=3, ce=0, nu=2.0),  # ce = 0: a constant map
+        ModelParams(2, 2, 1, 2, WeightVector((1.0, 0.0)), poisson_weights(0.75, 2)),
+        # n/d underflows to 0 at small x: a0 = 1e-200 against b0 near 1e200
+        ModelParams(3, 1, 1, 1, WeightVector((1.0, 7.0)), WeightVector((1e-200, 1e200))),
+    ])
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf])
+    def test_scalar_map_equals_vector_formula(self, p, x):
+        got, want = _scalar_map(p)(x), _vector_step(p)((x,))[0]
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("fake,parity", [(lambda x: x + 1.0, "even"), (lambda x: -1.0, "odd")])
+    def test_sandwich_breach_raises(self, monkeypatch, fake, parity):
+        monkeypatch.setattr("treeloss.rfmap._scalar_map", lambda p: fake)
+        with pytest.raises(RuntimeError, match=f"{parity} iterates left the monotone sandwich"):
+            classify_by_iteration(_params())
+
+    def test_cases_reach_nan_and_underflow(self):
+        assert math.isnan(_scalar_map(_params())(math.inf))
+        p = ModelParams(3, 1, 1, 1, WeightVector((1.0, 7.0)), WeightVector((1e-200, 1e200)))
+        assert 1e-200 / float(p.edge_weights.partial_sum(1)) == 0.0
+        assert _scalar_map(p)(0.0) == 0.0
 
 
 class TestPairInteraction:
