@@ -149,9 +149,13 @@ def _cmd_classify(args) -> int:
 def _float_window(q: int, cap: int, edge: WeightVector):
     """``phase_window``, refusing weights whose window floats overflow or vanish."""
     try:
-        return phase_window(q, cap, edge)
+        win = phase_window(q, cap, edge)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"edge weights too extreme for a float window: {exc}") from exc
+    # nu_plus bounds nu_minus, and _num.power saturates to inf instead of raising
+    if win.present and not math.isfinite(win.nu_plus):
+        raise ValueError("edge weights too extreme for a float window: nu_plus is not finite")
+    return win
 
 
 def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
@@ -197,9 +201,12 @@ def _cmd_blocking_curve(args) -> int:
     ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
-    # validate before the pool starts, in the order the first task would
+    # validate before the pool starts, in the order the tasks would; a later
+    # task can fail only in its node weights
     ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nus[0], args.cv), edge)
     _check_iteration(args.tol, args.sep, args.max_iter)
+    for nu in nus[1:]:
+        poisson_weights(nu, args.cv)
     tasks = [
         (args.q, args.cap, args.cv, ce, edge, nu, args.tol, args.sep, args.max_iter)
         for nu in nus

@@ -22,6 +22,7 @@ from fractions import Fraction
 from ._num import check_int, is_int
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
+from .weights import _clipped_rows
 
 __all__ = [
     "GUARD_LIMIT",
@@ -234,11 +235,12 @@ def _sum_product(p: ModelParams, t: FiniteTree, lead) -> list:
     k are N_min(ce, k) themselves, so every total is exact. The tree is rooted
     at the lead node (an edge lead's first end) and each node keeps one table
     by its occupancy, the weight of its subtree; a child's message to its
-    parent at occupancy a is sum_b T[b] * N_min(ce, cap - a - b). Beside the
-    root's table runs the weight for which one more call at the lead still
-    fits: a node call needs a free node slot and a unit of budget on every
-    incident edge, an edge call a free edge slot and a unit of budget on its
-    own edge.
+    parent at occupancy a is sum_b T[b] * rows[a][b], with the rows of
+    ``_clipped_rows`` over the N_k at (cap, ce). Beside the root's table runs
+    the weight for which one more call at the lead still fits: a node call
+    needs a free node slot and a unit of budget on every incident edge (rows
+    at (cap - 1, ce)), an edge call a free edge slot and a unit of budget on
+    its own edge (rows at (cap - 1, ce - 1)).
 
     Returns the totals per root occupancy for a root lead, else [refused,
     admitted].
@@ -255,29 +257,22 @@ def _sum_product(p: ModelParams, t: FiniteTree, lead) -> list:
     _, node_sums = p.node_weights._exact_sums
     _, edge_sums = p.edge_weights._exact_sums
     node = [s - r for s, r in zip(node_sums, (0, *node_sums))]
+    full_rows = _clipped_rows(edge_sums, p.cap, p.cv, p.ce)
+    lead_rows = _clipped_rows(edge_sums, p.cap - 1, p.cv, p.ce - 1 if kind == "edge" else p.ce)
 
-    def message(child: list, room: int, budget: int) -> list:
-        # by parent occupancy a: the sum over child occupancies b of T[b] times
-        # the weight of the edge occupancies j <= min(room, budget - a - b)
-        if room < 0:
-            return [0] * (p.cv + 1)
-        return [
-            sum(w * edge_sums[min(room, budget - a - b)]
-                for b, w in enumerate(child[: budget - a + 1]))
-            for a in range(p.cv + 1)
-        ]
+    def message(child: list, rows: tuple) -> list:
+        return [sum(w * r for w, r in zip(child, row)) for row in rows]
 
     tables = {x: list(node) for x in order}
     fits = [w if kind != "node" or a < p.cv else 0 for a, w in enumerate(node)]
     for y in reversed(order[1:]):
         x, ei = up[y]
         child = tables.pop(y)
-        full = message(child, p.ce, p.cap)
+        full = message(child, full_rows)
         tables[x] = [w * m for w, m in zip(tables[x], full)]
         if x == top:
             gated = kind == "node" or (kind == "edge" and ei == arg[2])
-            room = p.ce if kind == "node" else p.ce - 1
-            part = message(child, room, p.cap - 1) if gated else full
+            part = message(child, lead_rows) if gated else full
             fits = [w * m for w, m in zip(fits, part)]
     if kind == "root":
         return tables[top]

@@ -18,13 +18,18 @@ for k = 1..cv, xi_0 = 1. This equals the direct double sum over the edge and
 child occupancies (swap the order of summation); the numerator coefficients
 are termwise dominated by the denominator ones, so 0 <= Phi_k <= nu_k always.
 
-The infinite-tree law is unique exactly when iterating the map from the zero
-vector converges; a persistent two-cycle of the iterates witnesses multiple
-laws. ``classify_by_iteration`` implements that test. For cv == 1 the map is
-the decreasing scalar m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q, which has
-negative Schwarzian, so an attracting fixed point attracts globally (Singer,
-SIAM J. Appl. Math. 1978): when the iteration is slow the fixed point is
-bisected inside the parity sandwich and the verdict read off |m'(x*)| <= 1.
+For a nonincreasing map the infinite-tree law is unique exactly when
+iterating the map from the zero vector converges; a persistent two-cycle of
+the iterates witnesses multiple laws. ``classify_by_iteration`` implements
+that test. For cv == 1 the map is the scalar
+m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q. It is nonincreasing when the clipped
+edge sums have S(cap-1)**2 >= S(cap) S(cap-2) (log-concave at cap-1); then
+it has negative Schwarzian, so an attracting fixed point attracts globally
+(Singer, SIAM J. Appl. Math. 1978): when the iteration is slow the fixed
+point is bisected inside the parity sandwich and the verdict read off
+|m'(x*)| <= 1. Otherwise m increases: iterates from 0 climb to its least
+fixed point and iterates from nu >= m fall to its greatest, so the map is
+iterated from both starts and the law is unique when the two limits agree.
 A verdict is Inconclusive only when the step budget runs out.
 """
 
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._num import check_int, check_nonneg, power
-from .weights import WeightVector
+from .weights import WeightVector, _clipped_rows
 
 __all__ = [
     "ModelParams",
@@ -92,16 +97,8 @@ def _coefficients(p: ModelParams) -> tuple:
     the map's denominator and rows 1..cv its numerators; the center
     quantities in ``treecalc`` read the same rows.
     """
-
-    def clipped(a: int) -> float:
-        if a < 0:
-            return 0.0
-        return float(p.edge_weights.partial_sum(min(a, p.ce)))
-
-    return tuple(
-        tuple(clipped(p.cap - k - j) for j in range(p.cv + 1))
-        for k in range(p.cv + 1)
-    )
+    rows = _clipped_rows(p.edge_weights.partial_sums, p.cap, p.cv, p.ce)
+    return tuple(tuple(map(float, row)) for row in rows)
 
 
 @lru_cache(maxsize=512)
@@ -180,7 +177,9 @@ class UniquenessVerdict:
     ``fixed_point`` is set for Unique. ``even_limit``/``odd_limit`` are the
     stabilized two-cycle points for Multiple; for Inconclusive they hold the
     last even/odd iterates (not converged - useful for diagnostics, flagged
-    by the kind). ``method`` names what decided the verdict: ``"iteration"``
+    by the kind). For an increasing cv == 1 map they are instead the limit
+    of the iterates from 0 and the limit (or, for Inconclusive, the last
+    iterate) from nu_1. ``method`` names what decided the verdict: ``"iteration"``
     (the iterates settled, or the budget ran out) or ``"bisection"`` (the
     cv == 1 fallback bisected the fixed point and read its slope).
     """
@@ -265,42 +264,59 @@ def classify_by_iteration(
     ``method="bisection"`` and do not depend on ``tol`` or ``sep``. Every
     map evaluation counts against ``max_iter``; a budget that runs out
     during bisection gives Inconclusive with the last two iterates.
+
+    For cv == 1 with an increasing map (exact cross ratio > 0) there is no
+    two-cycle: iterates from 0 rise to the least fixed point and iterates
+    from nu_1 (an upper bound of m) fall to the greatest. The map is iterated
+    from 0, then from nu_1 on the budget left. Multiple: both runs settle
+    further than ``sep`` apart (relative to 1 + the larger limit), with
+    ``even_limit`` the limit from 0 and ``odd_limit`` the limit from nu_1.
+    Inconclusive: either run uses up the budget. Unique otherwise, at the
+    limit from 0; ``iterations`` counts the steps of both runs.
     """
     _check_iteration(tol, sep, max_iter)
     # the scalar map is decreasing iff its exact cross ratio is <= 0
     if p.cv == 1 and _cross_ratio(p) <= 0.0:
         return _classify_monotone(p, tol, sep, max_iter)
-
     step = _map_step(p)
-    xs = [(0.0,) * p.cv]  # xs[n] = xi^(n); only the last four are kept
+    low = _iterate(step, (0.0,) * p.cv, tol, sep, max_iter)
+    if p.cv > 1 or low.kind is not Uniqueness.UNIQUE:
+        return low
+    # an increasing cv == 1 map: 0 climbs to the least fixed point, nu_1 >= m falls to the greatest
+    high = _iterate(step, (float(p.node_weights.entries[1]),), tol, sep, max_iter - low.iterations)
+    if high.kind is not Uniqueness.UNIQUE:
+        # _by_parity files the run's last iterate under the parity of its step count
+        last = (high.even_limit, high.odd_limit)[high.iterations % 2]
+        return UniquenessVerdict(
+            Uniqueness.INCONCLUSIVE, max_iter, even_limit=low.fixed_point, odd_limit=last
+        )
+    n = low.iterations + high.iterations
+    a, b = low.fixed_point, high.fixed_point
+    if _sup_gap(a, b) > sep * (1.0 + max(a + b)):
+        return UniquenessVerdict(Uniqueness.MULTIPLE, n, even_limit=a, odd_limit=b)
+    return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=a)
 
+
+def _iterate(step, x0: tuple, tol, sep, max_iter) -> UniquenessVerdict:
+    """``classify_by_iteration``'s tests on at most max_iter iterates of ``step`` from x0."""
+    x1, x2, x3 = x0, None, None  # iterates n-1, n-2, n-3
     for n in range(1, max_iter + 1):
-        x_new = step(xs[-1])
-        xs.append(x_new)
-        scale = 1.0 + max(x_new)
-
-        if _sup_gap(x_new, xs[-2]) <= tol * scale:
-            return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=x_new)
-
-        if len(xs) >= 4:
-            gap_here = _sup_gap(x_new, xs[-3])
-            gap_prev = _sup_gap(xs[-2], xs[-4])
-            cycle = _sup_gap(x_new, xs[-2])
-            a, b = x_new, xs[-2]
-            if (
-                gap_here <= tol * scale
-                and gap_prev <= tol * scale
-                and cycle > sep * scale
-                # each limit must be numerically fixed under the doubled map
-                and _sup_gap(step(step(a)), a) <= 50 * tol * scale
-                and _sup_gap(step(step(b)), b) <= 50 * tol * scale
-            ):
-                return _by_parity(Uniqueness.MULTIPLE, n, a, b)
-
-        if len(xs) > 4:
-            xs.pop(0)
-
-    return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, xs[-1], xs[-2])
+        x = step(x1)
+        scale = 1.0 + max(x)
+        if _sup_gap(x, x1) <= tol * scale:
+            return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=x)
+        if (
+            n >= 3
+            and _sup_gap(x, x2) <= tol * scale
+            and _sup_gap(x1, x3) <= tol * scale
+            and _sup_gap(x, x1) > sep * scale
+            # each limit must be numerically fixed under the doubled map
+            and _sup_gap(step(step(x)), x) <= 50 * tol * scale
+            and _sup_gap(step(step(x1)), x1) <= 50 * tol * scale
+        ):
+            return _by_parity(Uniqueness.MULTIPLE, n, x, x1)
+        x1, x2, x3 = x, x1, x2
+    return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, x1, x2)
 
 
 def _classify_monotone(p, tol, sep, max_iter) -> UniquenessVerdict:
@@ -348,10 +364,10 @@ def _cross_ratio(p: ModelParams) -> float:
     Rows 0 and 1 of the coefficients are (b0, b1) and (a0, a1), so the
     numerator is S(c2) S(c0) - S(c1)**2 with c_k = min(cap - k, ce). As a
     float difference it cancels when the top edge weights are small against
-    the partial sums; here it is formed on the integer numerators N_k.
+    the partial sums; here it is formed on the same rows built over the
+    integer numerators N_k.
     """
-    _, nums = p.edge_weights._exact_sums
-    n0, n1, n2 = (nums[min(p.cap - k, p.ce)] if p.cap >= k else 0 for k in range(3))
+    (n0, n1), (_, n2) = _clipped_rows(p.edge_weights._exact_sums[1], p.cap, 1, p.ce)
     return (n2 * n0 - n1 * n1) / (n0 * n1)
 
 

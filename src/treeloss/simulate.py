@@ -64,6 +64,10 @@ __all__ = [
 # alone peaks near 100 MB (0.5 s on a 2-core Xeon), and each further radius
 # step multiplies that by about ten.
 _MAX_NODES = 10**5
+# Most replications a run takes. Spawning their seeds alone costs about 430
+# bytes and 10 us each (72 MB and 1.0 s for 10^5 on a 2-core Xeon), before
+# any replication runs.
+_MAX_REPLICATIONS = 10**5
 _SERVICE_MODES = ("per_call", "shared_server")
 _DURATION_MODES = ("exponential", "deterministic")
 
@@ -87,7 +91,7 @@ class SimConfig:
             raise ValueError(f"service_mode must be one of {_SERVICE_MODES}")
         if self.duration_mode not in _DURATION_MODES:
             raise ValueError(f"duration_mode must be one of {_DURATION_MODES}")
-        check_int("replications", self.replications, 1)
+        check_int("replications", self.replications, 1, _MAX_REPLICATIONS)
         check_int("seed", self.seed, 0)
         nodes = _spec_nodes(self.tree, self.params.q)
         if nodes > _MAX_NODES:

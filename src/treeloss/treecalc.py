@@ -29,7 +29,7 @@ from .rfmap import (
     classify_by_iteration,
     random_field_map,
 )
-from .weights import WeightVector, poisson_weights
+from .weights import WeightVector, _clipped_rows, poisson_weights
 
 __all__ = [
     "TreeSpec",
@@ -141,10 +141,11 @@ def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     the edge holds at most c = min(ce, cap - i - k) calls, and a call is
     refused exactly when the edge holds c, so the pair weighs
     side_i side_k S_c in all (S_c = _coefficients(p)[i][k]) and
-    side_i side_k lam_c refused.
+    side_i side_k lam_c refused (lam_c from the same rows built over entries).
     """
     log_side = _log_weights(p, _row_sums(p, xi), p.q)
     rows = _coefficients(p)
+    lams = _clipped_rows(p.edge_weights.entries, p.cap, p.cv, p.ce)
     log_all = []
     log_blocked = []
     for i, side_i in enumerate(log_side):
@@ -153,7 +154,7 @@ def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
                 continue
             pair = side_i + side_k
             log_all.append(pair + math.log(rows[i][k]))
-            lam_c = float(p.edge_weights.entries[min(p.ce, p.cap - i - k)])
+            lam_c = float(lams[i][k])
             if lam_c > 0.0:
                 log_blocked.append(pair + math.log(lam_c))
     blocked = log_sum_exp(log_blocked)

@@ -94,6 +94,18 @@ class WeightVector:
         return Fraction(nums[check_int("partial sum index", k, 0, self.top_index)], d)
 
 
+def _clipped_rows(seq, cap: int, cv: int, ce: int) -> tuple:
+    """rows[k][j] = seq[min(cap - k - j, ce)] for k, j = 0..cv, and 0 where that index is < 0.
+
+    The edge budget rule: with k and j calls at an edge's end nodes, the edge
+    has room for min(cap - k - j, ce) calls of its own. ``seq`` may be float
+    partial sums, the integer numerators of ``_exact_sums`` or raw entries;
+    the rows depend on k + j only.
+    """
+    by_sum = [seq[a] if a >= 0 else 0 for a in (min(cap - s, ce) for s in range(2 * cv + 1))]
+    return tuple(tuple(by_sum[k : k + cv + 1]) for k in range(cv + 1))
+
+
 def _integer_sums(entries: tuple) -> tuple[int, tuple]:
     """(D, (N_0, ..., N_top)) with S_k == N_k / D exactly, D the entries' common denominator."""
     ratios = [

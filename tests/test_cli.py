@@ -14,6 +14,7 @@ import treeloss
 from treeloss import __version__
 from treeloss.cli import _usable_cpus, main
 from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
+from treeloss.phase1d import phase_window
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import SimConfig, run as sim_run
 from treeloss.treecalc import TreeSpec
@@ -133,6 +134,15 @@ class TestWindowCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: edge weights too extreme for a float window: {reason}\n"
+
+    @pytest.mark.parametrize("q", ["500", "1000"])
+    def test_infinite_endpoint_is_usage_error(self, capsys, q):
+        # nu_plus (q = 500) or both endpoints (q = 1000) saturate to inf, which
+        # phase_window returns and JSON cannot carry
+        assert phase_window(int(q), 2, poisson_weights(7.0, 2)).nu_plus == math.inf
+        assert _run(capsys, "window", "--q", q, "--cap", "2", "--lam", "7") == (
+            2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n"
+        )
 
     def test_json_only_command_rejects_csv(self, capsys):
         code, _, _ = _run(
@@ -317,6 +327,9 @@ class TestBlockingCurveCommand:
         (("--q", "0"), "q must be an int >= 1, got 0"),
         (("--nu-min", "-1"), "rate must be positive and finite, got -1.0"),
         (("--q", "0", "--max-iter", "3"), "q must be an int >= 1, got 0"),
+        # the first load is fine; the second overflows its node weights
+        (("--cap", "3", "--cv", "3", "--nu-max", "1e200", "--nu-step", "5e199"),
+         "weight entries must be finite and >= 0: (1.0, 5e+199, inf, inf)"),
     ])
     def test_invalid_flags_refused_before_the_pool_starts(
         self, capsys, monkeypatch, flags, message
@@ -523,6 +536,14 @@ class TestSweepRegionCommand:
             "integer division result too large for a float\n"
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_infinite_endpoint_is_usage_error(self, capsys, jobs):
+        assert _run(
+            capsys,
+            "sweep-region", "--q", "3000", "--cap", "2", "--lam-min", "7", "--lam-max", "7",
+            "--lam-step", "1", "--jobs", jobs,
+        ) == (2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n")
+
     def test_file_weights_rejected_for_sweeps(self, capsys, tmp_path):
         wf = tmp_path / "w.txt"
         wf.write_text("1\n1\n1\n")
@@ -700,6 +721,22 @@ class TestSimulateCommand:
             b"error: a spherical tree of radius 8 at q = 10 has 122222222 nodes; "
             b"simulate takes at most 100000\n"
         )
+        assert proc.stdout == b""
+
+    def test_huge_replication_count_is_refused_at_once(self):
+        # spawning 10^8 seeds runs out of a 1 GiB address space, so the count
+        # must be refused before any seed is spawned
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeloss", "simulate", "--q", "2", "--cap", "2",
+             "--lam", "1", "--nu", "1", "--radius", "1", "--horizon", "50",
+             "--reps", "100000000", "--jobs", "1"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: replications must be an int in [1, 100000], got 100000000\n"
         assert proc.stdout == b""
 
 

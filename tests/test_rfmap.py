@@ -306,6 +306,63 @@ class TestScalarFallback:
                 assert abs(m(m(y)) - y) <= 1e-9 * scale
 
 
+def _increasing(q, nu, entries):
+    """A cv = 1 model whose edge sums are not log-concave at cap = 2, so m increases."""
+    p = ModelParams(q, 2, 1, 2, poisson_weights(nu, 1), WeightVector(entries))
+    assert _cross_ratio(p) > 0.0
+    return p
+
+
+class TestIncreasingMap:
+    """An increasing cv = 1 map is iterated from 0 and from nu_1, and the limits compared."""
+
+    @pytest.mark.parametrize("nu,low,high", [
+        (1e5, 9.05286954692983e-16, 98995.45226377445),
+        (1e4, 9.052869546929828e-17, 8948.306294630003),
+    ])
+    def test_two_limits_are_multiple(self, nu, low, high):
+        # iteration from 0 alone stops at the least fixed point after one step
+        p = _increasing(10, nu, (1.0, 0.0, 100.0))
+        v = classify_by_iteration(p)
+        assert v.kind is Uniqueness.MULTIPLE
+        assert (v.even_limit, v.odd_limit) == ((low,), (high,))
+        m = _scalar_map(p)
+        for (x,) in (v.even_limit, v.odd_limit):
+            assert abs(m(x) - x) <= 1e-12 * (1.0 + x)
+
+    def test_one_limit_is_unique(self):
+        v = classify_by_iteration(_increasing(10, 1000.0, (1.0, 0.0, 100.0)))
+        assert v.kind is Uniqueness.UNIQUE
+        assert v.fixed_point == (9.052869546929829e-18,)
+        # one step from 0, five from nu_1
+        assert v.iterations == 6
+
+    def test_slow_climb_counts_both_runs(self):
+        p = _increasing(3, 3.0, (1.0, 0.5, 3.0))
+        v = classify_by_iteration(p)
+        assert (v.kind, v.iterations) == (Uniqueness.UNIQUE, 27)
+        assert v.fixed_point == _vector_classify(p).fixed_point
+
+    @pytest.mark.parametrize("max_iter,last", [(13, 3.0), (14, None), (26, None)])
+    def test_budget_runs_out_in_the_second_run(self, max_iter, last):
+        # the run from 0 takes 13 steps; what is left goes to the run from nu_1
+        p = _increasing(3, 3.0, (1.0, 0.5, 3.0))
+        low = _vector_classify(p)
+        v = classify_by_iteration(p, max_iter=max_iter)
+        assert v.kind is Uniqueness.INCONCLUSIVE
+        assert v.iterations == max_iter
+        assert v.even_limit == low.fixed_point
+        x = 3.0
+        for _ in range(max_iter - 13):
+            x = _scalar_map(p)(x)
+        assert v.odd_limit == (x,)
+        assert last is None or x == last
+
+    def test_budget_runs_out_in_the_first_run(self):
+        p = _increasing(3, 3.0, (1.0, 0.5, 3.0))
+        assert classify_by_iteration(p, max_iter=12) == _vector_classify(p, max_iter=12)
+
+
 def _vector_step(p):
     """The generic vector map step for any cv, as ``rfmap._map_step`` writes it."""
     rows = _coefficients(p)
@@ -501,6 +558,39 @@ class TestScalarPath:
         p = ModelParams(3, 1, 1, 1, WeightVector((1.0, 7.0)), WeightVector((1e-200, 1e200)))
         assert 1e-200 / float(p.edge_weights.partial_sum(1)) == 0.0
         assert _scalar_map(p)(0.0) == 0.0
+
+
+@st.composite
+def vector_params(draw):
+    """cv = 2..3 models, loads from 1e-2 to 1e3."""
+    cv = draw(st.integers(2, 3))
+    cap = draw(st.integers(cv, 5))
+    ce = draw(st.integers(0, cap))
+    family = draw(st.sampled_from([poisson_weights, geometric_weights]))
+    return ModelParams(
+        q=draw(st.integers(1, 12)),
+        cap=cap,
+        cv=cv,
+        ce=ce,
+        node_weights=poisson_weights(10.0 ** draw(st.floats(-2.0, 3.0)), cv),
+        edge_weights=family(draw(st.floats(min_value=0.05, max_value=5.0)), ce),
+    )
+
+
+class TestVectorPath:
+    """The loop for cv >= 2 gives the vector loop's verdicts, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(
+        vector_params(),
+        st.sampled_from([4, 5, 6, 7, 64, 2000]),
+        st.sampled_from([(1e-12, 1e-8), (1e-6, 1e-3), (1e-4, 1e-2)]),
+    )
+    @example(_params(cap=2, cv=2, ce=2, nu=40.0), 2000, (1e-12, 1e-8))
+    def test_verdict_equals_vector_loop(self, p, max_iter, tols):
+        tol, sep = tols
+        got = classify_by_iteration(p, tol=tol, sep=sep, max_iter=max_iter)
+        assert got == _vector_classify(p, tol=tol, sep=sep, max_iter=max_iter)
 
 
 class TestPairInteraction:

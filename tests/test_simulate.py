@@ -551,6 +551,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"has more than {2**64} nodes"):
             SimConfig(params=_network_params(), tree=TreeSpec("spherical", 10**9))
 
+    def test_replication_limit(self):
+        p = _single_node_params()
+        SimConfig(params=p, tree=TreeSpec("rooted", 0), replications=100_000)
+        with pytest.raises(ValueError, match=r"replications must be an int in \[1, 100000\]"):
+            SimConfig(params=p, tree=TreeSpec("rooted", 0), replications=100_001)
+
     def test_default_warmup_scales_with_rates(self):
         cfg = SimConfig(params=_single_node_params(nu=4.0), tree=TreeSpec("rooted", 0))
         assert cfg.warmup_time == 10.0 * (1.0 + 4.0)

@@ -1,6 +1,6 @@
-"""Package hygiene: exported names resolve, no module imports scipy, and the
+"""Package hygiene: exported names resolve, no module imports scipy, the
 count rule (an int, not a bool, within bounds) and the process pool are each
-written once, in ``_num``."""
+written once, in ``_num``, and the edge budget rule once, in ``weights``."""
 import ast
 import importlib
 import pkgutil
@@ -106,32 +106,51 @@ def test_bool_is_not_an_int(name):
         BOOL_FOR_INT[name]()
 
 
-def _bool_type_tests(path: Path) -> set:
-    """(file, enclosing function) of every ``isinstance(..., bool)`` call in a module."""
+def _call_sites(matches) -> set:
+    """(file, enclosing function) of every call in the package for which ``matches(call)``."""
     found = set()
 
-    def visit(node, where):
+    def visit(node, name, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
-            types = node.args[1]
-            names = types.elts if isinstance(types, ast.Tuple) else [types]
-            if any(isinstance(t, ast.Name) and t.id == "bool" for t in names):
-                found.add((path.name, where))
+        if isinstance(node, ast.Call) and matches(node):
+            found.add((name, where))
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, name, where)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
     return found
+
+
+def _is_bool_type_test(call) -> bool:
+    if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and len(call.args) == 2):
+        return False
+    types = call.args[1]
+    names = types.elts if isinstance(types, ast.Tuple) else [types]
+    return any(isinstance(t, ast.Name) and t.id == "bool" for t in names)
 
 
 def test_bool_type_tests_live_in_num():
     # _num holds the count rule; the other two tell entry types and format output
     allowed = {("weights.py", "_is_valid_entry"), ("cli.py", "_fmt")}
-    found = set().union(*(_bool_type_tests(f) for f in sorted(SRC.rglob("*.py"))))
+    found = _call_sites(_is_bool_type_test)
     assert any(f == "_num.py" for f, _ in found)
     assert sorted(x for x in found if x[0] != "_num.py" and x not in allowed) == []
+
+
+def _is_min_of_ce(call) -> bool:
+    names = (
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+        for arg in call.args for n in ast.walk(arg)
+    )
+    return isinstance(call.func, ast.Name) and call.func.id == "min" and "ce" in names
+
+
+def test_edge_budget_rule_lives_in_clipped_rows():
+    # min(cap - k - j, ce) is written once; every table of it comes from there
+    assert _call_sites(_is_min_of_ce) == {("weights.py", "_clipped_rows")}
 
 
 def test_one_process_pool_in_the_package():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from treeloss.weights import (
     WeightVector,
+    _clipped_rows,
     geometric_weights,
     load_weight_file,
     log_concavity_margin,
@@ -192,3 +193,81 @@ class TestLogConcavity:
     )
     def test_standard_families_are_log_concave(self, cap, rate, factory):
         assert partial_sums_log_concave(factory(rate, cap), cap)
+
+
+# The edge budget rule as three modules wrote it before ``_clipped_rows``.
+
+
+def _old_coefficients(w, cap, cv, ce):
+    """``rfmap._coefficients``: its nested ``clipped`` over the partial sums."""
+
+    def clipped(a: int) -> float:
+        if a < 0:
+            return 0.0
+        return float(w.partial_sum(min(a, ce)))
+
+    return tuple(tuple(clipped(cap - k - j) for j in range(cv + 1)) for k in range(cv + 1))
+
+
+def _old_cross_sums(w, cap, ce):
+    """``rfmap._cross_ratio``'s (n0, n1, n2) over the integer numerators."""
+    _, nums = w._exact_sums
+    return tuple(nums[min(cap - k, ce)] if cap >= k else 0 for k in range(3))
+
+
+def _old_message(edge_sums, cv, child, room, budget):
+    """``oracle._sum_product``'s message from a child table at (room, budget)."""
+    if room < 0:
+        return [0] * (cv + 1)
+    return [
+        sum(w * edge_sums[min(room, budget - a - b)]
+            for b, w in enumerate(child[: budget - a + 1]))
+        for a in range(cv + 1)
+    ]
+
+
+def _budget_cases():
+    for cap in range(1, 6):
+        for cv in range(1, cap + 1):
+            for ce in range(0, cap + 1):
+                for w in (
+                    poisson_weights(0.75, ce),
+                    poisson_weights(Fraction(3, 4), ce),
+                    WeightVector(tuple(range(1, ce + 2))),
+                ):
+                    yield cap, cv, ce, w
+
+
+class TestClippedRows:
+    def test_rows_follow_the_budget_rule(self):
+        for cap, cv, ce, w in _budget_cases():
+            rows = _clipped_rows(w.partial_sums, cap, cv, ce)
+            for k in range(cv + 1):
+                for j in range(cv + 1):
+                    a = cap - k - j
+                    want = w.partial_sums[min(a, ce)] if a >= 0 else 0
+                    assert rows[k][j] == want and type(rows[k][j]) is type(want)
+
+    def test_equals_the_coefficient_rows(self):
+        for cap, cv, ce, w in _budget_cases():
+            rows = _clipped_rows(w.partial_sums, cap, cv, ce)
+            got = tuple(tuple(map(float, row)) for row in rows)
+            assert got == _old_coefficients(w, cap, cv, ce), (cap, cv, ce, w)
+
+    def test_equals_the_cross_ratio_sums(self):
+        for cap, _, ce, w in _budget_cases():
+            (n0, n1), (n1_again, n2) = _clipped_rows(w._exact_sums[1], cap, 1, ce)
+            assert n1 == n1_again
+            assert (n0, n1, n2) == _old_cross_sums(w, cap, ce)
+
+    def test_equals_the_oracle_messages(self):
+        # every room the oracle used: ce, ce - 1 (an edge lead; -1 when ce = 0)
+        for cap, cv, ce, w in _budget_cases():
+            edge_sums = w._exact_sums[1]
+            for room, budget in ((ce, cap), (ce, cap - 1), (ce - 1, cap - 1)):
+                rows = _clipped_rows(edge_sums, budget, cv, room)
+                for b in range(cv + 1):
+                    child = [0] * (cv + 1)
+                    child[b] = 1
+                    got = [sum(x * r for x, r in zip(child, row)) for row in rows]
+                    assert got == _old_message(edge_sums, cv, child, room, budget)
