@@ -16,82 +16,49 @@ and blocking), oracle (exhaustive enumeration ground truth), simulate
 
 __version__ = "0.1.0"
 
-from .weights import (
-    WeightVector,
-    geometric_weights,
-    load_weight_file,
-    log_concavity_margin,
-    partial_sums_log_concave,
-    poisson_weights,
-)
-from .rfmap import (
-    ModelParams,
-    Uniqueness,
-    UniquenessVerdict,
-    classify_by_iteration,
-    conjugate_maps,
-    interaction_map,
-    pair_interaction,
-    random_field_map,
-)
-from .phase1d import (
-    AssumptionViolation,
-    BracketError,
-    ClosedFormVerdict,
-    PhaseParams,
-    PhaseWindow,
-    classify_closed_form,
-    condition_a,
-    condition_a_margin,
-    fixed_point,
-    nu_of_fixed_point,
-    phase_window,
-    poisson_window_statistic,
-    ratio_map,
-    ratio_map_derivative,
-    schwarzian,
-    stability_quadratic,
-)
-from .treecalc import (
-    CurvePoint,
-    NormalizedState,
-    TreeSpec,
-    blocking_curve,
-    center_occupancy,
-    multicast_blocking,
-    rooted_state,
-    unicast_blocking,
-)
-from .oracle import (
-    Configuration,
-    FiniteTree,
-    TreeTooLargeError,
-    edge_centered_tree,
-    exact_blocking,
-    exact_partition,
-    is_feasible,
-    occupancy_distribution,
-    path_tree,
-    rooted_tree,
-    spherical_tree,
-)
-from .simulate import SimConfig, SimStats, compare, compare_runs, run
+# Each exported name, by the submodule that defines it. A name is imported on
+# first access (PEP 562), so a command loads only the modules it uses.
+_EXPORTS = {
+    "weights": (
+        "WeightVector", "geometric_weights", "load_weight_file",
+        "log_concavity_margin", "partial_sums_log_concave", "poisson_weights",
+    ),
+    "rfmap": (
+        "ModelParams", "Uniqueness", "UniquenessVerdict", "classify_by_iteration",
+        "conjugate_maps", "interaction_map", "pair_interaction", "random_field_map",
+    ),
+    "phase1d": (
+        "AssumptionViolation", "BracketError", "ClosedFormVerdict", "PhaseParams",
+        "PhaseWindow", "classify_closed_form", "condition_a", "condition_a_margin",
+        "fixed_point", "nu_of_fixed_point", "phase_window",
+        "poisson_window_statistic", "ratio_map", "ratio_map_derivative",
+        "schwarzian", "stability_quadratic",
+    ),
+    "treecalc": (
+        "CurvePoint", "NormalizedState", "TreeSpec", "blocking_curve",
+        "center_occupancy", "multicast_blocking", "rooted_state", "unicast_blocking",
+    ),
+    "oracle": (
+        "Configuration", "FiniteTree", "TreeTooLargeError", "edge_centered_tree",
+        "exact_blocking", "exact_partition", "is_feasible",
+        "occupancy_distribution", "path_tree", "rooted_tree", "spherical_tree",
+    ),
+    "simulate": ("SimConfig", "SimStats", "compare", "compare_runs", "run"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "WeightVector", "geometric_weights", "load_weight_file",
-    "log_concavity_margin", "partial_sums_log_concave", "poisson_weights",
-    "ModelParams", "Uniqueness", "UniquenessVerdict", "classify_by_iteration",
-    "conjugate_maps", "interaction_map", "pair_interaction", "random_field_map",
-    "AssumptionViolation", "BracketError", "ClosedFormVerdict", "PhaseParams",
-    "PhaseWindow", "classify_closed_form", "condition_a", "condition_a_margin",
-    "fixed_point", "nu_of_fixed_point", "phase_window",
-    "poisson_window_statistic", "ratio_map", "ratio_map_derivative",
-    "schwarzian", "stability_quadratic",
-    "CurvePoint", "NormalizedState", "TreeSpec", "blocking_curve",
-    "center_occupancy", "multicast_blocking", "rooted_state", "unicast_blocking",
-    "Configuration", "FiniteTree", "TreeTooLargeError", "edge_centered_tree",
-    "exact_blocking", "exact_partition", "is_feasible",
-    "occupancy_distribution", "path_tree", "rooted_tree", "spherical_tree",
-    "SimConfig", "SimStats", "compare", "compare_runs", "run",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

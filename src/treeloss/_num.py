@@ -1,9 +1,10 @@
 """Small helpers shared across modules: count checks, float arithmetic and the
-process-pool map behind every ``--jobs`` option."""
+fork-join map behind every ``--jobs`` option."""
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable
 
 
@@ -21,18 +22,100 @@ def check_int(name: str, value, least: int, most: int | None = None) -> int:
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:
-    """``[fn(t) for t in tasks]``, on ``jobs`` worker processes when that is > 1.
+    """``[fn(t) for t in tasks]``, on w = min(jobs, len(tasks)) processes.
 
-    Results come back in task order, so output built from them does not depend
-    on ``jobs``. ``concurrent.futures`` is imported only when a pool starts,
-    which keeps its cost off serial runs.
+    This process is worker 0 and forks w - 1 children, so it needs
+    ``os.fork`` (Linux or macOS); a fork copies only the calling thread, so
+    no task may wait on another thread. Worker k computes tasks k, k + w, ...,
+    which spreads costly tasks that sit together in the list over the
+    workers. Tasks never leave this process's memory: each child pickles its
+    results, or the index and exception of its first failing task, to a pipe
+    and leaves by ``os._exit``. Results come back in task order, and a failure
+    re-raises the exception of the lowest failing index, so the output and
+    error messages are those of the serial loop for any ``jobs``.
     """
-    if jobs == 1 or len(tasks) <= 1:
+    w = min(jobs, len(tasks))
+    if w <= 1:
         return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle  # only a forking run pays for it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    pids, pipes = [], []
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, tasks, k, w, wr, pipes)
+            finally:
+                os.close(wr)
+            pids.append(pid)
+        parts = [_slice(fn, tasks, 0, w)]
+        for pid, r in zip(pids, pipes):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                parts.append(pickle.loads(data))
+            except Exception:
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(
+                    f"worker process {pid} sent no results (exit code {code})"
+                ) from None
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in pipes:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    results = [None] * len(tasks)
+    failures = []
+    for k, (index, value) in enumerate(parts):
+        if index is None:
+            results[k::w] = value
+        else:
+            failures.append((index, value))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
+def _child(fn, tasks: list, k: int, w: int, fd: int, pipes: list):
+    """Worker k in a forked child: pickle its slice to ``fd``, then leave by
+    ``os._exit``, so no handler or buffer of the parent's runs twice.
+
+    The child first closes the read ends it inherited (its own among them),
+    so that a write fails, instead of blocking, once the parent is gone.
+    """
+    import pickle
+
+    status = 1
+    try:
+        for r in pipes:
+            os.close(r)
+        with open(fd, "wb", closefd=False) as pipe:
+            pickle.dump(_slice(fn, tasks, k, w), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _slice(fn, tasks: list, k: int, w: int) -> tuple:
+    """``(None, results)`` of worker k's tasks k, k + w, ..., or ``(i, exc)``
+    for the first of them that raises."""
+    out = []
+    for i in range(k, len(tasks), w):
+        try:
+            out.append(fn(tasks[i]))
+        except Exception as exc:
+            return i, exc
+    return None, out
 
 
 def check_nonneg(name: str, value) -> float:

@@ -7,6 +7,9 @@ apart from the versioned header line.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 3 model-assumption failure.
+
+A command imports the model modules it calls (phase1d, treecalc, oracle,
+simulate) when it runs, so each process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from fractions import Fraction
 
 from . import __version__
 from ._num import check_int, map_tasks
-from .phase1d import AssumptionViolation, condition_a, condition_a_margin, phase_window
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
 from .rfmap import _check_iteration
-from .treecalc import TreeSpec, blocking_curve, center_occupancy, multicast_blocking, rooted_state, unicast_blocking
-from .weights import WeightVector, geometric_weights, load_weight_file, poisson_weights
-from . import oracle as _oracle
-from . import simulate as _sim
+from .weights import (
+    AssumptionViolation, WeightVector, geometric_weights, load_weight_file, poisson_weights,
+)
 
 __all__ = ["main"]
 
@@ -146,8 +147,10 @@ def _cmd_classify(args) -> int:
     return _emit_json(args, payload)
 
 
-def _float_window(q: int, cap: int, edge: WeightVector):
-    """``phase_window``, refusing weights whose window floats overflow or vanish."""
+def _float_window(phase_window, q: int, cap: int, edge: WeightVector):
+    """``phase_window(q, cap, edge)``, refusing weights whose window floats
+    overflow or vanish. The caller passes ``phase1d.phase_window``, imported
+    once per command rather than once per grid row."""
     try:
         win = phase_window(q, cap, edge)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -159,7 +162,9 @@ def _float_window(q: int, cap: int, edge: WeightVector):
 
 
 def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
-    win = _float_window(q, cap, edge)
+    from .phase1d import phase_window
+
+    win = _float_window(phase_window, q, cap, edge)
     payload = {
         "condition_a": win.present,
         "boundary": win.boundary,
@@ -184,62 +189,62 @@ def _cmd_window(args) -> int:
     return _emit_json(args, _window_payload(args.q, args.cap, edge))
 
 
-def _curve_task(task) -> tuple:
-    q, cap, cv, ce, edge, nu, tol, sep, max_iter = task
-    [pt] = blocking_curve(q, cap, cv, ce, edge, [nu], tol=tol, sep=sep, max_iter=max_iter)
-    return (
-        pt.nu,
-        pt.kind.value,
-        pt.beta_even,
-        pt.beta_odd,
-        ";".join(_fmt(x) for x in pt.xi_even),
-        ";".join(_fmt(x) for x in pt.xi_odd),
-    )
-
-
 def _cmd_blocking_curve(args) -> int:
+    from .treecalc import blocking_curve
+
     ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
-    # validate before the pool starts, in the order the tasks would; a later
-    # task can fail only in its node weights
+    # validate before any worker forks, in the order the rows would; a later
+    # row can fail only in its node weights
     ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nus[0], args.cv), edge)
     _check_iteration(args.tol, args.sep, args.max_iter)
     for nu in nus[1:]:
         poisson_weights(nu, args.cv)
-    tasks = [
-        (args.q, args.cap, args.cv, ce, edge, nu, args.tol, args.sep, args.max_iter)
-        for nu in nus
-    ]
-    rows = map_tasks(_curve_task, tasks, check_int("--jobs", args.jobs, 1))
+
+    def row(nu) -> tuple:
+        [pt] = blocking_curve(args.q, args.cap, args.cv, ce, edge, [nu],
+                              tol=args.tol, sep=args.sep, max_iter=args.max_iter)
+        return (
+            pt.nu,
+            pt.kind.value,
+            pt.beta_even,
+            pt.beta_odd,
+            ";".join(_fmt(x) for x in pt.xi_even),
+            ";".join(_fmt(x) for x in pt.xi_odd),
+        )
+
+    rows = map_tasks(row, nus, check_int("--jobs", args.jobs, 1))
     return _emit_csv(
         args, "blocking-curve", "nu,unique,beta_even,beta_odd,xi_even,xi_odd", rows
     )
 
 
-def _sweep_task(task) -> tuple:
-    q, cap, family, lam = task
-    edge = _edge_family(family, lam, cap)
-    win = _float_window(q, cap, edge)
-    if win.present:
-        return (lam, True, win.nu_minus, win.nu_plus)
-    return (lam, False, None, None)
-
-
 def _cmd_sweep_region(args) -> int:
+    from .phase1d import phase_window
+
     if args.weights.startswith("file:"):
         raise ValueError("sweep-region scans the rate; fixed file weights make no sense here")
-    check_int("cap", args.cap, 2)  # phase_window's rule, before a weight vector is built
+    q, cap, family = args.q, args.cap, args.weights
+    check_int("cap", cap, 2)  # phase_window's rule, before a weight vector is built
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
-    tasks = [(args.q, args.cap, args.weights, lam) for lam in lams]
-    # validate before the pool starts; a rate family fails first at a grid end
-    _sweep_task(tasks[0])
-    _sweep_task(tasks[-1])
-    rows = map_tasks(_sweep_task, tasks, check_int("--jobs", args.jobs, 1))
+
+    def row(lam) -> tuple:
+        win = _float_window(phase_window, q, cap, _edge_family(family, lam, cap))
+        if win.present:
+            return (lam, True, win.nu_minus, win.nu_plus)
+        return (lam, False, None, None)
+
+    # validate before any worker forks; a rate family fails first at a grid end
+    row(lams[0])
+    row(lams[-1])
+    rows = map_tasks(row, lams, check_int("--jobs", args.jobs, 1))
     return _emit_csv(args, "sweep-region", "lambda,condition_a,nu_minus,nu_plus", rows)
 
 
-def _tree_spec(args) -> TreeSpec:
+def _tree_spec(args):
+    from .treecalc import TreeSpec
+
     if (args.height is None) == (args.radius is None):
         raise ValueError("give exactly one of --height (rooted) or --radius (spherical)")
     if args.height is not None:
@@ -248,20 +253,22 @@ def _tree_spec(args) -> TreeSpec:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import oracle
+
     p = _model_params(args)
     spec = _tree_spec(args)
-    _oracle._check_spec_size(p, spec)
-    tree, center = _oracle.build_tree(spec, p.q)
-    z = _oracle.exact_partition(p, tree, center)
-    occ = _oracle.occupancy_distribution(p, tree, center)
+    oracle._check_spec_size(p, spec)
+    tree, center = oracle.build_tree(spec, p.q)
+    z = oracle.exact_partition(p, tree, center)
+    occ = oracle.occupancy_distribution(p, tree, center)
     payload = {
         "tree": {"kind": spec.kind, "size": spec.size,
                  "nodes": len(tree.nodes), "edges": len(tree.edges)},
         "partition": [float(v) for v in z],
         "occupancy": [float(v) for v in occ],
-        "node_blocking": float(_oracle.exact_blocking(p, tree, center)),
+        "node_blocking": float(oracle.exact_blocking(p, tree, center)),
         "edge_blocking": (
-            float(_oracle.exact_blocking(p, tree, tree.edges[0])) if tree.edges else None
+            float(oracle.exact_blocking(p, tree, tree.edges[0])) if tree.edges else None
         ),
     }
     return _emit_json(args, payload)
@@ -276,9 +283,11 @@ def _usable_cpus() -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate
+
     jobs = _usable_cpus() if args.jobs is None else check_int("--jobs", args.jobs, 1)
     p = _model_params(args)
-    cfg = _sim.SimConfig(
+    cfg = simulate.SimConfig(
         params=p,
         tree=_tree_spec(args),
         service_mode=args.service.replace("-", "_"),
@@ -288,7 +297,7 @@ def _cmd_simulate(args) -> int:
         replications=args.reps,
         seed=args.seed,
     )
-    stats = _sim.run(cfg, jobs)
+    stats = simulate.run(cfg, jobs)
     payload = {
         "replications": stats.replications,
         "post_warmup_events": stats.post_warmup_events,
@@ -311,6 +320,10 @@ def _cmd_simulate(args) -> int:
 
 def _selftest_checks(perturb: float):
     """Yield (name, ok, detail) triples; perturb != 1 must trip the first check."""
+    from . import oracle
+    from .phase1d import condition_a, condition_a_margin, phase_window
+    from .treecalc import multicast_blocking, rooted_state, unicast_blocking
+
     # recursion vs enumeration on a small grid
     worst = (0.0, "")
     ok = True
@@ -320,7 +333,7 @@ def _selftest_checks(perturb: float):
             st = rooted_state(p, m)
             z0 = math.exp(st.log_z0) * perturb
             zt = (z0,) + tuple(z0 * x for x in st.xi)
-            zo = _oracle.exact_partition(p, _oracle.rooted_tree(q, m), 0)
+            zo = oracle.exact_partition(p, oracle.rooted_tree(q, m), 0)
             for a, b in zip(zt, zo):
                 rel = abs(a - b) / max(1.0, abs(b))
                 if rel > worst[0]:
@@ -335,9 +348,9 @@ def _selftest_checks(perturb: float):
     for q in (2, 3):
         p = ModelParams(q, 2, 1, 2, poisson_weights(1.0, 1), poisson_weights(1.0, 2))
         bt = multicast_blocking(p, 1)
-        bo = float(_oracle.exact_blocking(p, _oracle.spherical_tree(q, 1), 0))
+        bo = float(oracle.exact_blocking(p, oracle.spherical_tree(q, 1), 0))
         ut = unicast_blocking(p, 1)
-        uo = float(_oracle.exact_blocking(p, _oracle.edge_centered_tree(q, 1), (0, 1)))
+        uo = float(oracle.exact_blocking(p, oracle.edge_centered_tree(q, 1), (0, 1)))
         if abs(bt - bo) > 1e-9 or abs(ut - uo) > 1e-9:
             ok = False
             detail = f"q={q}: node {bt} vs {bo}, edge {ut} vs {uo}"

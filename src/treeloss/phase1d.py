@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from ._num import check_int, check_nonneg, power
 from .rfmap import ModelParams, Uniqueness, _bisect, _log_slope, _scalar_map, _scalar_slope
-from .weights import WeightVector, _exact_window_sums, poisson_weights
+from .weights import AssumptionViolation, WeightVector, _exact_window_sums, poisson_weights
 
 __all__ = [
     "AssumptionViolation",
@@ -56,10 +56,6 @@ __all__ = [
     "classify_closed_form",
     "poisson_window_statistic",
 ]
-
-
-class AssumptionViolation(ValueError):
-    """Edge weights whose partial sums are not strictly log-concave at cap."""
 
 
 class BracketError(RuntimeError):

@@ -22,10 +22,11 @@ Two service disciplines:
 Estimates use arrival counting (admitted/offered) after a warmup interval,
 plus the time-averaged occupancy of a designated center node. Replications
 run on independent counter-based RNG streams spawned from one seed, so
-results are reproducible bit-for-bit. ``run(cfg, jobs)`` farms them out to
-``jobs`` worker processes in contiguous slices, each worker building the
-tree once, and joins the slices in replication order before aggregating, so
-every estimate is the same float for any number of workers (independent
+results are reproducible bit-for-bit. ``run(cfg, jobs)`` splits them into
+``jobs`` contiguous slices, one per worker (this process and ``jobs - 1``
+forked children, through ``_num.map_tasks``), each worker building the tree
+once, and joins the slices in replication order before aggregating, so every
+estimate is the same float for any number of workers (independent
 replications in parallel, Heidelberger 1988).
 
 Each replication draws standard exponentials from its stream in blocks of
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
 from typing import Optional
@@ -269,12 +271,11 @@ def _ratio(num: int, den: int) -> float:
     return num / den if den > 0 else math.nan
 
 
-def _run_slice(task) -> list:
+def _run_slice(cfg: SimConfig, seeds: list) -> list:
     """Build the tree once and simulate one replication per seed sequence in
-    ``task = (cfg, seeds)``, in order."""
+    ``seeds``, in order."""
     import numpy as np
 
-    cfg, seeds = task
     tree, _ = build_tree(cfg.tree, cfg.params.q)
     if cfg.node_target not in tree.nodes:
         raise ValueError(f"node target {cfg.node_target!r} not in tree")
@@ -284,22 +285,22 @@ def _run_slice(task) -> list:
 
 
 def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
-    """Simulate ``cfg`` on ``jobs`` worker processes (1: in this one).
+    """Simulate ``cfg`` on ``jobs`` processes (1: this one alone).
 
     The replications are split into min(jobs, replications) contiguous
     slices and joined back in order, so the result is the same for any
     ``jobs``.
     """
     # imported here so the analytic commands start without it, and before the
-    # pool forks, so its workers inherit it
+    # workers fork, so they inherit it
     import numpy as np
 
     check_int("jobs", jobs, 1)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     workers = min(jobs, cfg.replications)
     cuts = [cfg.replications * k // workers for k in range(workers + 1)]
-    tasks = [(cfg, seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
-    reps = [rep for part in map_tasks(_run_slice, tasks, workers) for rep in part]
+    slices = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+    reps = [rep for part in map_tasks(partial(_run_slice, cfg), slices, workers) for rep in part]
     offered_n, blocked_n, offered_e, blocked_e, rep_occupancy, events = zip(*reps)
     rep_node_beta = tuple(map(_ratio, blocked_n, offered_n))
     rep_edge_beta = tuple(map(_ratio, blocked_e, offered_e))

@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+class AssumptionViolation(ValueError):
+    """Edge weights whose partial sums are not strictly log-concave at cap.
+
+    Raised by ``phase1d``, which exports it; it lives here so that the command
+    line can map it to its exit code without importing ``phase1d``."""
+
+
 def _is_valid_entry(x) -> bool:
     if isinstance(x, float):
         return x >= 0.0 and x == x and x != float("inf")

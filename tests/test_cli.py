@@ -336,10 +336,10 @@ class TestBlockingCurveCommand:
     ):
         serial = _run(capsys, *self.ARGS, *flags, "--jobs", "1")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the worker pool started")
+        def no_fork():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert _run(capsys, *self.ARGS, *flags, "--jobs", "2") == serial == (
             2, "", f"error: {message}\n"
         )
@@ -428,6 +428,45 @@ def test_import_leaves_the_pool_unloaded():
     assert proc.stdout.strip() == b"False"
 
 
+# Runs one command (or none) in a fresh interpreter, then prints the modules it loaded.
+_IMPORT_PROBE = """
+import json, os, sys
+if len(sys.argv) > 1:
+    from treeloss.cli import main
+    assert main(sys.argv[1:] + ["--out", os.devnull]) == 0
+else:
+    import treeloss
+print(json.dumps(sorted(sys.modules)))
+"""
+_MODEL_MODULES = {
+    f"treeloss.{m}" for m in ("weights", "rfmap", "phase1d", "treecalc", "oracle", "simulate")
+}
+
+
+@pytest.mark.parametrize("argv,loaded,unloaded", [
+    ((), {"treeloss"}, _MODEL_MODULES | {"treeloss._num", "treeloss.cli", "numpy"}),
+    (("sweep-region", "--q", "6", "--cap", "2", "--lam-min", "6.01", "--lam-max", "6.01",
+      "--lam-step", "1"),
+     {"treeloss.phase1d"},
+     {"treeloss.treecalc", "treeloss.oracle", "treeloss.simulate", "numpy", "concurrent.futures"}),
+    (("blocking-curve", "--q", "10", "--cap", "2", "--lam", "0.75", "--nu-min", "50",
+      "--nu-max", "50", "--nu-step", "1"),
+     {"treeloss.treecalc"},
+     {"treeloss.phase1d", "treeloss.oracle", "treeloss.simulate", "numpy"}),
+])
+def test_a_run_loads_only_the_modules_it_uses(argv, loaded, unloaded):
+    # every module a command does not call is start-up time it need not pay
+    src = str(Path(treeloss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(json.loads(proc.stdout))
+    assert loaded <= modules
+    assert sorted(modules & unloaded) == []
+
+
 class TestSweepRegionCommand:
     def test_single_point_grid(self, capsys):
         code, out, _ = _run(
@@ -488,10 +527,10 @@ class TestSweepRegionCommand:
     def test_invalid_family_refused_before_the_pool_starts(
         self, capsys, monkeypatch, flags, message
     ):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the worker pool started")
+        def no_fork():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         base = {"--weights": "poisson", "--lam-min": "1", "--lam-max": "2", "--lam-step": "0.5"}
         base.update(zip(flags[::2], flags[1::2]))
         code, out, err = _run(
@@ -515,10 +554,10 @@ class TestSweepRegionCommand:
         ]
         serial = _run(capsys, *argv, "--jobs", "1")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the worker pool started")
+        def no_fork():
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert _run(capsys, *argv, "--jobs", "2") == serial == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -687,9 +726,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_refused_before_tree_or_pool(self, capsys, monkeypatch, jobs):
         def refuse(*args, **kwargs):
-            raise AssertionError("a tree or a pool was built")
+            raise AssertionError("a tree was built or a worker forked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr("treeloss.simulate.build_tree", refuse)
         assert _run(capsys, *self.ARGS, "--jobs", jobs) == (
             2, "", f"error: --jobs must be an int >= 1, got {jobs}\n"

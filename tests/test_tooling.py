@@ -1,6 +1,7 @@
 """Package hygiene: exported names resolve, no module imports scipy, the
-count rule (an int, not a bool, within bounds) and the process pool are each
-written once, in ``_num``, and the edge budget rule once, in ``weights``."""
+count rule (an int, not a bool, within bounds) and the fork of a worker
+process are each written once, in ``_num``, and the edge budget rule once, in
+``weights``."""
 import ast
 import importlib
 import pkgutil
@@ -153,12 +154,20 @@ def test_edge_budget_rule_lives_in_clipped_rows():
     assert _call_sites(_is_min_of_ce) == {("weights.py", "_clipped_rows")}
 
 
+def _is_os_fork(call) -> bool:
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "fork"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "os")
+
+
 def test_one_process_pool_in_the_package():
-    calls = [
-        f.name
-        for f in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "ProcessPoolExecutor"
+    # the fork-join in _num.map_tasks is the one place a worker process starts
+    assert _call_sites(_is_os_fork) == {("_num.py", "map_tasks")}
+    files = sorted(SRC.rglob("*.py"))
+    forks = [
+        f.name for f in files for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "fork"
+        or isinstance(node, ast.alias) and node.name == "fork"
     ]
-    assert calls == ["_num.py"]
+    assert forks == ["_num.py"]
+    pools = [f.name for f in files if _imported_roots(f) & {"concurrent", "multiprocessing"}]
+    assert pools == []
