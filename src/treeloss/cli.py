@@ -190,21 +190,23 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_blocking_curve(args) -> int:
-    from .treecalc import blocking_curve
+    from .treecalc import _curve_point
 
     ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
-    # validate before any worker forks, in the order the rows would; a later
-    # row can fail only in its node weights
-    ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nus[0], args.cv), edge)
-    _check_iteration(args.tol, args.sep, args.max_iter)
-    for nu in nus[1:]:
-        poisson_weights(nu, args.cv)
 
-    def row(nu) -> tuple:
-        [pt] = blocking_curve(args.q, args.cap, args.cv, ce, edge, [nu],
-                              tol=args.tol, sep=args.sep, max_iter=args.max_iter)
+    def model(nu) -> ModelParams:
+        return ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nu, args.cv), edge)
+
+    # every row's model is built before any worker forks, failing in the order
+    # the rows would; a later row can fail only in its node weights
+    models = [model(nus[0])]
+    _check_iteration(args.tol, args.sep, args.max_iter)
+    models += map(model, nus[1:])
+
+    def row(task) -> tuple:
+        pt = _curve_point(*task, args.tol, args.sep, args.max_iter)
         return (
             pt.nu,
             pt.kind.value,
@@ -214,7 +216,7 @@ def _cmd_blocking_curve(args) -> int:
             ";".join(_fmt(x) for x in pt.xi_odd),
         )
 
-    rows = map_tasks(row, nus, check_int("--jobs", args.jobs, 1))
+    rows = map_tasks(row, list(zip(nus, models)), check_int("--jobs", args.jobs, 1))
     return _emit_csv(
         args, "blocking-curve", "nu,unique,beta_even,beta_odd,xi_even,xi_odd", rows
     )

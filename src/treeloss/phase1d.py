@@ -114,9 +114,8 @@ class PhaseParams:
 
 
 def _lams(cap: int, w: WeightVector) -> tuple[float, float, float]:
-    """(S_{cap-2}, S_{cap-1}, S_cap) as floats."""
-    s = w.partial_sum
-    return float(s(cap - 2)), float(s(cap - 1)), float(s(cap))
+    """(S_{cap-2}, S_{cap-1}, S_cap) as floats; the caller has checked len(w) == cap + 1."""
+    return tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))
 
 
 def ratio_map(p: PhaseParams, x) -> float:
@@ -159,13 +158,13 @@ def fixed_point(p: PhaseParams) -> float:
 def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:
     """The nu for which x is the fixed point of the scalar map (increasing in x)."""
     _require_assumption(q, cap, w)
-    return _nu_of(q, cap, w, x)
+    return _nu_of(q, _lams(cap, w), x)
 
 
-def _nu_of(q: int, cap: int, w: WeightVector, x) -> float:
-    """nu_of_fixed_point for callers that have already checked the assumption."""
+def _nu_of(q: int, lams: tuple[float, float, float], x) -> float:
+    """nu_of_fixed_point on the ``_lams`` sums, for callers that have checked the assumption."""
     x = check_nonneg("evaluation point", x)
-    sm2, sm1, sc = _lams(cap, w)
+    sm2, sm1, sc = lams
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
 
 
@@ -240,8 +239,9 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
         )
     alpha_plus = (-a1 / dd + math.sqrt(disc / (dd * dd))) / (2.0 * (a2 / dd))
     alpha_minus = (a0 / a2) / alpha_plus
-    nu_minus = _nu_of(q, cap, w, alpha_minus)
-    nu_plus = _nu_of(q, cap, w, alpha_plus)
+    lams = _lams(cap, w)
+    nu_minus = _nu_of(q, lams, alpha_minus)
+    nu_plus = _nu_of(q, lams, alpha_plus)
     if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
         raise RuntimeError("internal consistency: window endpoints out of order")
     return PhaseWindow(
@@ -260,11 +260,15 @@ class ClosedFormVerdict:
     window: PhaseWindow
 
 
-def classify_closed_form(p: PhaseParams, boundary_rtol: float = 1e-9) -> ClosedFormVerdict:
+# relative distance from a window endpoint within which a verdict is flagged near_boundary
+_BOUNDARY_RTOL = 1e-9
+
+
+def classify_closed_form(p: PhaseParams) -> ClosedFormVerdict:
     """Unique/Multiple by the window: Multiple iff nu lies strictly inside.
 
-    Window endpoints themselves classify Unique. A nu within ``boundary_rtol``
-    (relative) of either endpoint keeps its verdict but is flagged
+    Window endpoints themselves classify Unique. A nu within ``_BOUNDARY_RTOL``
+    (1e-9, relative) of either endpoint keeps its verdict but is flagged
     ``near_boundary`` - numerics this close to the edge deserve distrust.
     """
     win = phase_window(p.q, p.cap, p.edge_weights)
@@ -272,7 +276,7 @@ def classify_closed_form(p: PhaseParams, boundary_rtol: float = 1e-9) -> ClosedF
         return ClosedFormVerdict(Uniqueness.UNIQUE, False, win)
     inside = win.nu_minus < p.nu < win.nu_plus
     near = any(
-        abs(p.nu - endpoint) <= boundary_rtol * max(1.0, endpoint)
+        abs(p.nu - endpoint) <= _BOUNDARY_RTOL * max(1.0, endpoint)
         for endpoint in (win.nu_minus, win.nu_plus)
     )
     kind = Uniqueness.MULTIPLE if inside else Uniqueness.UNIQUE

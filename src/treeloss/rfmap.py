@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._num import check_int, check_nonneg, power
 from .weights import WeightVector, _clipped_rows
@@ -63,6 +62,12 @@ class ModelParams:
     degree is q+1). ``cap`` is the per-edge joint budget, ``cv`` the node cap,
     ``ce`` the edge cap. ``node_weights`` has length cv+1 with first entry 1;
     ``edge_weights`` has length ce+1.
+
+    The private attribute ``_rows`` holds the clipped partial-sum rows
+    rows[k][j] = S(min(cap-k-j, ce)) as floats, k and j over 0..cv, with S
+    of a negative index equal to 0. Row 0 is the map's denominator and rows
+    1..cv its numerators; the center quantities in ``treecalc`` read the
+    same rows. It is not a field, so ==, hash and repr ignore it.
     """
 
     q: int
@@ -87,28 +92,17 @@ class ModelParams:
             )
         if float(self.node_weights.entries[0]) != 1.0:
             raise ValueError("node_weights[0] must equal 1")
+        rows = _clipped_rows(self.edge_weights.partial_sums, self.cap, self.cv, self.ce)
+        object.__setattr__(self, "_rows", tuple(tuple(map(float, row)) for row in rows))
 
 
-@lru_cache(maxsize=512)
-def _coefficients(p: ModelParams) -> tuple:
-    """Clipped partial-sum rows: rows[k][j] = S(min(cap-k-j, ce)) as floats.
-
-    k and j run over 0..cv, with S of a negative index equal to 0. Row 0 is
-    the map's denominator and rows 1..cv its numerators; the center
-    quantities in ``treecalc`` read the same rows.
-    """
-    rows = _clipped_rows(p.edge_weights.partial_sums, p.cap, p.cv, p.ce)
-    return tuple(tuple(map(float, row)) for row in rows)
-
-
-@lru_cache(maxsize=512)
 def _scalar_map(p: ModelParams):
     """The cv == 1 map m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q as a float closure.
 
     It does the vector step's float operations in the same order, so
     ``m(x)`` is ``step((x,))[0]`` bit for bit, underflow and overflow included.
     """
-    (b0, b1), (a0, a1) = _coefficients(p)
+    (b0, b1), (a0, a1) = p._rows
     nu = float(p.node_weights.entries[1])
     q = p.q
 
@@ -121,14 +115,12 @@ def _scalar_map(p: ModelParams):
     return m
 
 
-@lru_cache(maxsize=512)
 def _map_step(p: ModelParams):
     """The ratio map Phi as a closure over its coefficient rows; no validation."""
     if p.cv == 1:
         m = _scalar_map(p)
         return lambda x: (m(x[0]),)
-    rows = _coefficients(p)
-    den, num = rows[0], rows[1:]
+    den, num = p._rows[0], p._rows[1:]
     nus = tuple(float(v) for v in p.node_weights.entries[1:])
     q, cv = p.q, p.cv
 
@@ -357,7 +349,6 @@ def _classify_monotone(p, tol, sep, max_iter) -> UniquenessVerdict:
     return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, (x1,), (x2,))
 
 
-@lru_cache(maxsize=512)
 def _cross_ratio(p: ModelParams) -> float:
     """r = (a1 b0 - a0 b1) / (b0 b1) for cv == 1, one correctly rounded quotient of exact sums.
 
@@ -373,7 +364,7 @@ def _cross_ratio(p: ModelParams) -> float:
 
 def _log_slope(p: ModelParams, x: float) -> float:
     """g'(x)/g(x) for cv == 1, g = (a0 + a1 x)/(b0 + b1 x); each factor after r is <= 1."""
-    (b0, b1), (a0, a1) = _coefficients(p)[:2]
+    (b0, b1), (a0, a1) = p._rows
     return _cross_ratio(p) * (b0 / (b0 + b1 * x)) * (b1 / (a0 + a1 * x))
 
 
@@ -414,7 +405,7 @@ def pair_interaction(p: ModelParams, i: int, j: int) -> float:
     check_int("j", j, 0, p.cv)
     if i + j > p.cap:
         return 0.0
-    room = _coefficients(p)[i][j]
+    room = p._rows[i][j]
     prod = float(p.node_weights.entries[i]) * float(p.node_weights.entries[j])
     return power(prod, 1.0 / (p.q + 1)) * room
 

@@ -24,10 +24,8 @@ from ._num import check_int, log_sum_exp, power
 from .rfmap import (
     ModelParams,
     Uniqueness,
-    UniquenessVerdict,
-    _coefficients,
+    _map_step,
     classify_by_iteration,
-    random_field_map,
 )
 from .weights import WeightVector, _clipped_rows, poisson_weights
 
@@ -72,13 +70,14 @@ def rooted_state(p: ModelParams, height: int) -> NormalizedState:
     check_int("height", height, 0)
     xi = tuple(float(v) for v in p.node_weights.entries[1:])
     log_z0 = 0.0
-    den = _coefficients(p)[0]
+    den = p._rows[0]
+    step = _map_step(p)
     for _ in range(height):
         growth = den[0]
         for j in range(p.cv):
             growth += den[j + 1] * xi[j]
         log_z0 = p.q * (log_z0 + math.log(growth))
-        xi = random_field_map(p, xi)
+        xi = step(xi)
     return NormalizedState(xi=xi, log_z0=log_z0)
 
 
@@ -95,7 +94,7 @@ def _row_sums(p: ModelParams, xi: Sequence[float]) -> tuple:
     S of a negative index contributes 0.
     """
     full = (1.0,) + tuple(xi)
-    return tuple(sum(r * x for r, x in zip(row, full)) for row in _coefficients(p))
+    return tuple(sum(r * x for r, x in zip(row, full)) for row in p._rows)
 
 
 def _log_weights(p: ModelParams, sums: Sequence[float], exponent: int) -> list:
@@ -140,11 +139,11 @@ def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     A hub at occupancy i weighs side_i = nu_i T_i**q. With hubs at i and k
     the edge holds at most c = min(ce, cap - i - k) calls, and a call is
     refused exactly when the edge holds c, so the pair weighs
-    side_i side_k S_c in all (S_c = _coefficients(p)[i][k]) and
+    side_i side_k S_c in all (S_c = p._rows[i][k]) and
     side_i side_k lam_c refused (lam_c from the same rows built over entries).
     """
     log_side = _log_weights(p, _row_sums(p, xi), p.q)
-    rows = _coefficients(p)
+    rows = p._rows
     lams = _clipped_rows(p.edge_weights.entries, p.cap, p.cv, p.ce)
     log_all = []
     log_blocked = []
@@ -207,26 +206,26 @@ def blocking_curve(
     two (evaluated at the even/odd limits). Inconclusive points are kept and
     flagged, their betas evaluated at the unconverged parity tails.
     """
-    points = []
-    for nu in nu_values:
-        p = ModelParams(q, cap, cv, ce, node_family(nu, cv), edge_weights)
-        verdict = classify_by_iteration(p, tol=tol, sep=sep, max_iter=max_iter)
-        xi_even, xi_odd = _branch_vectors(verdict)
-        points.append(
-            CurvePoint(
-                nu=float(nu),
-                kind=verdict.kind,
-                beta_even=_multicast_blocking_at(p, xi_even),
-                beta_odd=_multicast_blocking_at(p, xi_odd),
-                xi_even=xi_even,
-                xi_odd=xi_odd,
-                iterations=verdict.iterations,
-            )
-        )
-    return points
+    return [
+        _curve_point(nu, ModelParams(q, cap, cv, ce, node_family(nu, cv), edge_weights),
+                     tol, sep, max_iter)
+        for nu in nu_values
+    ]
 
 
-def _branch_vectors(verdict: UniquenessVerdict) -> tuple[tuple, tuple]:
+def _curve_point(nu: float, p: ModelParams, tol: float, sep: float, max_iter: int) -> CurvePoint:
+    """One ``blocking_curve`` point: the load nu, classified and evaluated on its model p."""
+    verdict = classify_by_iteration(p, tol=tol, sep=sep, max_iter=max_iter)
     if verdict.kind is Uniqueness.UNIQUE:
-        return verdict.fixed_point, verdict.fixed_point
-    return verdict.even_limit, verdict.odd_limit
+        xi_even = xi_odd = verdict.fixed_point
+    else:
+        xi_even, xi_odd = verdict.even_limit, verdict.odd_limit
+    return CurvePoint(
+        nu=float(nu),
+        kind=verdict.kind,
+        beta_even=_multicast_blocking_at(p, xi_even),
+        beta_odd=_multicast_blocking_at(p, xi_odd),
+        xi_even=xi_even,
+        xi_odd=xi_odd,
+        iterations=verdict.iterations,
+    )

@@ -416,7 +416,8 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_import_leaves_the_pool_unloaded():
-    # concurrent.futures costs tens of milliseconds; only a pool run needs it
+    # workers are forked by _num.map_tasks, so nothing in the package needs
+    # concurrent.futures, which would cost tens of milliseconds to import
     src = str(Path(treeloss.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -1,5 +1,7 @@
 """Ratio map, interaction form, and the iteration-based uniqueness test."""
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,6 @@ from treeloss.rfmap import (
     Uniqueness,
     UniquenessVerdict,
     _bisect,
-    _coefficients,
     _cross_ratio,
     _scalar_map,
     _scalar_slope,
@@ -163,6 +164,21 @@ class TestMap:
                 node_weights=w1,
                 edge_weights=w1,
             )
+
+    def test_coefficient_table_leaves_fields_equality_and_repr_alone(self):
+        p = _params(cv=2, nu=30.0)
+        twin = _params(cv=2, nu=30.0)
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "q", "cap", "cv", "ce", "node_weights", "edge_weights"
+        ]
+        assert p == twin and hash(p) == hash(twin)
+        assert p != _params(cv=2, nu=31.0)
+        assert repr(p) == (
+            f"ModelParams(q=10, cap=2, cv=2, ce=2, node_weights={p.node_weights!r}, "
+            f"edge_weights={p.edge_weights!r})"
+        )
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back._rows == p._rows
 
 
 class TestClassification:
@@ -365,7 +381,7 @@ class TestIncreasingMap:
 
 def _vector_step(p):
     """The generic vector map step for any cv, as ``rfmap._map_step`` writes it."""
-    rows = _coefficients(p)
+    rows = p._rows
     den, num = rows[0], rows[1:]
     nus = tuple(float(v) for v in p.node_weights.entries[1:])
     q, cv = p.q, p.cv

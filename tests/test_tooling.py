@@ -1,7 +1,7 @@
-"""Package hygiene: exported names resolve, no module imports scipy, the
-count rule (an int, not a bool, within bounds) and the fork of a worker
-process are each written once, in ``_num``, and the edge budget rule once, in
-``weights``."""
+"""Package hygiene: exported names resolve, no module imports scipy or a
+memo decorator, the count rule (an int, not a bool, within bounds) and the
+fork of a worker process are each written once, in ``_num``, and the edge
+budget rule once, in ``weights``."""
 import ast
 import importlib
 import pkgutil
@@ -61,6 +61,29 @@ def test_no_module_imports_scipy():
     files = sorted(SRC.rglob("*.py"))
     assert files
     assert [str(f.relative_to(SRC)) for f in files if "scipy" in _imported_roots(f)] == []
+
+
+MEMOS = {"lru_cache", "cache"}
+
+
+def _memo_names(path: Path) -> list:
+    """Each ``functools.lru_cache`` or ``functools.cache`` a module imports or names."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names if alias.name in MEMOS]
+        elif (isinstance(node, ast.Attribute) and node.attr in MEMOS
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(node.attr)
+    return found
+
+
+def test_no_module_imports_a_memo():
+    # each ModelParams builds its coefficient table once; a memo keyed on a
+    # whole model served no second caller
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    assert {f.name: _memo_names(f) for f in files if _memo_names(f)} == {}
 
 
 def _model(**changes):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from treeloss.rfmap import ModelParams
 from treeloss.weights import (
     WeightVector,
     _clipped_rows,
@@ -199,7 +200,7 @@ class TestLogConcavity:
 
 
 def _old_coefficients(w, cap, cv, ce):
-    """``rfmap._coefficients``: its nested ``clipped`` over the partial sums."""
+    """The float coefficient rows as ``rfmap`` once built them: a nested ``clipped``."""
 
     def clipped(a: int) -> float:
         if a < 0:
@@ -252,7 +253,11 @@ class TestClippedRows:
         for cap, cv, ce, w in _budget_cases():
             rows = _clipped_rows(w.partial_sums, cap, cv, ce)
             got = tuple(tuple(map(float, row)) for row in rows)
-            assert got == _old_coefficients(w, cap, cv, ce), (cap, cv, ce, w)
+            want = _old_coefficients(w, cap, cv, ce)
+            assert got == want, (cap, cv, ce, w)
+            table = ModelParams(2, cap, cv, ce, poisson_weights(1.0, cv), w)._rows
+            assert table == want, (cap, cv, ce, w)
+            assert all(type(x) is float for row in table for x in row)
 
     def test_equals_the_cross_ratio_sums(self):
         for cap, _, ce, w in _budget_cases():
