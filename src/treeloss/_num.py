@@ -150,4 +150,7 @@ def log_sum_exp(values: Iterable[float]) -> float:
         return -math.inf
     if math.isinf(m):
         return m
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    total = 0.0  # added in order: the builtin sum() of floats differs across versions
+    for v in vals:
+        total += math.exp(v - m)
+    return m + math.log(total)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from ._num import check_int, map_tasks
 from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
-from .rfmap import _check_iteration
+from .rfmap import _check_finite_sums, _check_iteration
 from .weights import (
     AssumptionViolation, WeightVector, geometric_weights, load_weight_file, poisson_weights,
 )
@@ -204,6 +204,8 @@ def _cmd_blocking_curve(args) -> int:
     models = [model(nus[0])]
     _check_iteration(args.tol, args.sep, args.max_iter)
     models += map(model, nus[1:])
+    for p in models:
+        _check_finite_sums(p)
 
     def row(task) -> tuple:
         pt = _curve_point(*task, args.tol, args.sep, args.max_iter)
@@ -216,7 +218,7 @@ def _cmd_blocking_curve(args) -> int:
             ";".join(_fmt(x) for x in pt.xi_odd),
         )
 
-    rows = map_tasks(row, list(zip(nus, models)), check_int("--jobs", args.jobs, 1))
+    rows = map_tasks(row, list(zip(nus, models)), _workers(args))
     return _emit_csv(
         args, "blocking-curve", "nu,unique,beta_even,beta_odd,xi_even,xi_odd", rows
     )
@@ -240,7 +242,7 @@ def _cmd_sweep_region(args) -> int:
     # validate before any worker forks; a rate family fails first at a grid end
     row(lams[0])
     row(lams[-1])
-    rows = map_tasks(row, lams, check_int("--jobs", args.jobs, 1))
+    rows = map_tasks(row, lams, _workers(args))
     return _emit_csv(args, "sweep-region", "lambda,condition_a,nu_minus,nu_plus", rows)
 
 
@@ -284,10 +286,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(args) -> int:
+    """Worker processes for ``--jobs``: an int >= 1, capped at the usable CPUs
+    (all of them when the flag is unset); the output is the same for any count."""
+    cpus = _usable_cpus()
+    return cpus if args.jobs is None else min(check_int("--jobs", args.jobs, 1), cpus)
+
+
 def _cmd_simulate(args) -> int:
     from . import simulate
 
-    jobs = _usable_cpus() if args.jobs is None else check_int("--jobs", args.jobs, 1)
+    jobs = _workers(args)
     p = _model_params(args)
     cfg = simulate.SimConfig(
         params=p,
@@ -507,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes for the replications (default: the "
-                         "CPUs this process may use); the output is the same for any N")
+                    help="worker processes for the replications, at most the CPUs "
+                         "this process may use (default: all of them); the output "
+                         "is the same for any N")
     _add_out_flags(sp)
     sp.set_defaults(fn=_cmd_simulate)
 

@@ -120,28 +120,51 @@ def _map_step(p: ModelParams):
     if p.cv == 1:
         m = _scalar_map(p)
         return lambda x: (m(x[0]),)
-    den, num = p._rows[0], p._rows[1:]
+    rows = p._rows
     nus = tuple(float(v) for v in p.node_weights.entries[1:])
-    q, cv = p.q, p.cv
+    q, ks = p.q, range(p.cv)
 
     def step(x: tuple) -> tuple:
-        d = den[0]
-        for j in range(cv):
-            d += den[j + 1] * x[j]
+        sums = _row_sums(rows, x)
+        d = sums[0]
         out = []
-        for k in range(cv):
-            nu_k = nus[k]
-            if nu_k == 0.0:
-                out.append(0.0)
-                continue
-            row = num[k]
-            n = row[0]
-            for j in range(cv):
-                n += row[j + 1] * x[j]
-            out.append(nu_k * power(n / d, q) if n > 0.0 else 0.0)
+        for k in ks:
+            nu_k, n = nus[k], sums[k + 1]
+            out.append(nu_k * power(n / d, q) if nu_k != 0.0 and n > 0.0 else 0.0)
         return tuple(out)
 
     return step
+
+
+def _row_sums(rows, x) -> list:
+    """T_k = rows[k][0] + rows[k][1] x_1 + ... + rows[k][cv] x_cv for each row k.
+
+    The one place the map's row sums are formed (over ``p._rows``, T_0 is its
+    denominator and T_1..T_cv its numerators), each added left to right, so
+    no result depends on how the interpreter's ``sum()`` adds floats.
+    """
+    js = range(len(x))
+    out = []
+    for row in rows:
+        t = row[0]
+        for j in js:
+            t += row[j + 1] * x[j]
+        out.append(t)
+    return out
+
+
+def _check_finite_sums(p: ModelParams) -> None:
+    """Refuse a model whose map could form inf/inf: T_1 at the node weights must be finite.
+
+    Every iterate has 0 <= x_k <= nu_k and row k >= 1 is termwise at most
+    row 1, so no numerator overflows after this check; a denominator that
+    overflows on its own gives a ratio of 0.
+    """
+    (t1,) = _row_sums(p._rows[1:2], [float(v) for v in p.node_weights.entries[1:]])
+    if not math.isfinite(t1):
+        raise ValueError(
+            f"weights too large for floats: the map's numerator at the node weights is {t1!r}"
+        )
 
 
 def _check_ratio_vector(p: ModelParams, xi) -> tuple:
@@ -267,6 +290,7 @@ def classify_by_iteration(
     limit from 0; ``iterations`` counts the steps of both runs.
     """
     _check_iteration(tol, sep, max_iter)
+    _check_finite_sums(p)
     # the scalar map is decreasing iff its exact cross ratio is <= 0
     if p.cv == 1 and _cross_ratio(p) <= 0.0:
         return _classify_monotone(p, tol, sep, max_iter)
@@ -423,15 +447,12 @@ def interaction_map(p: ModelParams, psi) -> tuple:
     """Normalized interaction form of the recursion, acting on psi with psi_0 = 1.
 
     Component i is (sum_j phi(i,j) psi_j / sum_j phi(0,j) psi_j)**q, the sums
-    running over j = 0..min(cap-i, cv). Component 0 is identically 1.
+    running over j = 0..cv (phi is 0 past the budget). Component 0 is identically 1.
     """
     vec = _check_interaction_vector(p, psi)
-    den = sum(pair_interaction(p, 0, j) * vec[j] for j in range(min(p.cap, p.cv) + 1))
-    out = [1.0]
-    for i in range(1, p.cv + 1):
-        n = sum(pair_interaction(p, i, j) * vec[j] for j in range(min(p.cap - i, p.cv) + 1))
-        out.append(power(n / den, p.q) if n > 0.0 else 0.0)
-    return tuple(out)
+    occ = range(p.cv + 1)
+    den, *nums = _row_sums([[pair_interaction(p, i, j) for j in occ] for i in occ], vec[1:])
+    return (1.0,) + tuple(power(t / den, p.q) if t > 0.0 else 0.0 for t in nums)
 
 
 def conjugate_maps(p: ModelParams):

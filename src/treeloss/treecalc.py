@@ -11,7 +11,9 @@ grows by q times the log of the map's denominator sum.
 Blocking probabilities at the center follow from integrating the acceptance
 region against the center law; the edge-call variant uses the central edge of
 the edge-symmetric tree (two adjacent hubs, each carrying q subtrees), whose
-joint law factorizes over the two sides.
+joint law factorizes over the two sides. All read the map's row sums T_k
+(``rfmap._row_sums``) at the subtree ratios: T_i weighs the subtrees of a center
+at occupancy i, T_{i+1} them when one more call takes a unit of each edge budget.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from ._num import check_int, log_sum_exp, power
 from .rfmap import (
     ModelParams,
     Uniqueness,
+    _check_finite_sums,
     _map_step,
+    _row_sums,
     classify_by_iteration,
 )
 from .weights import WeightVector, _clipped_rows, poisson_weights
@@ -68,14 +72,13 @@ class NormalizedState:
 def rooted_state(p: ModelParams, height: int) -> NormalizedState:
     """Evolve the height-0 state (xi = node weights, log_z0 = 0) up ``height`` levels."""
     check_int("height", height, 0)
+    _check_finite_sums(p)
     xi = tuple(float(v) for v in p.node_weights.entries[1:])
     log_z0 = 0.0
-    den = p._rows[0]
+    den = p._rows[:1]
     step = _map_step(p)
     for _ in range(height):
-        growth = den[0]
-        for j in range(p.cv):
-            growth += den[j + 1] * xi[j]
+        (growth,) = _row_sums(den, xi)
         log_z0 = p.q * (log_z0 + math.log(growth))
         xi = step(xi)
     return NormalizedState(xi=xi, log_z0=log_z0)
@@ -84,17 +87,6 @@ def rooted_state(p: ModelParams, height: int) -> NormalizedState:
 def _subtree_xi(p: ModelParams, radius: int) -> tuple:
     """Ratio vector of the height-(radius-1) subtrees hanging off a radius-L center."""
     return rooted_state(p, check_int("radius", radius, 1) - 1).xi
-
-
-def _row_sums(p: ModelParams, xi: Sequence[float]) -> tuple:
-    """T_k = sum_j S(min(cap - k - j, ce)) xi_j for k = 0..cv, with xi_0 = 1.
-
-    T_i weighs the subtrees of a center at occupancy i; T_{i+1} weighs them
-    when one more center call takes one unit of every incident edge budget.
-    S of a negative index contributes 0.
-    """
-    full = (1.0,) + tuple(xi)
-    return tuple(sum(r * x for r, x in zip(row, full)) for row in p._rows)
 
 
 def _log_weights(p: ModelParams, sums: Sequence[float], exponent: int) -> list:
@@ -107,14 +99,14 @@ def _log_weights(p: ModelParams, sums: Sequence[float], exponent: int) -> list:
 
 def center_occupancy(p: ModelParams, radius: int) -> tuple:
     """Occupancy law at the center of the radius-L ball (q+1 subtrees of height L-1)."""
-    logs = _log_weights(p, _row_sums(p, _subtree_xi(p, radius)), p.q + 1)
+    logs = _log_weights(p, _row_sums(p._rows, _subtree_xi(p, radius)), p.q + 1)
     total = log_sum_exp(logs)
     return tuple(math.exp(lw - total) if lw > -math.inf else 0.0 for lw in logs)
 
 
 def _multicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     """Center-call blocking evaluated at a given subtree ratio vector."""
-    sums = _row_sums(p, xi)
+    sums = _row_sums(p._rows, xi)
     log_den = log_sum_exp(_log_weights(p, sums, p.q + 1))
     # a call admitted at center occupancy i < cv weighs nu_i T_{i+1}**(q+1)
     log_num = log_sum_exp(_log_weights(p, sums[1:], p.q + 1))
@@ -142,7 +134,7 @@ def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     side_i side_k S_c in all (S_c = p._rows[i][k]) and
     side_i side_k lam_c refused (lam_c from the same rows built over entries).
     """
-    log_side = _log_weights(p, _row_sums(p, xi), p.q)
+    log_side = _log_weights(p, _row_sums(p._rows, xi), p.q)
     rows = p._rows
     lams = _clipped_rows(p.edge_weights.entries, p.cap, p.cv, p.ce)
     log_all = []

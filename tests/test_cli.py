@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import treeloss
-from treeloss import __version__
+from treeloss import __version__, _num, rfmap, treecalc
 from treeloss.cli import _usable_cpus, main
 from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
 from treeloss.phase1d import phase_window
@@ -69,6 +69,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _neumaier_sum(values, start=0):
+    """The builtin ``sum`` of floats from CPython 3.12 on: Neumaier's compensated addition."""
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
 
 
 class TestWindowCommand:
@@ -330,6 +340,9 @@ class TestBlockingCurveCommand:
         # the first load is fine; the second overflows its node weights
         (("--cap", "3", "--cv", "3", "--nu-max", "1e200", "--nu-step", "5e199"),
          "weight entries must be finite and >= 0: (1.0, 5e+199, inf, inf)"),
+        # the first load is fine; at the second, T_1 = 1e300 + 1e300 * nu overflows
+        (("--cap", "3", "--ce", "1", "--lam", "1e300", "--nu-max", "1e10", "--nu-step", "5e9"),
+         "weights too large for floats: the map's numerator at the node weights is inf"),
     ])
     def test_invalid_flags_refused_before_the_pool_starts(
         self, capsys, monkeypatch, flags, message
@@ -343,6 +356,18 @@ class TestBlockingCurveCommand:
         assert _run(capsys, *self.ARGS, *flags, "--jobs", "2") == serial == (
             2, "", f"error: {message}\n"
         )
+
+    def test_no_output_depends_on_the_interpreters_sum(self, capsys, monkeypatch):
+        assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        argv = (
+            "blocking-curve", "--q", "10", "--cap", "2", "--cv", "2", "--ce", "2",
+            "--lam", "0.72", "--nu-min", "13", "--nu-max", "18", "--nu-step", "5",
+        )
+        plain = _run(capsys, *argv)
+        assert plain[0] == 0
+        for module in (_num, rfmap, treecalc):
+            monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+        assert _run(capsys, *argv) == plain
 
     def test_file_output_leaves_stdout_clean(self, capsys, tmp_path):
         dest = tmp_path / "curve.csv"
@@ -791,3 +816,83 @@ class TestSelftestCommand:
         code, out, _ = _run(capsys, "selftest", "--debug-perturb")
         assert code == 1
         assert "FAIL" in out
+
+
+class TestOverflowingWeights:
+    """A model whose map step would form inf/inf exits 2; models below the overflow answer."""
+
+    MESSAGE = "error: weights too large for floats: the map's numerator at the node weights is inf\n"
+
+    @pytest.fixture
+    def weights(self, tmp_path):
+        path = tmp_path / "w.txt"
+
+        def write(*entries) -> str:
+            path.write_text("\n".join(entries) + "\n")
+            return f"file:{path}"
+
+        return write
+
+    def test_classify_is_refused(self, capsys, weights):
+        assert _run(
+            capsys, "classify", "--q", "2", "--cap", "2",
+            "--weights", weights("1e300", "1e300", "1e300"), "--nu", "1e10",
+        ) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("cv", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_blocking_curve_is_refused_before_the_pool(self, capsys, monkeypatch, weights, cv, jobs):
+        def no_fork():
+            raise AssertionError("a worker process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _run(
+            capsys, "blocking-curve", "--q", "2", "--cap", "2", "--cv", cv,
+            "--weights", weights("1e300", "1e300", "1e300"),
+            "--nu-min", "1e10", "--nu-max", "1e10", "--nu-step", "1", "--jobs", jobs,
+        ) == (2, "", self.MESSAGE)
+
+    def test_models_below_the_overflow_still_answer(self, capsys, weights):
+        # the denominator overflows on its own at large ratios, giving a ratio of 0
+        code, out, _ = _run(
+            capsys, "classify", "--q", "2", "--cap", "2",
+            "--weights", weights("1", "1e300", "2e300"), "--nu", "1e10",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "kind": "multiple", "iterations": 3, "method": "iteration", "fixed_point": None,
+            "even_limit": [0.0], "odd_limit": [1111111111.111111],
+        }
+        code, out, _ = _run(
+            capsys, "classify", "--q", "2", "--cap", "2", "--lam", "2", "--nu", "1e308"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "kind": "unique", "iterations": 3, "method": "iteration",
+            "fixed_point": [1.1111111111111114e+307], "even_limit": None, "odd_limit": None,
+        }
+
+
+class TestWorkerCount:
+    """``--jobs`` above the usable CPUs runs on the usable CPUs; no process starts here."""
+
+    @pytest.mark.parametrize("argv", [
+        ("blocking-curve", "--q", "2", "--cap", "2", "--ce", "0",
+         "--nu-min", "1", "--nu-max", "3", "--nu-step", "1"),
+        ("sweep-region", "--q", "6", "--cap", "2",
+         "--lam-min", "5.99", "--lam-max", "6.02", "--lam-step", "0.01"),
+        TestSimulateCommand.ARGS,
+    ])
+    @pytest.mark.parametrize("jobs,workers", [("1", 1), ("2", 2), ("100000", 2)])
+    def test_jobs_capped_at_the_usable_cpus(self, capsys, monkeypatch, argv, jobs, workers):
+        seen = []
+        monkeypatch.setattr("treeloss.cli._usable_cpus", lambda: 2)
+        monkeypatch.setattr(
+            "treeloss.cli.map_tasks",
+            lambda fn, tasks, jobs: seen.append(jobs) or [fn(t) for t in tasks],
+        )
+        monkeypatch.setattr(
+            "treeloss.simulate.run", lambda cfg, jobs: seen.append(jobs) or sim_run(cfg)
+        )
+        assert _run(capsys, *argv, "--jobs", jobs)[0] == 0
+        assert seen == [workers]

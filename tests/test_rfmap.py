@@ -380,7 +380,8 @@ class TestIncreasingMap:
 
 
 def _vector_step(p):
-    """The generic vector map step for any cv, as ``rfmap._map_step`` writes it."""
+    """The generic vector map step for any cv with its own loops: the reference for
+    ``rfmap._map_step``, which forms the same sums in ``rfmap._row_sums``."""
     rows = p._rows
     den, num = rows[0], rows[1:]
     nus = tuple(float(v) for v in p.node_weights.entries[1:])
@@ -569,6 +570,15 @@ class TestScalarPath:
         with pytest.raises(RuntimeError, match=f"{parity} iterates left the monotone sandwich"):
             classify_by_iteration(_params())
 
+    @pytest.mark.parametrize("p", [
+        # T_1 = 2e300 + 1e300 * 1e10 overflows, so the step would form inf/inf
+        ModelParams(2, 2, 1, 2, WeightVector((1.0, 1e10)), WeightVector((1e300,) * 3)),
+        ModelParams(2, 2, 2, 2, WeightVector((1.0, 1e10, 1.0)), WeightVector((1e300,) * 3)),
+    ])
+    def test_overflowing_numerator_is_refused(self, p):
+        with pytest.raises(ValueError, match="numerator at the node weights is inf"):
+            classify_by_iteration(p)
+
     def test_cases_reach_nan_and_underflow(self):
         assert math.isnan(_scalar_map(_params())(math.inf))
         p = ModelParams(3, 1, 1, 1, WeightVector((1.0, 7.0)), WeightVector((1e-200, 1e200)))
@@ -577,9 +587,9 @@ class TestScalarPath:
 
 
 @st.composite
-def vector_params(draw):
-    """cv = 2..3 models, loads from 1e-2 to 1e3."""
-    cv = draw(st.integers(2, 3))
+def vector_params(draw, least_cv=2):
+    """cv = least_cv..3 models at every ce, loads from 1e-2 to 1e3."""
+    cv = draw(st.integers(least_cv, 3))
     cap = draw(st.integers(cv, 5))
     ce = draw(st.integers(0, cap))
     family = draw(st.sampled_from([poisson_weights, geometric_weights]))
@@ -672,7 +682,25 @@ class TestPairInteraction:
                         assert lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
+def _reference_interaction_map(p, psi):
+    """``interaction_map`` with its own builtin sums over the pairs within the budget."""
+    vec = tuple(psi)
+    den = sum(pair_interaction(p, 0, j) * vec[j] for j in range(min(p.cap, p.cv) + 1))
+    out = [1.0]
+    for i in range(1, p.cv + 1):
+        n = sum(pair_interaction(p, i, j) * vec[j] for j in range(min(p.cap - i, p.cv) + 1))
+        out.append(power(n / den, p.q) if n > 0.0 else 0.0)
+    return tuple(out)
+
+
 class TestConjugacy:
+    @given(vector_params(least_cv=1), st.data())
+    def test_interaction_map_equals_the_reference(self, p, data):
+        psi = (1.0,) + tuple(
+            data.draw(st.floats(min_value=0.0, max_value=1e3)) for _ in range(p.cv)
+        )
+        assert interaction_map(p, psi) == _reference_interaction_map(p, psi)
+
     def test_interaction_map_first_entry_fixed(self):
         p = _params(cap=3, cv=2, ce=2, nu=6.0)
         out = interaction_map(p, (1.0, 0.4, 0.2))

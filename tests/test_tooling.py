@@ -1,7 +1,8 @@
 """Package hygiene: exported names resolve, no module imports scipy or a
 memo decorator, the count rule (an int, not a bool, within bounds) and the
-fork of a worker process are each written once, in ``_num``, and the edge
-budget rule once, in ``weights``."""
+fork of a worker process are each written once, in ``_num``, the edge
+budget rule once, in ``weights``, and the map's row sums once, in ``rfmap``,
+and no float result depends on the builtin ``sum``."""
 import ast
 import importlib
 import pkgutil
@@ -194,3 +195,28 @@ def test_one_process_pool_in_the_package():
     assert forks == ["_num.py"]
     pools = [f.name for f in files if _imported_roots(f) & {"concurrent", "multiprocessing"}]
     assert pools == []
+
+
+# modules whose floats must not depend on how the interpreter's sum() adds
+# (compensated from CPython 3.12 on); oracle and simulate sum ints, or use
+# the exactly rounded math.fsum
+FLOAT_MODULES = ["_num.py", "phase1d.py", "rfmap.py", "treecalc.py", "weights.py"]
+
+
+def test_float_modules_never_call_the_builtin_sum():
+    uses = [
+        f for f in FLOAT_MODULES
+        for node in ast.walk(ast.parse((SRC / f).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "sum"
+    ]
+    assert uses == []
+
+
+def test_row_sums_are_defined_once_in_rfmap():
+    # T_k = sum_j rows[k][j] x_j, added left to right, has one definition
+    defs = [
+        f.name for f in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_row_sums"
+    ]
+    assert defs == ["rfmap.py"]

@@ -15,8 +15,9 @@ from treeloss.oracle import (
     spherical_tree,
 )
 from treeloss.phase1d import PhaseParams, fixed_point
-from treeloss.rfmap import ModelParams, Uniqueness, random_field_map
+from treeloss.rfmap import ModelParams, Uniqueness, _row_sums, random_field_map
 from treeloss.treecalc import (
+    NormalizedState,
     TreeSpec,
     blocking_curve,
     center_occupancy,
@@ -25,6 +26,8 @@ from treeloss.treecalc import (
     unicast_blocking,
 )
 from treeloss.weights import WeightVector, geometric_weights, poisson_weights
+
+from test_rfmap import _vector_step, vector_params
 
 
 def _params(q=2, cap=2, cv=1, ce=2, nu=1.0, lam=1.0):
@@ -263,6 +266,71 @@ class TestUnicastByHubPair:
         p, xi = case
         got = treecalc._unicast_blocking_at(p, xi)
         assert math.isclose(got, _unicast_triple_sum(p, xi), rel_tol=1e-12)
+
+
+def _reference_row_sums(rows, xi) -> tuple:
+    """T_k over ``rows`` as ``treecalc`` formed them, with the builtin sum() and xi_0 = 1."""
+    full = (1.0,) + tuple(xi)
+    return tuple(sum(r * x for r, x in zip(row, full)) for row in rows)
+
+
+def _reference_log_sum_exp(values) -> float:
+    """``_num.log_sum_exp`` as it was, with the builtin sum()."""
+    vals = list(values)
+    m = max(vals, default=-math.inf)
+    if m == -math.inf:
+        return -math.inf
+    if math.isinf(m):
+        return m
+    return m + math.log(sum(math.exp(v - m) for v in vals))
+
+
+def _reference_rooted_state(p, height: int) -> NormalizedState:
+    """``rooted_state`` with its own growth loop over row 0 and the generic vector step."""
+    xi = tuple(float(v) for v in p.node_weights.entries[1:])
+    log_z0 = 0.0
+    den = p._rows[0]
+    step = _vector_step(p)
+    for _ in range(height):
+        growth = den[0]
+        for j in range(p.cv):
+            growth += den[j + 1] * xi[j]
+        log_z0 = p.q * (log_z0 + math.log(growth))
+        xi = step(xi)
+    return NormalizedState(xi=xi, log_z0=log_z0)
+
+
+class TestOneRowSum:
+    """The row sums T_k come from ``rfmap._row_sums``; every quantity that reads
+    them equals the references above bit for bit."""
+
+    @given(_ratio_cases())
+    def test_row_sums_equal_the_builtin_sum_reference(self, case):
+        p, xi = case
+        assert tuple(_row_sums(p._rows, xi)) == _reference_row_sums(p._rows, xi)
+
+    @given(vector_params(least_cv=1), st.integers(0, 6))
+    def test_rooted_state_equals_the_reference(self, p, height):
+        assert rooted_state(p, height) == _reference_rooted_state(p, height)
+
+    @given(vector_params(least_cv=1), st.integers(1, 4))
+    def test_center_quantities_equal_the_reference(self, p, radius):
+        funcs = (center_occupancy, multicast_blocking, unicast_blocking)
+        got = [f(p, radius) for f in funcs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treecalc, "_row_sums", _reference_row_sums)
+            mp.setattr(treecalc, "log_sum_exp", _reference_log_sum_exp)
+            mp.setattr(treecalc, "rooted_state", _reference_rooted_state)
+            assert got == [f(p, radius) for f in funcs]
+
+    @pytest.mark.parametrize("cv", [1, 2])
+    def test_overflowing_numerator_is_refused(self, cv):
+        # T_1 = 2e300 + 1e300 * 1e10 overflows, so the step would form inf/inf
+        nodes = WeightVector((1.0, 1e10, 1.0)[: cv + 1])
+        p = ModelParams(2, 2, cv, 2, nodes, WeightVector((1e300,) * 3))
+        for height in (0, 1, 3):
+            with pytest.raises(ValueError, match="numerator at the node weights is inf"):
+                rooted_state(p, height)
 
 
 class TestBlockingCurve:
