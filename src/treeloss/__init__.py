@@ -20,28 +20,25 @@ __version__ = "0.1.0"
 # first access (PEP 562), so a command loads only the modules it uses.
 _EXPORTS = {
     "weights": (
-        "WeightVector", "geometric_weights", "load_weight_file",
-        "log_concavity_margin", "partial_sums_log_concave", "poisson_weights",
+        "WeightVector", "geometric_weights", "load_weight_file", "poisson_weights",
     ),
     "rfmap": (
         "ModelParams", "Uniqueness", "UniquenessVerdict", "classify_by_iteration",
-        "conjugate_maps", "interaction_map", "pair_interaction", "random_field_map",
+        "conjugate_maps", "interaction_map", "random_field_map",
     ),
     "phase1d": (
-        "AssumptionViolation", "BracketError", "ClosedFormVerdict", "PhaseParams",
-        "PhaseWindow", "classify_closed_form", "condition_a", "condition_a_margin",
-        "fixed_point", "nu_of_fixed_point", "phase_window",
-        "poisson_window_statistic", "ratio_map", "ratio_map_derivative",
-        "schwarzian", "stability_quadratic",
+        "AssumptionViolation", "ClosedFormVerdict", "PhaseParams", "PhaseWindow",
+        "classify_closed_form", "condition_a", "condition_a_margin", "fixed_point",
+        "phase_window", "poisson_window_statistic", "ratio_map_derivative", "schwarzian",
     ),
     "treecalc": (
-        "CurvePoint", "NormalizedState", "TreeSpec", "blocking_curve",
-        "center_occupancy", "multicast_blocking", "rooted_state", "unicast_blocking",
+        "NormalizedState", "TreeSpec", "center_occupancy", "multicast_blocking",
+        "rooted_state", "unicast_blocking",
     ),
     "oracle": (
         "Configuration", "FiniteTree", "TreeTooLargeError", "edge_centered_tree",
         "exact_blocking", "exact_partition", "is_feasible",
-        "occupancy_distribution", "path_tree", "rooted_tree", "spherical_tree",
+        "occupancy_distribution", "rooted_tree", "spherical_tree",
     ),
     "simulate": ("SimConfig", "SimStats", "compare", "compare_runs", "run"),
 }

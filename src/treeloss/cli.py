@@ -293,6 +293,10 @@ def _workers(args) -> int:
     return cpus if args.jobs is None else min(check_int("--jobs", args.jobs, 1), cpus)
 
 
+# the variables that size numpy's BLAS thread pool, which starts on import
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _cmd_simulate(args) -> int:
     from . import simulate
 
@@ -308,6 +312,11 @@ def _cmd_simulate(args) -> int:
         replications=args.reps,
         seed=args.seed,
     )
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        # a fork copies only the calling thread: start no BLAS thread before the workers fork
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        import numpy  # noqa: F401
+        del os.environ["OPENBLAS_NUM_THREADS"]
     stats = simulate.run(cfg, jobs)
     payload = {
         "replications": stats.replications,

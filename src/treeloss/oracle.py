@@ -29,7 +29,6 @@ __all__ = [
     "TreeTooLargeError",
     "FiniteTree",
     "Configuration",
-    "path_tree",
     "rooted_tree",
     "spherical_tree",
     "edge_centered_tree",
@@ -112,11 +111,6 @@ class Configuration:
 
     node_occ: dict
     edge_occ: dict
-
-
-def path_tree(n: int) -> FiniteTree:
-    check_int("n", n, 1)
-    return FiniteTree(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
 
 
 def _grow(edges: list, root: int, q: int, height: int, nxt: int) -> int:

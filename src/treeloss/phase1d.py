@@ -5,20 +5,18 @@ With ``cv = 1`` and ``ce = cap`` the ratio recursion collapses to a scalar map
     m(x) = nu * ((S_{cap-1} + x S_{cap-2}) / (S_cap + x S_{cap-1}))**q
 
 in the cached partial sums S of the edge weights. The map itself lives in
-``rfmap``: ``ratio_map``, ``ratio_map_derivative`` and ``fixed_point`` run its
-scalar map, slope and bisection. This module holds the closed form. Under
-strict log-concavity of the partial sums at cap-1 the map is decreasing with
-a unique fixed point, and everything reduces to two ingredients:
-
-* ``nu_of_fixed_point``, the increasing bijection sending a prescribed fixed
-  point x to the nu that realizes it, and
-* ``stability_quadratic``, a quadratic in x whose sign at the fixed point
-  decides whether the fixed point attracts (nonnegative) or repels.
-
-When the window inequality ``(q-1)^2 S_{cap-1}^2 > (q+1)^2 S_cap S_{cap-2}``
-holds (``condition_a``), the quadratic has two positive roots and mapping them
-through ``nu_of_fixed_point`` yields the open interval of nu with multiple
-limiting laws.
+``rfmap``: ``ratio_map_derivative`` and ``fixed_point`` run its scalar slope
+and bisection. This module holds the closed form. Under strict log-concavity
+of the partial sums at cap-1 the map is decreasing with a unique fixed point,
+and everything reduces to two ingredients: ``_nu_of``, the increasing
+bijection x -> x ((S_cap + x S_{cap-1}) / (S_{cap-1} + x S_{cap-2}))**q
+sending a prescribed fixed point x to the nu that realizes it, and the
+stability quadratic S_{cap-1} S_{cap-2} x^2 + ((1-q) S_{cap-1}^2 + (1+q)
+S_cap S_{cap-2}) x + S_cap S_{cap-1}, nonnegative at the fixed point exactly
+when |m'| <= 1 there. When the window inequality
+``(q-1)^2 S_{cap-1}^2 > (q+1)^2 S_cap S_{cap-2}`` holds (``condition_a``),
+the quadratic has two positive roots, which ``phase_window`` maps through
+``_nu_of`` to the open interval of nu with multiple limiting laws.
 
 Sign decisions are exact, so that points on the boundary are detected
 exactly rather than by float luck. They are taken on the integer numerators
@@ -40,26 +38,18 @@ from .weights import AssumptionViolation, WeightVector, _exact_window_sums, pois
 
 __all__ = [
     "AssumptionViolation",
-    "BracketError",
     "PhaseParams",
     "PhaseWindow",
     "ClosedFormVerdict",
-    "ratio_map",
     "ratio_map_derivative",
     "schwarzian",
     "fixed_point",
-    "nu_of_fixed_point",
-    "stability_quadratic",
     "condition_a_margin",
     "condition_a",
     "phase_window",
     "classify_closed_form",
     "poisson_window_statistic",
 ]
-
-
-class BracketError(RuntimeError):
-    """Fixed-point bracket [0, nu] fails its sign conditions; reported, never widened."""
 
 
 def _validate_qcw(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
@@ -113,16 +103,6 @@ class PhaseParams:
         object.__setattr__(self, "_model", model)
 
 
-def _lams(cap: int, w: WeightVector) -> tuple[float, float, float]:
-    """(S_{cap-2}, S_{cap-1}, S_cap) as floats; the caller has checked len(w) == cap + 1."""
-    return tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))
-
-
-def ratio_map(p: PhaseParams, x) -> float:
-    """The scalar occupancy-ratio map at x >= 0."""
-    return _scalar_map(p._model)(check_nonneg("evaluation point", x))
-
-
 def ratio_map_derivative(p: PhaseParams, x) -> float:
     """First derivative; strictly negative under the log-concavity assumption."""
     x = check_nonneg("evaluation point", x)
@@ -144,40 +124,22 @@ def fixed_point(p: PhaseParams) -> float:
 
     Returns the float x with m(x) > x and m(x+) <= x+, x+ the next float up.
     The bracket must satisfy m(0) > 0 and m(nu) <= nu; anything else is a
-    violated precondition and raises BracketError rather than widening the
+    violated precondition and raises RuntimeError rather than widening the
     bracket silently.
     """
     m = _scalar_map(p._model)
     if not m(0.0) > 0.0:
-        raise BracketError("map value at 0 is not positive; bracket [0, nu] invalid")
+        raise RuntimeError("map value at 0 is not positive; bracket [0, nu] invalid")
     if m(p.nu) - p.nu > 0.0:
-        raise BracketError("map value at nu exceeds nu; bracket [0, nu] invalid")
+        raise RuntimeError("map value at nu exceeds nu; bracket [0, nu] invalid")
     return _bisect(lambda x: m(x) - x, 0.0, p.nu, 1, math.inf)[0]
 
 
-def nu_of_fixed_point(q: int, cap: int, w: WeightVector, x) -> float:
-    """The nu for which x is the fixed point of the scalar map (increasing in x)."""
-    _require_assumption(q, cap, w)
-    return _nu_of(q, _lams(cap, w), x)
-
-
 def _nu_of(q: int, lams: tuple[float, float, float], x) -> float:
-    """nu_of_fixed_point on the ``_lams`` sums, for callers that have checked the assumption."""
+    """nu with fixed point x >= 0; lams: float S_{cap-2}, S_{cap-1}, S_cap of checked weights."""
     x = check_nonneg("evaluation point", x)
     sm2, sm1, sc = lams
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
-
-
-def stability_quadratic(q: int, cap: int, w: WeightVector, alpha) -> float:
-    """Quadratic whose sign at the fixed point decides its stability.
-
-    Value S_{cap-1} S_{cap-2} a^2 + ((1-q) S_{cap-1}^2 + (1+q) S_cap S_{cap-2}) a
-    + S_cap S_{cap-1}; nonnegative at the fixed point means |slope| <= 1 there.
-    """
-    _validate_qcw(q, cap, w)
-    a = check_nonneg("evaluation point", alpha)
-    sm2, sm1, sc = _lams(cap, w)
-    return sm1 * sm2 * a * a + ((1 - q) * sm1 * sm1 + (1 + q) * sc * sm2) * a + sc * sm1
 
 
 def condition_a_margin(q: int, cap: int, w: WeightVector) -> Fraction:
@@ -212,13 +174,13 @@ class PhaseWindow:
 def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     """Compute the open interval of nu with multiple limiting laws, if any.
 
-    Roots of the stability quadratic are taken sign-aware: the larger root
-    from the quadratic formula's additive branch (the linear coefficient is
-    negative whenever the window exists), the smaller from the root product
-    S_cap / S_{cap-2}. The margin, the coefficients a2, a1, a0 (times D**2)
-    and the discriminant (times D**4) are exact integers, so every sign is
-    exact; each float is a correctly rounded quotient of two of them, the
-    value ``float(Fraction)`` gives.
+    Roots of the stability quadratic (module docstring) are taken
+    sign-aware: the larger root from the quadratic formula's additive branch
+    (the linear coefficient is negative whenever the window exists), the
+    smaller from the root product S_cap / S_{cap-2}. The margin, the
+    coefficients a2, a1, a0 (times D**2) and the discriminant (times D**4)
+    are exact integers, so every sign is exact; each float is a correctly
+    rounded quotient of two of them, the value ``float(Fraction)`` gives.
     """
     d, n0, n1, n2 = _require_assumption(q, cap, w)
     margin = _condition_a_numerator(q, n0, n1, n2)
@@ -239,7 +201,7 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
         )
     alpha_plus = (-a1 / dd + math.sqrt(disc / (dd * dd))) / (2.0 * (a2 / dd))
     alpha_minus = (a0 / a2) / alpha_plus
-    lams = _lams(cap, w)
+    lams = tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))  # S_{cap-2}, S_{cap-1}, S_cap
     nu_minus = _nu_of(q, lams, alpha_minus)
     nu_plus = _nu_of(q, lams, alpha_plus)
     if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):

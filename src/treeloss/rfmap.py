@@ -48,7 +48,6 @@ __all__ = [
     "UniquenessVerdict",
     "random_field_map",
     "classify_by_iteration",
-    "pair_interaction",
     "interaction_map",
     "conjugate_maps",
 ]
@@ -174,9 +173,19 @@ def _check_ratio_vector(p: ModelParams, xi) -> tuple:
     return vec
 
 
+def _finite_row_sums(rows, x) -> list:
+    """``_row_sums(rows, x)``, refusing sums that overflow (a ratio of two would be nan)."""
+    sums = _row_sums(rows, x)
+    if not all(map(math.isfinite, sums)):
+        raise ValueError(f"row sums {sums} at this vector are too large for floats")
+    return sums
+
+
 def random_field_map(p: ModelParams, xi) -> tuple:
-    """One application of the ratio map Phi to a ratio vector of length cv."""
-    return _map_step(p)(_check_ratio_vector(p, xi))
+    """One application of the ratio map Phi to a ratio vector of length cv; overflow raises."""
+    vec = _check_ratio_vector(p, xi)
+    _finite_row_sums(p._rows, vec)
+    return _map_step(p)(vec)
 
 
 class Uniqueness(enum.Enum):
@@ -418,7 +427,7 @@ def _decide_scalar(m, p, even, odd, n, max_iter) -> UniquenessVerdict:
     )
 
 
-def pair_interaction(p: ModelParams, i: int, j: int) -> float:
+def _pair_interaction(p: ModelParams, i: int, j: int) -> float:
     """Symmetric interaction weight between adjacent node occupancies i and j.
 
     Zero when i + j exceeds the budget; otherwise the geometric-mean node
@@ -447,11 +456,13 @@ def interaction_map(p: ModelParams, psi) -> tuple:
     """Normalized interaction form of the recursion, acting on psi with psi_0 = 1.
 
     Component i is (sum_j phi(i,j) psi_j / sum_j phi(0,j) psi_j)**q, the sums
-    running over j = 0..cv (phi is 0 past the budget). Component 0 is identically 1.
+    running over j = 0..cv (phi is 0 past the budget); ValueError when one
+    overflows. Component 0 is identically 1.
     """
     vec = _check_interaction_vector(p, psi)
     occ = range(p.cv + 1)
-    den, *nums = _row_sums([[pair_interaction(p, i, j) for j in occ] for i in occ], vec[1:])
+    phi = [[_pair_interaction(p, i, j) for j in occ] for i in occ]
+    den, *nums = _finite_row_sums(phi, vec[1:])
     return (1.0,) + tuple(power(t / den, p.q) if t > 0.0 else 0.0 for t in nums)
 
 

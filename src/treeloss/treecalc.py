@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from ._num import check_int, log_sum_exp, power
 from .rfmap import (
@@ -31,17 +31,15 @@ from .rfmap import (
     _row_sums,
     classify_by_iteration,
 )
-from .weights import WeightVector, _clipped_rows, poisson_weights
+from .weights import _clipped_rows
 
 __all__ = [
     "TreeSpec",
     "NormalizedState",
-    "CurvePoint",
     "rooted_state",
     "center_occupancy",
     "multicast_blocking",
     "unicast_blocking",
-    "blocking_curve",
 ]
 
 
@@ -179,34 +177,8 @@ class CurvePoint:
     iterations: int
 
 
-def blocking_curve(
-    q: int,
-    cap: int,
-    cv: int,
-    ce: int,
-    edge_weights: WeightVector,
-    nu_values: Iterable[float],
-    node_family: Callable[[float, int], WeightVector] = poisson_weights,
-    tol: float = 1e-12,
-    sep: float = 1e-8,
-    max_iter: int = 10**6,
-) -> list[CurvePoint]:
-    """Center-call blocking in the infinite-tree limit along a nu grid.
-
-    Each nu is classified by iteration; Unique points carry one branch
-    (beta_even == beta_odd, evaluated at the fixed point), Multiple points
-    two (evaluated at the even/odd limits). Inconclusive points are kept and
-    flagged, their betas evaluated at the unconverged parity tails.
-    """
-    return [
-        _curve_point(nu, ModelParams(q, cap, cv, ce, node_family(nu, cv), edge_weights),
-                     tol, sep, max_iter)
-        for nu in nu_values
-    ]
-
-
 def _curve_point(nu: float, p: ModelParams, tol: float, sep: float, max_iter: int) -> CurvePoint:
-    """One ``blocking_curve`` point: the load nu, classified and evaluated on its model p."""
+    """One blocking-curve point: nu classified on its model p, beta at each parity's limit."""
     verdict = classify_by_iteration(p, tol=tol, sep=sep, max_iter=max_iter)
     if verdict.kind is Uniqueness.UNIQUE:
         xi_even = xi_odd = verdict.fixed_point

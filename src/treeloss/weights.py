@@ -29,8 +29,6 @@ __all__ = [
     "poisson_weights",
     "geometric_weights",
     "load_weight_file",
-    "log_concavity_margin",
-    "partial_sums_log_concave",
 ]
 
 
@@ -169,30 +167,8 @@ def load_weight_file(path) -> WeightVector:
     return WeightVector(tuple(values))
 
 
-def log_concavity_margin(w: WeightVector, cap: int) -> Fraction:
-    """S_{cap-1}**2 - S_cap * S_{cap-2} as an exact rational.
-
-    Positive iff the partial-sum sequence is strictly log-concave at index
-    cap-1, which is what makes the scalar occupancy-ratio map decreasing.
-    Computed on the integer numerators at scale D**2.
-    """
-    check_int("cap", cap, 2)
-    if w.top_index < cap:
-        raise ValueError(f"need entries up to index {cap}, have {w.top_index}")
-    d, n0, n1, n2 = _exact_window_sums(cap, w)
-    return Fraction(n1 * n1 - n2 * n0, d * d)
-
-
 def _exact_window_sums(cap: int, w: WeightVector) -> tuple[int, int, int, int]:
     """(D, N_{cap-2}, N_{cap-1}, N_cap): the exact sums S_k = N_k / D at cap."""
     d, nums = w._exact_sums
     return (d, *nums[cap - 2 : cap + 1])
 
-
-def partial_sums_log_concave(w: WeightVector, cap: int) -> bool:
-    """True iff the log-concavity margin at cap is strictly positive.
-
-    Decided exactly on the integer partial sums; a margin of exactly zero (e.g. a
-    vector whose partial sums are constant from cap-2 on) returns False.
-    """
-    return log_concavity_margin(w, cap) > 0

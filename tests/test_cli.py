@@ -12,7 +12,7 @@ import pytest
 
 import treeloss
 from treeloss import __version__, _num, rfmap, treecalc
-from treeloss.cli import _usable_cpus, main
+from treeloss.cli import _BLAS_THREAD_VARS, _usable_cpus, main
 from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
 from treeloss.phase1d import phase_window
 from treeloss.rfmap import ModelParams
@@ -736,6 +736,34 @@ class TestSimulateCommand:
         assert default[0] == 0
         for jobs in ("1", "2", "3"):
             assert _run(capsys, *self.ARGS, "--jobs", jobs) == default
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_workers_fork_from_a_process_with_one_thread(self):
+        # a fork copies only the calling thread, so numpy's BLAS pool must not
+        # have started one; the probe counts this process's threads each time
+        # the simulator is about to fork, in a fresh interpreter with no BLAS
+        # thread count set
+        probe = (
+            "import os, sys\n"
+            "import treeloss.simulate as simulate\n"
+            "from treeloss.cli import main\n"
+            "fork_join, threads = simulate.map_tasks, []\n"
+            "def counted(*args):\n"
+            "    threads.append(len(os.listdir('/proc/self/task')))\n"
+            "    return fork_join(*args)\n"
+            "simulate.map_tasks = counted\n"
+            "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+            "print(threads, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        )
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *self.ARGS, "--jobs", "2"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == b"[1] False"  # and the environment is restored
 
     def test_default_jobs_is_the_usable_cpu_count(self, capsys, monkeypatch):
         seen = []

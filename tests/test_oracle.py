@@ -19,7 +19,6 @@ from treeloss.oracle import (
     exact_partition,
     is_feasible,
     occupancy_distribution,
-    path_tree,
     rooted_tree,
     spherical_tree,
 )
@@ -28,6 +27,11 @@ from treeloss.oracle import _check_size, _check_spec_size, _spec_nodes
 from treeloss.rfmap import ModelParams
 from treeloss.treecalc import TreeSpec
 from treeloss.weights import WeightVector, poisson_weights
+
+
+def _path(n):
+    """The path 0 - 1 - ... - (n-1)."""
+    return FiniteTree(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
 
 
 def _unit_params(cap, cv, ce):
@@ -45,26 +49,26 @@ class TestHandCounts:
     def test_two_node_path_all_caps_one(self):
         # feasible: 000, 100, 010, 001
         p = _unit_params(1, 1, 1)
-        z = exact_partition(p, path_tree(2), root=0)
+        z = exact_partition(p, _path(2), root=0)
         assert z == (Fraction(3), Fraction(1))
         assert sum(z) == 4
 
     def test_two_node_path_budget_two(self):
         # 2^3 assignments minus the one violating a+b+c <= 2
         p = _unit_params(2, 1, 1)
-        z = exact_partition(p, path_tree(2), root=0)
+        z = exact_partition(p, _path(2), root=0)
         assert z == (Fraction(4), Fraction(3))
         assert sum(z) == 7
 
     def test_node_blocking_three_quarters(self):
         # a fresh call at node 0 fits only in 000
         p = _unit_params(1, 1, 1)
-        assert exact_blocking(p, path_tree(2), target=0) == Fraction(3, 4)
+        assert exact_blocking(p, _path(2), target=0) == Fraction(3, 4)
 
     def test_edge_blocking_four_sevenths(self):
         # accepted from 000, 100, 001 of the 7 feasible
         p = _unit_params(2, 1, 1)
-        assert exact_blocking(p, path_tree(2), target=(0, 1)) == Fraction(4, 7)
+        assert exact_blocking(p, _path(2), target=(0, 1)) == Fraction(4, 7)
 
     def test_single_node(self):
         p = ModelParams(
@@ -75,7 +79,7 @@ class TestHandCounts:
             node_weights=WeightVector((1.0, 1.0)),
             edge_weights=WeightVector((1.0, 1.0)),
         )
-        t = path_tree(1)
+        t = _path(1)
         assert exact_partition(p, t, root=0) == (1.0, 1.0)
         assert exact_blocking(p, t, target=0) == 0.5
 
@@ -104,7 +108,7 @@ class TestExactness:
             node_weights=poisson_weights(Fraction(1, 2), 2),
             edge_weights=poisson_weights(Fraction(2, 3), 1),
         )
-        t = path_tree(3)
+        t = _path(3)
         z = exact_partition(p, t, root=1)
         assert all(isinstance(v, Fraction) for v in z)
         dist = occupancy_distribution(p, t, node=1)
@@ -122,7 +126,7 @@ class TestExactness:
             node_weights=poisson_weights(0.5, 1),
             edge_weights=poisson_weights(1.5, 1),
         )
-        z = exact_partition(p, path_tree(3), root=0)
+        z = exact_partition(p, _path(3), root=0)
         assert all(isinstance(v, float) for v in z)
 
 
@@ -182,11 +186,11 @@ def _small_trees(draw, most=4):
 
 class TestLiteralEnumeration:
     CASES = [
-        (1, 1, 1, path_tree(3)),
-        (2, 1, 1, path_tree(4)),
+        (1, 1, 1, _path(3)),
+        (2, 1, 1, _path(4)),
         (2, 2, 1, rooted_tree(2, 2)),
         (3, 1, 2, spherical_tree(2, 1)),
-        (3, 3, 3, path_tree(4)),
+        (3, 3, 3, _path(4)),
         (2, 1, 0, rooted_tree(3, 1)),
     ]
 
@@ -340,7 +344,7 @@ class TestGuard:
 
 class TestFeasibility:
     P = _unit_params(2, 1, 1)
-    T = path_tree(2)
+    T = _path(2)
 
     def _cfg(self, a, b, c):
         return Configuration(node_occ={0: a, 1: c}, edge_occ={(0, 1): b})
@@ -394,7 +398,7 @@ class TestBuilders:
         assert len(spherical_tree(2, 1).nodes) == 4
         assert len(spherical_tree(3, 2).nodes) == 17
         assert len(edge_centered_tree(2, 1).nodes) == 6
-        assert len(path_tree(5).nodes) == 5
+        assert rooted_tree(1, 4) == _path(5)
 
     def test_degrees(self):
         t = spherical_tree(2, 2)
@@ -442,7 +446,6 @@ class TestBuilders:
             lambda: rooted_tree(0, 1),
             lambda: rooted_tree(2, -1),
             lambda: spherical_tree(2, 0),
-            lambda: path_tree(0),
         ):
             with pytest.raises(ValueError):
                 bad_call()
@@ -492,7 +495,7 @@ class TestDistributions:
             node_weights=poisson_weights(rate, cv),
             edge_weights=poisson_weights(1.0, ce) if ce else WeightVector((1.0,)),
         )
-        dist = occupancy_distribution(p, path_tree(n), node=0)
+        dist = occupancy_distribution(p, _path(n), node=0)
         assert math.isclose(sum(dist), 1.0, rel_tol=1e-12)
         assert all(v > 0.0 for v in dist)
 

@@ -1,35 +1,30 @@
 """Scalar map analysis: derivatives, fixed points, and the multiplicity window."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from treeloss import phase1d
 from treeloss.phase1d import (
     AssumptionViolation,
     PhaseParams,
     PhaseWindow,
+    _nu_of,
     classify_closed_form,
     condition_a,
     condition_a_margin,
     fixed_point,
-    nu_of_fixed_point,
     phase_window,
     poisson_window_statistic,
-    ratio_map,
     ratio_map_derivative,
     schwarzian,
-    stability_quadratic,
 )
 from treeloss._num import power
-from treeloss.rfmap import Uniqueness
-from treeloss.weights import (
-    WeightVector,
-    geometric_weights,
-    log_concavity_margin,
-    poisson_weights,
-)
+from treeloss.rfmap import ModelParams, Uniqueness, random_field_map
+from treeloss.weights import WeightVector, geometric_weights, poisson_weights
 
 
 REFERENCE = PhaseParams(q=10, cap=2, edge_weights=poisson_weights(0.75, 2), nu=50.0)
@@ -40,6 +35,22 @@ ALPHA_MINUS = 1.0528431717211419
 ALPHA_PLUS = 1.9292996854217152
 NU_MINUS = 26.770974722340239
 NU_PLUS = 90.726253564271425
+
+
+def _ratio_map(p, x):
+    """The scalar map of p at x, through the public map of its cv = 1, ce = cap model."""
+    model = ModelParams(p.q, p.cap, 1, p.cap, WeightVector((1, p.nu)), p.edge_weights)
+    return random_field_map(model, (x,))[0]
+
+
+def _lams(cap, w):
+    """(S_{cap-2}, S_{cap-1}, S_cap) as floats."""
+    return tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))
+
+
+def _log_concavity_margin(w, cap):
+    """S_{cap-1}**2 - S_cap S_{cap-2}, exactly: condition_a_margin at q = 1 is -4 S_cap S_{cap-2}."""
+    return (condition_a_margin(1, cap, w) + 4 * w.exact_partial_sum(cap - 1) ** 2) / 4
 
 
 def _mp_map(p):
@@ -118,8 +129,9 @@ class TestDerivatives:
 
     def test_point_validation(self):
         for bad in (-0.5, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                ratio_map(REFERENCE, bad)
+            for fn in (ratio_map_derivative, schwarzian, _ratio_map):
+                with pytest.raises(ValueError):
+                    fn(REFERENCE, bad)
 
 
 class TestFixedPoint:
@@ -131,7 +143,7 @@ class TestFixedPoint:
 
     def test_residual_is_small(self):
         x = fixed_point(REFERENCE)
-        assert abs(ratio_map(REFERENCE, x) - x) <= 1e-10 * (1.0 + x)
+        assert abs(_ratio_map(REFERENCE, x) - x) <= 1e-10 * (1.0 + x)
 
     @given(
         st.integers(2, 10),
@@ -142,12 +154,25 @@ class TestFixedPoint:
         w = poisson_weights(rate, 2)
         p = PhaseParams(q=q, cap=2, edge_weights=w, nu=nu)
         x = fixed_point(p)
-        assert math.isclose(nu_of_fixed_point(q, 2, w, x), nu, rel_tol=1e-9)
+        assert math.isclose(_nu_of(q, _lams(2, w), x), nu, rel_tol=1e-9)
 
     def test_nu_of_fixed_point_hand_value(self):
         # geometric rate 1, cap 2, q 2: x=1 maps back to ((3+2)/(2+1))^2 = 25/9
         w = geometric_weights(1.0, 2)
-        assert math.isclose(nu_of_fixed_point(2, 2, w, 1.0), 25.0 / 9.0, rel_tol=1e-14)
+        assert math.isclose(_nu_of(2, _lams(2, w), 1.0), 25.0 / 9.0, rel_tol=1e-14)
+        # and x = 1 is the fixed point of the map at that nu
+        p = PhaseParams(q=2, cap=2, edge_weights=w, nu=25.0 / 9.0)
+        assert math.isclose(fixed_point(p), 1.0, rel_tol=1e-14)
+
+    def test_bracket_failure_is_a_runtime_error(self):
+        # fixed_point refuses a bracket [0, nu] it cannot use instead of widening it
+        p = PhaseParams(q=2, cap=2, edge_weights=geometric_weights(1.0, 2), nu=1.0)
+        with mock.patch.object(phase1d, "_scalar_map", lambda model: lambda x: 0.0):
+            with pytest.raises(RuntimeError, match="map value at 0 is not positive"):
+                fixed_point(p)
+        with mock.patch.object(phase1d, "_scalar_map", lambda model: lambda x: 2.0):
+            with pytest.raises(RuntimeError, match="map value at nu exceeds nu"):
+                fixed_point(p)
 
     @given(
         st.integers(2, 30),
@@ -162,7 +187,7 @@ class TestFixedPoint:
         p = PhaseParams(q=q, cap=cap, edge_weights=family(rate, cap), nu=nu)
         x = fixed_point(p)
         up = math.nextafter(x, math.inf)
-        assert ratio_map(p, x) - x > 0.0 >= ratio_map(p, up) - up, (x, up)
+        assert _ratio_map(p, x) - x > 0.0 >= _ratio_map(p, up) - up, (x, up)
 
 
 class TestConditionA:
@@ -231,13 +256,28 @@ class TestWindow:
         assert not win.present and win.boundary
 
     def test_quadratic_vanishes_at_endpoints(self):
+        # the stability quadratic vanishes where the slope at the fixed point is -1:
+        # at alpha_minus and alpha_plus, the fixed points at nu_minus and nu_plus
         w = poisson_weights(0.75, 2)
-        for a in (ALPHA_MINUS, ALPHA_PLUS):
-            assert abs(stability_quadratic(10, 2, w, a)) < 1e-12
+        win = phase_window(10, 2, w)
+        for alpha, nu in ((win.alpha_minus, win.nu_minus), (win.alpha_plus, win.nu_plus)):
+            p = PhaseParams(q=10, cap=2, edge_weights=w, nu=nu)
+            assert abs(ratio_map_derivative(p, alpha) + 1.0) < 1e-12
+            assert math.isclose(fixed_point(p), alpha, rel_tol=1e-12)
 
     def test_quadratic_hand_value(self):
-        # all quantities dyadic: the float evaluation is exact
-        assert stability_quadratic(10, 2, poisson_weights(0.75, 2), 1.5) == -0.3359375
+        # S_1 S_0 a^2 + ((1-q) S_1^2 + (1+q) S_2 S_0) a + S_2 S_1 at q = 10,
+        # Poisson 3/4, a = 3/2 is -0.3359375 (all quantities dyadic); factored
+        # over the window's roots it is S_1 S_0 (a - alpha_minus)(a - alpha_plus)
+        win = phase_window(10, 2, poisson_weights(0.75, 2))
+        value = 1.75 * (1.5 - win.alpha_minus) * (1.5 - win.alpha_plus)
+        assert math.isclose(value, -0.3359375, rel_tol=1e-12)
+        # negative at the fixed point 3/2, so the slope there is below -1:
+        # the quadratic is (S_1 + a S_0)(S_2 + a S_1)(1 + m'(a)) at a fixed point a
+        w = poisson_weights(0.75, 2)
+        p = PhaseParams(q=10, cap=2, edge_weights=w, nu=_nu_of(10, _lams(2, w), 1.5))
+        want = -0.3359375 / ((1.75 + 1.5) * (2.03125 + 1.5 * 1.75)) - 1.0
+        assert math.isclose(ratio_map_derivative(p, 1.5), want, rel_tol=1e-12)
 
     def test_root_product_identity(self):
         win = phase_window(10, 2, poisson_weights(0.75, 2))
@@ -422,7 +462,8 @@ def _outcome(fn, *args):
 def _assert_matches_reference(q, cap, w):
     assert _outcome(phase_window, q, cap, w) == _outcome(_ref_phase_window, q, cap, w)
     assert _outcome(condition_a_margin, q, cap, w) == _outcome(_ref_condition_a_margin, q, cap, w)
-    assert _outcome(log_concavity_margin, w, cap) == _outcome(_ref_log_concavity_margin, w, cap)
+    if len(w) == cap + 1:  # condition_a_margin takes exactly cap + 1 entries
+        assert _outcome(_log_concavity_margin, w, cap) == _outcome(_ref_log_concavity_margin, w, cap)
     for k in range(-1, len(w) + 1):
         assert _outcome(w.exact_partial_sum, k) == _outcome(_ref_exact_partial_sum, w, k)
 
@@ -483,3 +524,37 @@ class TestExactness:
         win = phase_window(10, 2, poisson_weights(0.75, 2))
         assert (win.alpha_minus, win.alpha_plus) == (1.0528431717211417, 1.9292996854217155)
         assert (win.nu_minus, win.nu_plus) == (26.770974722340235, 90.72625356427147)
+
+
+# ------------------------------------------------------------ criterion 8, exactly
+# The lower window endpoint nu_minus on q = 6, cap = 2 Poisson weights has an
+# interior minimum near rate 6.035, so test_criterion_08_monotonicity (which
+# asserts a strict decrease on [6.005, 6.10]) fails as written. This companion
+# evaluates the closed form at 60 digits, independently of the package.
+
+
+def _mp_nu_minus(q, rate):
+    """nu_minus for Poisson(rate) edge weights at cap = 2, at mpmath's working precision.
+
+    The smaller root alpha of S_1 S_0 a^2 + ((1-q) S_1^2 + (1+q) S_2 S_0) a + S_2 S_1,
+    mapped to alpha ((S_2 + alpha S_1) / (S_1 + alpha S_0))**q.
+    """
+    lam = mpmath.mpf(rate.numerator) / rate.denominator
+    s0, s1, s2 = mpmath.mpf(1), 1 + lam, 1 + lam + lam * lam / 2
+    a2, a1, a0 = s1 * s0, (1 - q) * s1 * s1 + (1 + q) * s2 * s0, s2 * s1
+    alpha = (-a1 - mpmath.sqrt(a1 * a1 - 4 * a2 * a0)) / (2 * a2)
+    return alpha * ((s2 + alpha * s1) / (s1 + alpha * s0)) ** q
+
+
+class TestCriterion8Exact:
+    RATES = {"6.005": 76480.51, "6.035": 75452.07, "6.040": 75463.16, "6.10": 76687.67}
+
+    def test_nu_minus_has_an_interior_minimum(self):
+        with mpmath.workdps(60):
+            exact = {r: _mp_nu_minus(6, Fraction(r)) for r in self.RATES}
+            for r, rounded in self.RATES.items():
+                got = phase_window(6, 2, poisson_weights(Fraction(r), 2)).nu_minus
+                assert abs(got / exact[r] - 1) <= 1e-12, r
+                assert round(float(exact[r]), 2) == rounded, r
+            # falls from 6.005 to 6.035, then rises to 6.040 and on to 6.10
+            assert exact["6.005"] > exact["6.035"] < exact["6.040"] < exact["6.10"]

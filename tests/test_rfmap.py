@@ -16,12 +16,12 @@ from treeloss.rfmap import (
     UniquenessVerdict,
     _bisect,
     _cross_ratio,
+    _pair_interaction,
     _scalar_map,
     _scalar_slope,
     classify_by_iteration,
     conjugate_maps,
     interaction_map,
-    pair_interaction,
     random_field_map,
 )
 from treeloss.weights import WeightVector, geometric_weights, poisson_weights
@@ -126,6 +126,24 @@ class TestMap:
             assert 0.0 <= v <= nu_k * (1 + 1e-12)
             if nu_k > 0.0:
                 assert v > 0.0
+
+    # a row sum T_k that overflows would make the ratio inf/inf = nan
+    _HUGE_EDGES = ModelParams(2, 2, 1, 2, WeightVector((1.0, 1e10)), WeightVector((1e300,) * 3))
+
+    @pytest.mark.parametrize("fn,p,vec", [
+        (random_field_map, _HUGE_EDGES, (1e10,)),
+        (interaction_map, _HUGE_EDGES, (1.0, 1e10)),
+        # ordinary models on huge vectors
+        (random_field_map,
+         ModelParams(2, 2, 1, 2, poisson_weights(3.0, 1), WeightVector((10.0, 1.0, 1.0))),
+         (1e308,)),
+        (interaction_map,
+         ModelParams(2, 2, 1, 2, poisson_weights(3.0, 1), poisson_weights(2.0, 2)),
+         (1.0, 1e308)),
+    ])
+    def test_overflowing_row_sum_is_refused(self, fn, p, vec):
+        with pytest.raises(ValueError, match=r"row sums \[inf, .*\] at this vector are too large for floats"):
+            fn(p, vec)
 
     def test_input_validation(self):
         p = _params()
@@ -629,7 +647,7 @@ class TestPairInteraction:
             node_weights=WeightVector((1.0, 8.0)),
             edge_weights=geometric_weights(1.0, 2),
         )
-        assert pair_interaction(p, 0, 0) == 3.0  # S_2 of (1,1,1)
+        assert _pair_interaction(p, 0, 0) == 3.0  # S_2 of (1,1,1)
 
     def test_saturated_pair_hand_value(self):
         p = ModelParams(
@@ -641,24 +659,24 @@ class TestPairInteraction:
             edge_weights=geometric_weights(1.0, 2),
         )
         # (8*8)^(1/3) * S_0 = 4
-        assert math.isclose(pair_interaction(p, 1, 1), 4.0, rel_tol=1e-13)
+        assert math.isclose(_pair_interaction(p, 1, 1), 4.0, rel_tol=1e-13)
 
     def test_over_budget_pair_vanishes(self):
         p = _params(cap=2, cv=2, ce=1, nu=3.0, lam=1.0)
-        assert pair_interaction(p, 1, 2) == 0.0
-        assert pair_interaction(p, 2, 2) == 0.0
+        assert _pair_interaction(p, 1, 2) == 0.0
+        assert _pair_interaction(p, 2, 2) == 0.0
 
     def test_symmetry(self):
         p = _params(cap=3, cv=2, ce=2, nu=4.0, lam=0.6)
         for i in range(3):
             for j in range(3):
-                assert pair_interaction(p, i, j) == pair_interaction(p, j, i)
+                assert _pair_interaction(p, i, j) == _pair_interaction(p, j, i)
 
     def test_argument_validation(self):
         p = _params()
         for bad in (-1, 2, True, 0.5):
             with pytest.raises(ValueError):
-                pair_interaction(p, bad, 0)
+                _pair_interaction(p, bad, 0)
 
     @pytest.mark.parametrize("family", [poisson_weights, geometric_weights])
     @pytest.mark.parametrize("q,cap,cv,ce", [(2, 2, 1, 2), (2, 3, 2, 2), (3, 4, 3, 2), (5, 4, 2, 4), (2, 4, 4, 1)])
@@ -672,7 +690,7 @@ class TestPairInteraction:
             node_weights=poisson_weights(2.0, cv),
             edge_weights=family(lam, ce),
         )
-        phi = [[pair_interaction(p, i, j) for j in range(cv + 1)] for i in range(cv + 1)]
+        phi = [[_pair_interaction(p, i, j) for j in range(cv + 1)] for i in range(cv + 1)]
         for i in range(cv + 1):
             for k in range(i, cv + 1):
                 for j in range(cv + 1):
@@ -685,10 +703,10 @@ class TestPairInteraction:
 def _reference_interaction_map(p, psi):
     """``interaction_map`` with its own builtin sums over the pairs within the budget."""
     vec = tuple(psi)
-    den = sum(pair_interaction(p, 0, j) * vec[j] for j in range(min(p.cap, p.cv) + 1))
+    den = sum(_pair_interaction(p, 0, j) * vec[j] for j in range(min(p.cap, p.cv) + 1))
     out = [1.0]
     for i in range(1, p.cv + 1):
-        n = sum(pair_interaction(p, i, j) * vec[j] for j in range(min(p.cap - i, p.cv) + 1))
+        n = sum(_pair_interaction(p, i, j) * vec[j] for j in range(min(p.cap - i, p.cv) + 1))
         out.append(power(n / den, p.q) if n > 0.0 else 0.0)
     return tuple(out)
 

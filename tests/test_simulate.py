@@ -9,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from treeloss import simulate
 from treeloss.oracle import (
     Configuration,
+    FiniteTree,
     build_tree,
     exact_blocking,
     is_feasible,
     occupancy_distribution,
-    path_tree,
     spherical_tree,
 )
 from treeloss.rfmap import ModelParams
@@ -357,7 +357,7 @@ class TestAgainstExactLaws:
             seed=3,
         )
         stats = run(cfg)
-        t = path_tree(1)
+        t = FiniteTree((0,), ())
         report = compare(
             stats,
             {

@@ -1,11 +1,14 @@
-"""Package hygiene: exported names resolve, no module imports scipy or a
-memo decorator, the count rule (an int, not a bool, within bounds) and the
-fork of a worker process are each written once, in ``_num``, the edge
-budget rule once, in ``weights``, and the map's row sums once, in ``rfmap``,
-and no float result depends on the builtin ``sum``."""
+"""Package hygiene: exported names resolve, every exported function has a
+caller outside its module, no module imports scipy or a memo decorator, the
+count rule (an int, not a bool, within bounds) and the fork of a worker
+process are each written once, in ``_num``, the edge budget rule once, in
+``weights``, and the map's row sums once, in ``rfmap``, and no float result
+depends on the builtin ``sum``."""
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -18,12 +21,10 @@ from treeloss import (
     WeightVector,
     center_occupancy,
     classify_by_iteration,
+    condition_a_margin,
     edge_centered_tree,
     geometric_weights,
-    log_concavity_margin,
     multicast_blocking,
-    pair_interaction,
-    path_tree,
     phase_window,
     poisson_weights,
     poisson_window_statistic,
@@ -32,6 +33,7 @@ from treeloss import (
     spherical_tree,
     unicast_blocking,
 )
+from treeloss.rfmap import _pair_interaction
 
 SRC = Path(treeloss.__file__).parent
 # __main__ runs the command line on import, so it is left out
@@ -46,6 +48,44 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parents[1]  # the checkout the tests live in
+
+
+def _python_sources() -> list:
+    """(defining module or None, source text) of every place a caller may use
+    the package from: src/, the scripts, perfbench, the acceptance tests and
+    the README's Python examples."""
+    sources = [(f"treeloss.{f.stem}", f.read_text(encoding="utf-8")) for f in SRC.glob("*.py")]
+    files = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    sources += [(None, f.read_text(encoding="utf-8")) for f in files]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += [(None, block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    return sources
+
+
+def test_every_exported_function_has_a_caller():
+    # an exported function that only its own unit tests call is API to keep
+    # for no one: it must be imported, or reached as an attribute, outside
+    # the module that defines it
+    functions = {
+        name: getattr(treeloss, name).__module__ for name in treeloss.__all__
+        if inspect.isfunction(getattr(treeloss, name))
+    }
+    used = set()
+    for module, text in _python_sources():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            used.update(n for n in names if n in functions and functions[n] != module)
+    assert len(functions) > 20
+    assert sorted(set(functions) - used) == []
 
 
 def _imported_roots(path: Path) -> set:
@@ -100,12 +140,12 @@ BOOL_FOR_INT = {
     "geometric_weights": lambda: geometric_weights(2.0, True),
     "partial_sum": lambda: WeightVector((1.0, 0.5)).partial_sum(True),
     "exact_partial_sum": lambda: WeightVector((1.0, 0.5)).exact_partial_sum(True),
-    "log_concavity_margin": lambda: log_concavity_margin(poisson_weights(1.0, 2), True),
+    "condition_a_margin": lambda: condition_a_margin(2, True, poisson_weights(1.0, 2)),
     "ModelParams.q": lambda: _model(q=True),
     "ModelParams.cap": lambda: _model(cap=True, ce=1, edge_weights=poisson_weights(1.0, 1)),
     "ModelParams.cv": lambda: _model(cv=True),
     "ModelParams.ce": lambda: _model(ce=True, edge_weights=poisson_weights(1.0, 1)),
-    "pair_interaction": lambda: pair_interaction(_model(), True, 0),
+    "_pair_interaction": lambda: _pair_interaction(_model(), True, 0),
     "classify_by_iteration": lambda: classify_by_iteration(_model(), max_iter=True),
     "phase_window": lambda: phase_window(True, 2, poisson_weights(1.0, 2)),
     "poisson_window_statistic": lambda: poisson_window_statistic(True, 2, 1.0),
@@ -115,7 +155,6 @@ BOOL_FOR_INT = {
     "center_occupancy": lambda: center_occupancy(_model(), True),
     "multicast_blocking": lambda: multicast_blocking(_model(), True),
     "unicast_blocking": lambda: unicast_blocking(_model(), True),
-    "path_tree": lambda: path_tree(True),
     "rooted_tree.q": lambda: rooted_tree(True, 1),
     "rooted_tree.height": lambda: rooted_tree(2, True),
     "spherical_tree": lambda: spherical_tree(2, True),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from treeloss import treecalc
-from treeloss._num import log_sum_exp
+from treeloss._num import log_sum_exp, map_tasks
 from treeloss.oracle import (
     edge_centered_tree,
     exact_blocking,
@@ -19,7 +19,7 @@ from treeloss.rfmap import ModelParams, Uniqueness, _row_sums, random_field_map
 from treeloss.treecalc import (
     NormalizedState,
     TreeSpec,
-    blocking_curve,
+    _curve_point,
     center_occupancy,
     multicast_blocking,
     rooted_state,
@@ -333,9 +333,15 @@ class TestOneRowSum:
                 rooted_state(p, height)
 
 
+def _curve(q, cap, cv, ce, edge_weights, nu_values, node_family=poisson_weights):
+    """Blocking-curve points along nu_values, as ``blocking-curve`` maps them."""
+    models = [ModelParams(q, cap, cv, ce, node_family(nu, cv), edge_weights) for nu in nu_values]
+    return [_curve_point(nu, p, 1e-12, 1e-8, 10**6) for nu, p in zip(nu_values, models)]
+
+
 class TestBlockingCurve:
     def test_branches_split_inside_the_window(self):
-        pts = blocking_curve(
+        pts = _curve(
             q=10, cap=2, cv=1, ce=2,
             edge_weights=poisson_weights(0.75, 2), nu_values=[5.0, 50.0],
         )
@@ -352,7 +358,7 @@ class TestBlockingCurve:
             assert 0.0 <= pt.beta_odd <= 1.0
 
     def test_decoupled_curve_is_elementary(self):
-        pts = blocking_curve(
+        pts = _curve(
             q=2, cap=2, cv=1, ce=0,
             edge_weights=WeightVector((1.0,)), nu_values=[0.5, 1.0, 4.0],
         )
@@ -361,7 +367,7 @@ class TestBlockingCurve:
             assert math.isclose(pt.beta_even, pt.nu / (1.0 + pt.nu), rel_tol=1e-12)
 
     def test_alternate_node_family(self):
-        pts = blocking_curve(
+        pts = _curve(
             q=3, cap=2, cv=1, ce=2,
             edge_weights=poisson_weights(1.0, 2), nu_values=[2.0],
             node_family=geometric_weights,
@@ -370,10 +376,8 @@ class TestBlockingCurve:
         assert 0.0 < pts[0].beta_even < 1.0
 
     def test_empty_grid(self):
-        assert blocking_curve(
-            q=2, cap=2, cv=1, ce=1,
-            edge_weights=poisson_weights(1.0, 1), nu_values=[],
-        ) == []
+        # the command's pool over no points: no worker, no point
+        assert map_tasks(lambda task: _curve_point(*task, 1e-12, 1e-8, 10**6), [], 2) == []
 
 
 class TestTreeSpec:

@@ -7,16 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from treeloss.phase1d import AssumptionViolation, PhaseParams, condition_a_margin, phase_window
 from treeloss.rfmap import ModelParams
 from treeloss.weights import (
     WeightVector,
     _clipped_rows,
     geometric_weights,
     load_weight_file,
-    log_concavity_margin,
-    partial_sums_log_concave,
     poisson_weights,
 )
+
+from test_phase1d import _log_concavity_margin
 
 
 class TestConstruction:
@@ -163,29 +164,35 @@ class TestWeightFiles:
 
 
 class TestLogConcavity:
+    """The margin S_{cap-1}**2 - S_cap S_{cap-2}, read exactly through
+    ``condition_a_margin``; the phase analysis refuses a margin <= 0."""
+
     def test_margin_exact_value(self):
         # S1^2 - S2*S0 = (7/4)^2 - 65/32 = 33/32 for Poisson rate 3/4
         w = poisson_weights(Fraction(3, 4), 2)
-        assert log_concavity_margin(w, 2) == Fraction(33, 32)
+        assert _log_concavity_margin(w, 2) == Fraction(33, 32)
 
     def test_margin_zero_on_flat_tail(self):
         w = WeightVector((1, 0, 0))
-        assert log_concavity_margin(w, 2) == 0
-        assert not partial_sums_log_concave(w, 2)
+        assert _log_concavity_margin(w, 2) == 0
+        with pytest.raises(AssumptionViolation):
+            PhaseParams(q=3, cap=2, edge_weights=w, nu=1.0)
+        with pytest.raises(AssumptionViolation):
+            phase_window(3, 2, w)
 
     def test_geometric_margin_is_rate(self):
         # (1+r)^2 - (1+r+r^2) = r exactly
         r = Fraction(5, 3)
         w = geometric_weights(r, 2)
-        assert log_concavity_margin(w, 2) == r
-        assert partial_sums_log_concave(w, 2)
+        assert _log_concavity_margin(w, 2) == r
+        assert PhaseParams(q=3, cap=2, edge_weights=w, nu=1.0).edge_weights == w
 
     def test_margin_validation(self):
         w = poisson_weights(1.0, 3)
         with pytest.raises(ValueError):
-            log_concavity_margin(w, 1)
+            condition_a_margin(1, 1, w)
         with pytest.raises(ValueError):
-            log_concavity_margin(poisson_weights(1.0, 1), 2)
+            condition_a_margin(1, 2, poisson_weights(1.0, 1))
 
     @given(
         st.integers(2, 5),
@@ -193,7 +200,9 @@ class TestLogConcavity:
         st.sampled_from([poisson_weights, geometric_weights]),
     )
     def test_standard_families_are_log_concave(self, cap, rate, factory):
-        assert partial_sums_log_concave(factory(rate, cap), cap)
+        w = factory(rate, cap)
+        assert _log_concavity_margin(w, cap) > 0
+        PhaseParams(q=2, cap=cap, edge_weights=w, nu=1.0)  # no AssumptionViolation
 
 
 # The edge budget rule as three modules wrote it before ``_clipped_rows``.
