@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 from . import __version__
@@ -113,9 +114,7 @@ def _emit_json(args, payload) -> int:
 def _emit_csv(args, command: str, header: str, rows: list) -> int:
     if getattr(args, "format", None) == "json":
         cols = header.split(",")
-        payload = [dict(zip(cols, (_jsonable(c) for c in row))) for row in rows]
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
+        return _emit_json(args, [dict(zip(cols, map(_jsonable, row))) for row in rows])
     lines = [f"# treeloss {__version__} {command}", header]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     _emit(args, "\n".join(lines) + "\n")
@@ -136,14 +135,8 @@ def _jsonable(x):
 def _cmd_classify(args) -> int:
     p = _model_params(args)
     verdict = classify_by_iteration(p, tol=args.tol, sep=args.sep, max_iter=args.max_iter)
-    payload = {
-        "kind": verdict.kind.value,
-        "iterations": verdict.iterations,
-        "method": verdict.method,
-        "fixed_point": _jsonable(verdict.fixed_point),
-        "even_limit": _jsonable(verdict.even_limit),
-        "odd_limit": _jsonable(verdict.odd_limit),
-    }
+    payload = {f.name: _jsonable(getattr(verdict, f.name)) for f in fields(verdict)}
+    payload["kind"] = verdict.kind.value
     return _emit_json(args, payload)
 
 
@@ -262,15 +255,15 @@ def _cmd_enumerate(args) -> int:
     p = _model_params(args)
     spec = _tree_spec(args)
     oracle._check_spec_size(p, spec)
-    tree, center = oracle.build_tree(spec, p.q)
-    z = oracle.exact_partition(p, tree, center)
-    occ = oracle.occupancy_distribution(p, tree, center)
+    tree = oracle.build_tree(spec, p.q)
+    z = oracle.exact_partition(p, tree, 0)
+    occ = oracle.occupancy_distribution(p, tree, 0)
     payload = {
         "tree": {"kind": spec.kind, "size": spec.size,
                  "nodes": len(tree.nodes), "edges": len(tree.edges)},
         "partition": [float(v) for v in z],
         "occupancy": [float(v) for v in occ],
-        "node_blocking": float(oracle.exact_blocking(p, tree, center)),
+        "node_blocking": float(oracle.exact_blocking(p, tree, 0)),
         "edge_blocking": (
             float(oracle.exact_blocking(p, tree, tree.edges[0])) if tree.edges else None
         ),
@@ -319,18 +312,9 @@ def _cmd_simulate(args) -> int:
         del os.environ["OPENBLAS_NUM_THREADS"]
     stats = simulate.run(cfg, jobs)
     payload = {
-        "replications": stats.replications,
-        "post_warmup_events": stats.post_warmup_events,
-        "node_beta": _jsonable(stats.node_beta),
-        "node_beta_se": _jsonable(stats.node_beta_se),
-        "edge_beta": _jsonable(stats.edge_beta),
-        "edge_beta_se": _jsonable(stats.edge_beta_se),
-        "occupancy": _jsonable(stats.occupancy),
-        "occupancy_se": _jsonable(stats.occupancy_se),
-        "node_offered": stats.node_offered,
-        "node_blocked": stats.node_blocked,
-        "edge_offered": stats.edge_offered,
-        "edge_blocked": stats.edge_blocked,
+        f.name: _jsonable(getattr(stats, f.name))
+        for f in fields(stats)
+        if not f.name.startswith("rep_")
     }
     return _emit_json(args, payload)
 

@@ -113,63 +113,48 @@ class Configuration:
     edge_occ: dict
 
 
-def _grow(edges: list, root: int, q: int, height: int, nxt: int) -> int:
-    # q children under root, each the root of a height-(height-1) subtree,
-    # labelled in preorder from nxt; an explicit stack, so depth costs no recursion
-    stack = [(root, height)] * q if height > 0 else []  # (parent, its height) per child to make
+def _grow(fan: tuple, q: int, height: int, edges: list) -> FiniteTree:
+    """The tree of ``edges`` plus ``k`` children under node ``v`` for each
+    ``(v, k)`` of ``fan``, in order; the fan's nodes are 0 .. len(fan) - 1.
+
+    Each child roots a height-(height-1) subtree in which every internal node
+    has q children. New nodes are labelled in preorder from len(fan), and an
+    explicit stack walks them, so depth costs no recursion.
+    """
+    nxt = len(fan)
+    stack = [(v, height) for v, k in reversed(fan) for _ in range(k)] if height > 0 else []
     while stack:
         parent, h = stack.pop()
-        child = nxt
-        nxt += 1
-        edges.append((parent, child))
+        edges.append((parent, nxt))
         if h > 1:
-            stack.extend([(child, h - 1)] * q)
-    return nxt
+            stack.extend([(nxt, h - 1)] * q)
+        nxt += 1
+    return FiniteTree(tuple(range(nxt)), tuple(edges))
 
 
 def rooted_tree(q: int, height: int) -> FiniteTree:
     """Root 0 with q child subtrees; every internal node has q children."""
     check_int("q", q, 1)
-    check_int("height", height, 0)
-    edges: list = []
-    n = _grow(edges, 0, q, height, 1)
-    return FiniteTree(tuple(range(n)), tuple(edges))
+    return _grow(((0, q),), q, check_int("height", height, 0), [])
 
 
 def spherical_tree(q: int, radius: int) -> FiniteTree:
     """Center 0 joined to q+1 rooted subtrees of height radius-1."""
     check_int("q", q, 1)
-    check_int("radius", radius, 1)
-    edges: list = []
-    nxt = 1
-    for _ in range(q + 1):
-        child = nxt
-        nxt += 1
-        edges.append((0, child))
-        nxt = _grow(edges, child, q, radius - 1, nxt)
-    return FiniteTree(tuple(range(nxt)), tuple(edges))
+    return _grow(((0, q + 1),), q, check_int("radius", radius, 1), [])
 
 
 def edge_centered_tree(q: int, radius: int) -> FiniteTree:
     """Adjacent hubs 0-1, each joined to q rooted subtrees of height radius-1."""
     check_int("q", q, 1)
-    check_int("radius", radius, 1)
-    edges: list = [(0, 1)]
-    nxt = 2
-    for hub in (0, 1):
-        for _ in range(q):
-            child = nxt
-            nxt += 1
-            edges.append((hub, child))
-            nxt = _grow(edges, child, q, radius - 1, nxt)
-    return FiniteTree(tuple(range(nxt)), tuple(edges))
+    return _grow(((0, q), (1, q)), q, check_int("radius", radius, 1), [(0, 1)])
 
 
-def build_tree(spec: TreeSpec, q: int):
-    """Realize a TreeSpec; returns (tree, center node)."""
+def build_tree(spec: TreeSpec, q: int) -> FiniteTree:
+    """Realize a TreeSpec; its center is node 0."""
     if spec.kind == "rooted":
-        return rooted_tree(q, spec.size), 0
-    return spherical_tree(q, spec.size), 0
+        return rooted_tree(q, spec.size)
+    return spherical_tree(q, spec.size)
 
 
 def is_feasible(p: ModelParams, t: FiniteTree, c: Configuration) -> bool:

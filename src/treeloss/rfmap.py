@@ -98,8 +98,8 @@ class ModelParams:
 def _scalar_map(p: ModelParams):
     """The cv == 1 map m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q as a float closure.
 
-    It does the vector step's float operations in the same order, so
-    ``m(x)`` is ``step((x,))[0]`` bit for bit, underflow and overflow included.
+    It does ``_map_step``'s float operations in the same order, so ``m(x)`` is
+    ``_map_step(p)((x,))[0]`` bit for bit, underflow and overflow included.
     """
     (b0, b1), (a0, a1) = p._rows
     nu = float(p.node_weights.entries[1])
@@ -116,9 +116,6 @@ def _scalar_map(p: ModelParams):
 
 def _map_step(p: ModelParams):
     """The ratio map Phi as a closure over its coefficient rows; no validation."""
-    if p.cv == 1:
-        m = _scalar_map(p)
-        return lambda x: (m(x[0]),)
     rows = p._rows
     nus = tuple(float(v) for v in p.node_weights.entries[1:])
     q, ks = p.q, range(p.cv)

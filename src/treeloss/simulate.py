@@ -47,7 +47,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
 from typing import Optional
 
-from ._num import check_int, map_tasks
+from ._num import check_int, check_nonneg, map_tasks
 from .oracle import _COUNT_CAP, Configuration, _spec_nodes, build_tree, is_feasible
 from .rfmap import ModelParams
 from .treecalc import TreeSpec
@@ -106,9 +106,7 @@ class SimConfig:
         warmup = self.warmup_time
         if warmup is None:
             warmup = 10.0 * (1.0 + _node_rate(self.params) + _edge_rate(self.params))
-        warmup = float(warmup)
-        if not math.isfinite(warmup) or warmup < 0:
-            raise ValueError(f"warmup_time must be finite and >= 0, got {warmup!r}")
+        warmup = check_nonneg("warmup_time", warmup)
         object.__setattr__(self, "warmup_time", warmup)
         horizon = float(self.horizon_time)
         if not math.isfinite(horizon) or horizon <= warmup:
@@ -276,7 +274,7 @@ def _run_slice(cfg: SimConfig, seeds: list) -> list:
     ``seeds``, in order."""
     import numpy as np
 
-    tree, _ = build_tree(cfg.tree, cfg.params.q)
+    tree = build_tree(cfg.tree, cfg.params.q)
     if cfg.node_target not in tree.nodes:
         raise ValueError(f"node target {cfg.node_target!r} not in tree")
     if cfg.edge_target is not None and tuple(sorted(cfg.edge_target)) not in tree.edges:

@@ -17,8 +17,9 @@ rounding and without rebuilding Fractions on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 from pathlib import Path
 
@@ -54,6 +55,7 @@ class WeightVector:
     Invariants: ``entries[0] > 0``, all entries nonnegative and finite, and
     ``partial_sums[k] == partial_sums[k-1] + entries[k]`` by construction
     (running recurrence, so the identity holds exactly even in floats).
+    ``partial_sums`` is derived, so the constructor takes no value for it.
 
     The private attribute ``_exact_sums`` holds ``(D, (N_0, ..., N_top))``,
     the exact partial sums as integer numerators over the least common
@@ -62,7 +64,7 @@ class WeightVector:
     """
 
     entries: tuple
-    partial_sums: tuple = None  # derived; any value passed in is ignored
+    partial_sums: tuple = field(init=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -72,14 +74,8 @@ class WeightVector:
             raise ValueError(f"weight entries must be finite and >= 0: {entries!r}")
         if not entries[0] > 0:
             raise ValueError("entries[0] must be positive (normalize before building)")
-        sums = []
-        acc = entries[0]
-        sums.append(acc)
-        for e in entries[1:]:
-            acc = acc + e
-            sums.append(acc)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "partial_sums", tuple(sums))
+        object.__setattr__(self, "partial_sums", tuple(accumulate(entries)))
         object.__setattr__(self, "_exact_sums", _integer_sums(entries))
 
     def __len__(self) -> int:
@@ -118,12 +114,7 @@ def _integer_sums(entries: tuple) -> tuple[int, tuple]:
         for e in entries
     ]
     d = math.lcm(*(den for _, den in ratios))
-    nums = []
-    acc = 0
-    for num, den in ratios:
-        acc += num * (d // den)
-        nums.append(acc)
-    return d, tuple(nums)
+    return d, tuple(accumulate(num * (d // den) for num, den in ratios))
 
 
 def _rate_series(rate, top_index: int, factorial: bool) -> WeightVector:

@@ -3,7 +3,6 @@ rounding, tree builders."""
 import itertools
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +21,6 @@ from treeloss.oracle import (
     rooted_tree,
     spherical_tree,
 )
-from treeloss import oracle
 from treeloss.oracle import _check_size, _check_spec_size, _spec_nodes
 from treeloss.rfmap import ModelParams
 from treeloss.treecalc import TreeSpec
@@ -332,7 +330,7 @@ class TestGuard:
             for spec in [TreeSpec("rooted", h) for h in range(5)] + [
                 TreeSpec("spherical", r) for r in range(1, 5)
             ]:
-                t, _ = build_tree(spec, q)
+                t = build_tree(spec, q)
                 raw = (cv + 1) ** len(t.nodes) * (ce + 1) ** len(t.edges)
                 assert refuses(lambda: _check_spec_size(p, spec)) == (raw > GUARD_LIMIT)
                 assert refuses(lambda: _check_size(p, len(t.nodes))) == (raw > GUARD_LIMIT)
@@ -378,16 +376,43 @@ class TestFeasibility:
             is_feasible(self.P, self.T, self._cfg(True, 0, 0))
 
 
-def _ref_grow(edges: list, root: int, q: int, height: int, nxt: int) -> int:
-    """The recursive builder the stack-based ``oracle._grow`` replaced; kept as the reference."""
+def _ref_subtrees(edges: list, root: int, q: int, height: int, nxt: int) -> int:
+    """q children under root, each the root of a height-(height-1) subtree, labelled in
+    preorder from nxt by recursion; returns the next free label."""
     if height <= 0:
         return nxt
     for _ in range(q):
-        child = nxt
-        nxt += 1
-        edges.append((root, child))
-        nxt = _ref_grow(edges, child, q, height - 1, nxt)
+        edges.append((root, nxt))
+        nxt = _ref_subtrees(edges, nxt, q, height - 1, nxt + 1)
     return nxt
+
+
+# Each shape written out by its definition, the references for the builders'
+# one stack walk: a rooted tree is root 0 and its subtrees, a ball a center
+# with q + 1 branches, and an edge-centred tree two hubs with q branches each.
+def _ref_rooted(q: int, height: int) -> FiniteTree:
+    edges: list = []
+    n = _ref_subtrees(edges, 0, q, height, 1)
+    return FiniteTree(tuple(range(n)), tuple(edges))
+
+
+def _ref_ball(q: int, radius: int) -> FiniteTree:
+    edges: list = []
+    nxt = 1
+    for _ in range(q + 1):
+        edges.append((0, nxt))
+        nxt = _ref_subtrees(edges, nxt, q, radius - 1, nxt + 1)
+    return FiniteTree(tuple(range(nxt)), tuple(edges))
+
+
+def _ref_edge_centered(q: int, radius: int) -> FiniteTree:
+    edges: list = [(0, 1)]
+    nxt = 2
+    for hub in (0, 1):
+        for _ in range(q):
+            edges.append((hub, nxt))
+            nxt = _ref_subtrees(edges, nxt, q, radius - 1, nxt + 1)
+    return FiniteTree(tuple(range(nxt)), tuple(edges))
 
 
 class TestBuilders:
@@ -408,17 +433,17 @@ class TestBuilders:
         assert len(t.adjacency[1]) == 3
 
     def test_build_tree_dispatch(self):
-        t, center = build_tree(TreeSpec("rooted", 2), q=2)
-        assert center == 0 and len(t.nodes) == 7
-        t, center = build_tree(TreeSpec("spherical", 1), q=2)
-        assert center == 0 and len(t.nodes) == 4
+        t = build_tree(TreeSpec("rooted", 2), q=2)
+        assert t == rooted_tree(2, 2) and len(t.nodes) == 7
+        t = build_tree(TreeSpec("spherical", 1), q=2)
+        assert t == spherical_tree(2, 1) and len(t.nodes) == 4
 
     def test_spec_node_count_is_closed_form(self):
         for q in (1, 2, 3, 5):
             for spec in [TreeSpec("rooted", h) for h in range(5)] + [
                 TreeSpec("spherical", r) for r in range(1, 5)
             ]:
-                assert _spec_nodes(spec, q) == len(build_tree(spec, q)[0].nodes)
+                assert _spec_nodes(spec, q) == len(build_tree(spec, q).nodes)
         assert _spec_nodes(TreeSpec("spherical", 8), 10) == 122_222_222
         assert _spec_nodes(TreeSpec("rooted", 10**18), 1) == 10**18 + 1
         # past 2**64 nodes the count saturates instead of computing a huge power
@@ -426,14 +451,15 @@ class TestBuilders:
         assert _spec_nodes(TreeSpec("rooted", 2), 10**30) == 2**64 + 1
 
     def test_builders_match_the_recursive_reference(self):
-        builders = (rooted_tree, spherical_tree, edge_centered_tree)
+        pairs = (
+            (rooted_tree, _ref_rooted),
+            (spherical_tree, _ref_ball),
+            (edge_centered_tree, _ref_edge_centered),
+        )
         for q in (1, 2, 3):
-            for builder in builders:
+            for builder, reference in pairs:
                 for size in range(builder is not rooted_tree, 5):
-                    got = builder(q, size)
-                    with mock.patch.object(oracle, "_grow", _ref_grow):
-                        want = builder(q, size)
-                    assert got == want
+                    assert builder(q, size) == reference(q, size), (builder, q, size)
 
     def test_deep_path_builds(self):
         # far past Python's recursion limit

@@ -16,6 +16,7 @@ from treeloss.rfmap import (
     UniquenessVerdict,
     _bisect,
     _cross_ratio,
+    _map_step,
     _pair_interaction,
     _scalar_map,
     _scalar_slope,
@@ -578,9 +579,10 @@ class TestScalarPath:
     ])
     @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf])
     def test_scalar_map_equals_vector_formula(self, p, x):
-        got, want = _scalar_map(p)(x), _vector_step(p)((x,))[0]
-        assert got == want or (math.isnan(got) and math.isnan(want))
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        want = _vector_step(p)((x,))[0]
+        for got in (_scalar_map(p)(x), _map_step(p)((x,))[0]):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("fake,parity", [(lambda x: x + 1.0, "even"), (lambda x: -1.0, "odd")])
     def test_sandwich_breach_raises(self, monkeypatch, fake, parity):

@@ -194,7 +194,7 @@ def _sim_configs(draw):
     params = ModelParams(q, cap, cv, ce, node_weights, poisson_weights(lam, ce))
     kind = draw(st.sampled_from(["rooted", "spherical"]))
     spec = TreeSpec(kind, draw(st.integers(0 if kind == "rooted" else 1, 2)))
-    tree, _ = build_tree(spec, q)
+    tree = build_tree(spec, q)
     warmup = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.5, 20.0)))
     start = 10.0 * (1.0 + nu + (lam if ce else 0.0)) if warmup is None else warmup
     edge_target = None

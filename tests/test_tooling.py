@@ -2,13 +2,16 @@
 caller outside its module, no module imports scipy or a memo decorator, the
 count rule (an int, not a bool, within bounds) and the fork of a worker
 process are each written once, in ``_num``, the edge budget rule once, in
-``weights``, and the map's row sums once, in ``rfmap``, and no float result
-depends on the builtin ``sum``."""
+``weights``, and the map's row sums once, in ``rfmap``, no float result
+depends on the builtin ``sum``, and the README's Python examples run."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,9 +64,29 @@ def _python_sources() -> list:
     files = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"),
              ROOT / "tests" / "test_acceptance.py"]
     sources += [(None, f.read_text(encoding="utf-8")) for f in files]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sources += [(None, block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    sources += [(None, block) for block in _readme_python_blocks()]
     return sources
+
+
+def _readme_python_blocks() -> list:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def test_readme_python_examples_run():
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    outputs = []
+    for block in _readme_python_blocks():
+        proc = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs) == 2
+    quickstart, cross_check = outputs
+    assert quickstart[:2] == ["True 26.770974722340235 90.72625356427147", "multiple"]
+    assert len(cross_check) == 1 and cross_check[0].startswith("True ")
 
 
 def test_every_exported_function_has_a_caller():

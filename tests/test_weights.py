@@ -28,9 +28,14 @@ class TestConstruction:
         assert w.top_index == 2
         assert len(w) == 3
 
-    def test_passed_partial_sums_are_ignored(self):
-        w = WeightVector((1.0, 1.0), partial_sums=(5.0, 9.0))
-        assert w.partial_sums == (1.0, 2.0)
+    def test_passed_partial_sums_are_refused(self):
+        with pytest.raises(TypeError):
+            WeightVector((1.0, 1.0), partial_sums=(5.0, 9.0))
+        with pytest.raises(TypeError):
+            WeightVector((1, 2), (7, 7))
+        assert WeightVector((1.0, 1.0)).partial_sums == (1.0, 2.0)
+        w = dataclasses.replace(WeightVector((1, 2)), entries=(1.0, 1.0))
+        assert w.partial_sums == (1.0, 2.0) and w == WeightVector((1.0, 1.0))
 
     def test_rational_entries_stay_rational(self):
         w = WeightVector((Fraction(1), Fraction(3, 4)))
