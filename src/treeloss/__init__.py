@@ -32,11 +32,11 @@ _EXPORTS = {
         "phase_window", "poisson_window_statistic", "ratio_map_derivative", "schwarzian",
     ),
     "treecalc": (
-        "NormalizedState", "TreeSpec", "center_occupancy", "multicast_blocking",
-        "rooted_state", "unicast_blocking",
+        "NormalizedState", "center_occupancy", "multicast_blocking", "rooted_state",
+        "unicast_blocking",
     ),
     "oracle": (
-        "Configuration", "FiniteTree", "TreeTooLargeError", "edge_centered_tree",
+        "Configuration", "FiniteTree", "TreeSpec", "TreeTooLargeError", "edge_centered_tree",
         "exact_blocking", "exact_partition", "is_feasible",
         "occupancy_distribution", "rooted_tree", "spherical_tree",
     ),

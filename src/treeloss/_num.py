@@ -21,8 +21,22 @@ def check_int(name: str, value, least: int, most: int | None = None) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def pool_size(jobs: int, tasks: int) -> int:
+    """The processes ``map_tasks`` runs ``tasks`` tasks on: ``jobs``, capped at
+    the task count and at the usable CPUs, since more would only share them."""
+    return min(jobs, tasks, _usable_cpus())
+
+
 def map_tasks(fn, tasks: list, jobs: int) -> list:
-    """``[fn(t) for t in tasks]``, on w = min(jobs, len(tasks)) processes.
+    """``[fn(t) for t in tasks]``, on w = ``pool_size(jobs, len(tasks))`` processes.
 
     This process is worker 0 and forks w - 1 children, so it needs
     ``os.fork`` (Linux or macOS); a fork copies only the calling thread, so
@@ -34,7 +48,7 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
     re-raises the exception of the lowest failing index, so the output and
     error messages are those of the serial loop for any ``jobs``.
     """
-    w = min(jobs, len(tasks))
+    w = pool_size(jobs, len(tasks))
     if w <= 1:
         return [fn(t) for t in tasks]
     import pickle  # only a forking run pays for it

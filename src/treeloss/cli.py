@@ -10,6 +10,11 @@ Exit codes: 0 success, 1 selftest failure, 2 usage/validation error,
 
 A command imports the model modules it calls (phase1d, treecalc, oracle,
 simulate) when it runs, so each process loads only what its command uses.
+The library makes the decisions a Python caller needs too: ``phase_window``
+refuses a window its floats cannot carry, ``_num.map_tasks`` caps every
+``--jobs`` pool at the usable CPUs, and ``simulate.run`` starts no BLAS
+thread before it forks. This module parses and checks the flags, calls the
+library and emits its results.
 """
 
 from __future__ import annotations
@@ -17,15 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
 
 from . import __version__
-from ._num import check_int, map_tasks
-from .rfmap import ModelParams, classify_by_iteration, conjugate_maps, interaction_map, random_field_map
+from ._num import _usable_cpus, check_int, map_tasks
+from .rfmap import (
+    ModelParams, Uniqueness, classify_by_iteration, conjugate_maps, interaction_map,
+    random_field_map,
+)
 from .rfmap import _check_finite_sums, _check_iteration
 from .weights import (
     AssumptionViolation, WeightVector, geometric_weights, load_weight_file, poisson_weights,
@@ -140,24 +147,10 @@ def _cmd_classify(args) -> int:
     return _emit_json(args, payload)
 
 
-def _float_window(phase_window, q: int, cap: int, edge: WeightVector):
-    """``phase_window(q, cap, edge)``, refusing weights whose window floats
-    overflow or vanish. The caller passes ``phase1d.phase_window``, imported
-    once per command rather than once per grid row."""
-    try:
-        win = phase_window(q, cap, edge)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"edge weights too extreme for a float window: {exc}") from exc
-    # nu_plus bounds nu_minus, and _num.power saturates to inf instead of raising
-    if win.present and not math.isfinite(win.nu_plus):
-        raise ValueError("edge weights too extreme for a float window: nu_plus is not finite")
-    return win
-
-
 def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
     from .phase1d import phase_window
 
-    win = _float_window(phase_window, q, cap, edge)
+    win = phase_window(q, cap, edge)
     payload = {
         "condition_a": win.present,
         "boundary": win.boundary,
@@ -183,7 +176,7 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_blocking_curve(args) -> int:
-    from .treecalc import _curve_point
+    from .treecalc import _multicast_blocking_at
 
     ce = _edge_cap(args)
     edge = _edge_family(args.weights, args.lam, ce)  # built once, before any output
@@ -201,14 +194,20 @@ def _cmd_blocking_curve(args) -> int:
         _check_finite_sums(p)
 
     def row(task) -> tuple:
-        pt = _curve_point(*task, args.tol, args.sep, args.max_iter)
+        # nu classified on its model p, blocking at each parity's limit
+        nu, p = task
+        verdict = classify_by_iteration(p, tol=args.tol, sep=args.sep, max_iter=args.max_iter)
+        if verdict.kind is Uniqueness.UNIQUE:
+            xi_even = xi_odd = verdict.fixed_point
+        else:
+            xi_even, xi_odd = verdict.even_limit, verdict.odd_limit
         return (
-            pt.nu,
-            pt.kind.value,
-            pt.beta_even,
-            pt.beta_odd,
-            ";".join(_fmt(x) for x in pt.xi_even),
-            ";".join(_fmt(x) for x in pt.xi_odd),
+            nu,
+            verdict.kind.value,
+            _multicast_blocking_at(p, xi_even),
+            _multicast_blocking_at(p, xi_odd),
+            ";".join(_fmt(x) for x in xi_even),
+            ";".join(_fmt(x) for x in xi_odd),
         )
 
     rows = map_tasks(row, list(zip(nus, models)), _workers(args))
@@ -227,7 +226,7 @@ def _cmd_sweep_region(args) -> int:
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
 
     def row(lam) -> tuple:
-        win = _float_window(phase_window, q, cap, _edge_family(family, lam, cap))
+        win = phase_window(q, cap, _edge_family(family, lam, cap))
         if win.present:
             return (lam, True, win.nu_minus, win.nu_plus)
         return (lam, False, None, None)
@@ -240,7 +239,7 @@ def _cmd_sweep_region(args) -> int:
 
 
 def _tree_spec(args):
-    from .treecalc import TreeSpec
+    from .oracle import TreeSpec
 
     if (args.height is None) == (args.radius is None):
         raise ValueError("give exactly one of --height (rooted) or --radius (spherical)")
@@ -271,23 +270,10 @@ def _cmd_enumerate(args) -> int:
     return _emit_json(args, payload)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on (its affinity mask)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _workers(args) -> int:
-    """Worker processes for ``--jobs``: an int >= 1, capped at the usable CPUs
-    (all of them when the flag is unset); the output is the same for any count."""
-    cpus = _usable_cpus()
-    return cpus if args.jobs is None else min(check_int("--jobs", args.jobs, 1), cpus)
-
-
-# the variables that size numpy's BLAS thread pool, which starts on import
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    """``--jobs``, an int >= 1, or all the usable CPUs when the flag is unset;
+    ``map_tasks`` caps it at them, and the output is the same for any count."""
+    return _usable_cpus() if args.jobs is None else check_int("--jobs", args.jobs, 1)
 
 
 def _cmd_simulate(args) -> int:
@@ -305,11 +291,6 @@ def _cmd_simulate(args) -> int:
         replications=args.reps,
         seed=args.seed,
     )
-    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
-        # a fork copies only the calling thread: start no BLAS thread before the workers fork
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        import numpy  # noqa: F401
-        del os.environ["OPENBLAS_NUM_THREADS"]
     stats = simulate.run(cfg, jobs)
     payload = {
         f.name: _jsonable(getattr(stats, f.name))

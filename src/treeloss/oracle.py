@@ -21,12 +21,12 @@ from fractions import Fraction
 
 from ._num import check_int, is_int
 from .rfmap import ModelParams
-from .treecalc import TreeSpec
 from .weights import _clipped_rows
 
 __all__ = [
     "GUARD_LIMIT",
     "TreeTooLargeError",
+    "TreeSpec",
     "FiniteTree",
     "Configuration",
     "rooted_tree",
@@ -103,6 +103,22 @@ class FiniteTree:
 
     def edge_index(self, e) -> int:
         return self.edges.index(tuple(sorted(e)))
+
+
+@dataclass(frozen=True)
+class TreeSpec:
+    """Finite tree family selector: kind ``rooted`` (height) or ``spherical`` (radius)."""
+
+    kind: str
+    size: int
+
+    def __post_init__(self):
+        if self.kind not in ("rooted", "spherical"):
+            raise ValueError(f"kind must be 'rooted' or 'spherical', got {self.kind!r}")
+        if self.kind == "rooted":
+            check_int("rooted height", self.size, 0)
+        else:
+            check_int("spherical radius", self.size, 1)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,9 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     coefficients a2, a1, a0 (times D**2) and the discriminant (times D**4)
     are exact integers, so every sign is exact; each float is a correctly
     rounded quotient of two of them, the value ``float(Fraction)`` gives.
+
+    Weights whose window floats overflow, vanish or saturate to inf raise
+    ValueError: a float window cannot carry them.
     """
     d, n0, n1, n2 = _require_assumption(q, cap, w)
     margin = _condition_a_numerator(q, n0, n1, n2)
@@ -199,13 +202,19 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
             "internal consistency: window inequality holds but the quadratic "
             f"does not have two positive roots (disc={disc / (dd * dd)}, a1={a1 / dd})"
         )
-    alpha_plus = (-a1 / dd + math.sqrt(disc / (dd * dd))) / (2.0 * (a2 / dd))
-    alpha_minus = (a0 / a2) / alpha_plus
-    lams = tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))  # S_{cap-2}, S_{cap-1}, S_cap
-    nu_minus = _nu_of(q, lams, alpha_minus)
-    nu_plus = _nu_of(q, lams, alpha_plus)
+    try:
+        alpha_plus = (-a1 / dd + math.sqrt(disc / (dd * dd))) / (2.0 * (a2 / dd))
+        alpha_minus = (a0 / a2) / alpha_plus
+        lams = tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))  # S_{cap-2}, S_{cap-1}, S_cap
+        nu_minus = _nu_of(q, lams, alpha_minus)
+        nu_plus = _nu_of(q, lams, alpha_plus)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"edge weights too extreme for a float window: {exc}") from exc
     if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
         raise RuntimeError("internal consistency: window endpoints out of order")
+    # nu_plus bounds nu_minus, and _num.power saturates to inf instead of raising
+    if not math.isfinite(nu_plus):
+        raise ValueError("edge weights too extreme for a float window: nu_plus is not finite")
     return PhaseWindow(
         present=True,
         alpha_minus=alpha_minus,

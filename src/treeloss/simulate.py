@@ -23,11 +23,14 @@ Estimates use arrival counting (admitted/offered) after a warmup interval,
 plus the time-averaged occupancy of a designated center node. Replications
 run on independent counter-based RNG streams spawned from one seed, so
 results are reproducible bit-for-bit. ``run(cfg, jobs)`` splits them into
-``jobs`` contiguous slices, one per worker (this process and ``jobs - 1``
-forked children, through ``_num.map_tasks``), each worker building the tree
-once, and joins the slices in replication order before aggregating, so every
+w contiguous slices, w = ``jobs`` capped at the replications and the usable
+CPUs (``_num.pool_size``), one per worker (this process and w - 1 forked
+children, through ``_num.map_tasks``), each worker building the tree once,
+and joins the slices in replication order before aggregating, so every
 estimate is the same float for any number of workers (independent
-replications in parallel, Heidelberger 1988).
+replications in parallel, Heidelberger 1988). A fork copies only the
+calling thread, so a run that forks imports numpy, if it is not loaded yet,
+with one BLAS thread, and the workers inherit it.
 
 Each replication draws standard exponentials from its stream in blocks of
 ``_BLOCK`` and forms an exponential of rate r as ``(1.0 / r) * e``. numpy's
@@ -41,16 +44,17 @@ are bit-identical to drawing one value per event.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
 from typing import Optional
 
-from ._num import check_int, check_nonneg, map_tasks
-from .oracle import _COUNT_CAP, Configuration, _spec_nodes, build_tree, is_feasible
+from ._num import check_int, check_nonneg, map_tasks, pool_size
+from .oracle import _COUNT_CAP, Configuration, TreeSpec, _spec_nodes, build_tree, is_feasible
 from .rfmap import ModelParams
-from .treecalc import TreeSpec
 
 __all__ = [
     "SimConfig",
@@ -72,6 +76,8 @@ _MAX_NODES = 10**5
 _MAX_REPLICATIONS = 10**5
 _SERVICE_MODES = ("per_call", "shared_server")
 _DURATION_MODES = ("exponential", "deterministic")
+# the variables that size numpy's BLAS thread pool, which starts on import
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -283,19 +289,25 @@ def _run_slice(cfg: SimConfig, seeds: list) -> list:
 
 
 def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
-    """Simulate ``cfg`` on ``jobs`` processes (1: this one alone).
+    """Simulate ``cfg`` on up to ``jobs`` processes (1: this one alone).
 
-    The replications are split into min(jobs, replications) contiguous
-    slices and joined back in order, so the result is the same for any
-    ``jobs``.
+    The replications are split into ``pool_size(jobs, replications)``
+    contiguous slices and joined back in order, so the result is the same
+    for any ``jobs``.
     """
-    # imported here so the analytic commands start without it, and before the
-    # workers fork, so they inherit it
+    check_int("jobs", jobs, 1)
+    workers = pool_size(jobs, cfg.replications)
+    # numpy is imported here so the analytic commands start without it, and
+    # before the workers fork, so they inherit it; a fork copies only the
+    # calling thread, so no BLAS thread may start before it
+    blas_set = any(v in os.environ for v in _BLAS_THREAD_VARS)
+    if workers > 1 and "numpy" not in sys.modules and not blas_set:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        import numpy  # noqa: F401
+        del os.environ["OPENBLAS_NUM_THREADS"]
     import numpy as np
 
-    check_int("jobs", jobs, 1)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    workers = min(jobs, cfg.replications)
     cuts = [cfg.replications * k // workers for k in range(workers + 1)]
     slices = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
     reps = [rep for part in map_tasks(partial(_run_slice, cfg), slices, workers) for rep in part]
@@ -358,9 +370,16 @@ def _zscore(estimate: float, reference: float, stderr: float) -> float:
     return (estimate - reference) / stderr
 
 
-def _build_report(entries: list) -> CompareReport:
+def _report(rows) -> CompareReport:
+    """Z-score each (name, estimate, reference, stderr) of ``rows``, in order.
+
+    Passes when at least 95% of the quantities lie within 3 standard errors.
+    """
+    entries = tuple(CompareEntry(*row, _zscore(*row[1:])) for row in rows)
+    if not entries:
+        raise ValueError("nothing to compare")
     frac = sum(e.ok for e in entries) / len(entries)
-    return CompareReport(tuple(entries), frac, frac >= 0.95)
+    return CompareReport(entries, frac, frac >= 0.95)
 
 
 def compare(stats: SimStats, exact: dict) -> CompareReport:
@@ -377,40 +396,36 @@ def compare(stats: SimStats, exact: dict) -> CompareReport:
         raise ValueError(f"unknown comparison targets: {sorted(unknown)}")
     if not exact:
         raise ValueError("no comparison targets given")
-    entries = []
-    for name in ("node_beta", "edge_beta"):
-        if name in exact:
-            ref = float(exact[name])
-            est, se = getattr(stats, name), getattr(stats, f"{name}_se")
-            entries.append(CompareEntry(name, est, ref, se, _zscore(est, ref, se)))
-    if "occupancy" in exact:
-        ref = tuple(float(x) for x in exact["occupancy"])
-        if len(ref) != len(stats.occupancy):
-            raise ValueError("occupancy reference has the wrong length")
-        for i, (est, rx, se) in enumerate(zip(stats.occupancy, ref, stats.occupancy_se)):
-            entries.append(
-                CompareEntry(f"occupancy[{i}]", est, rx, se, _zscore(est, rx, se))
-            )
-    return _build_report(entries)
+
+    def rows():
+        for name in ("node_beta", "edge_beta"):
+            if name in exact:
+                ref = float(exact[name])
+                yield name, getattr(stats, name), ref, getattr(stats, f"{name}_se")
+        if "occupancy" in exact:
+            ref = tuple(float(x) for x in exact["occupancy"])
+            if len(ref) != len(stats.occupancy):
+                raise ValueError("occupancy reference has the wrong length")
+            for i, row in enumerate(zip(stats.occupancy, ref, stats.occupancy_se)):
+                yield (f"occupancy[{i}]", *row)
+
+    return _report(rows())
 
 
 def compare_runs(a: SimStats, b: SimStats) -> CompareReport:
     """Z-score two runs against each other with pooled standard errors."""
     if len(a.occupancy) != len(b.occupancy):
         raise ValueError("runs have different occupancy supports")
-    entries = []
-    for name in ("node_beta", "edge_beta"):
-        x, sx = getattr(a, name), getattr(a, f"{name}_se")
-        y, sy = getattr(b, name), getattr(b, f"{name}_se")
-        if math.isnan(x) and math.isnan(y):
-            continue
-        se = math.sqrt(sx**2 + sy**2)
-        entries.append(CompareEntry(name, x, y, se, _zscore(x, y, se)))
-    for i, (x, y, sx, sy) in enumerate(
-        zip(a.occupancy, b.occupancy, a.occupancy_se, b.occupancy_se)
-    ):
-        se = math.sqrt(sx**2 + sy**2)
-        entries.append(CompareEntry(f"occupancy[{i}]", x, y, se, _zscore(x, y, se)))
-    if not entries:
-        raise ValueError("nothing to compare")
-    return _build_report(entries)
+
+    def rows():
+        for name in ("node_beta", "edge_beta"):
+            x, sx = getattr(a, name), getattr(a, f"{name}_se")
+            y, sy = getattr(b, name), getattr(b, f"{name}_se")
+            if not (math.isnan(x) and math.isnan(y)):
+                yield name, x, y, math.sqrt(sx**2 + sy**2)
+        for i, (x, y, sx, sy) in enumerate(
+            zip(a.occupancy, b.occupancy, a.occupancy_se, b.occupancy_se)
+        ):
+            yield f"occupancy[{i}]", x, y, math.sqrt(sx**2 + sy**2)
+
+    return _report(rows())

@@ -14,6 +14,9 @@ the edge-symmetric tree (two adjacent hubs, each carrying q subtrees), whose
 joint law factorizes over the two sides. All read the map's row sums T_k
 (``rfmap._row_sums``) at the subtree ratios: T_i weighs the subtrees of a center
 at occupancy i, T_{i+1} them when one more call takes a unit of each edge budget.
+A blocking curve needs no type of its own: the ``blocking-curve`` command
+classifies each node rate with ``rfmap.classify_by_iteration`` and evaluates
+``_multicast_blocking_at`` at the limit of each parity.
 """
 
 from __future__ import annotations
@@ -22,41 +25,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._num import check_int, log_sum_exp, power
-from .rfmap import (
-    ModelParams,
-    Uniqueness,
-    _check_finite_sums,
-    _map_step,
-    _row_sums,
-    classify_by_iteration,
-)
+from ._num import check_int, log_sum_exp
+from .rfmap import ModelParams, _check_finite_sums, _map_step, _row_sums
 from .weights import _clipped_rows
 
 __all__ = [
-    "TreeSpec",
     "NormalizedState",
     "rooted_state",
     "center_occupancy",
     "multicast_blocking",
     "unicast_blocking",
 ]
-
-
-@dataclass(frozen=True)
-class TreeSpec:
-    """Finite tree family selector: kind ``rooted`` (height) or ``spherical`` (radius)."""
-
-    kind: str
-    size: int
-
-    def __post_init__(self):
-        if self.kind not in ("rooted", "spherical"):
-            raise ValueError(f"kind must be 'rooted' or 'spherical', got {self.kind!r}")
-        if self.kind == "rooted":
-            check_int("rooted height", self.size, 0)
-        else:
-            check_int("spherical radius", self.size, 1)
 
 
 @dataclass(frozen=True)
@@ -163,33 +142,3 @@ def unicast_blocking(p: ModelParams, radius: int) -> float:
     """
     return _unicast_blocking_at(p, _subtree_xi(p, radius))
 
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One nu on a blocking curve; two branches when the limiting law splits."""
-
-    nu: float
-    kind: Uniqueness
-    beta_even: float
-    beta_odd: float
-    xi_even: tuple
-    xi_odd: tuple
-    iterations: int
-
-
-def _curve_point(nu: float, p: ModelParams, tol: float, sep: float, max_iter: int) -> CurvePoint:
-    """One blocking-curve point: nu classified on its model p, beta at each parity's limit."""
-    verdict = classify_by_iteration(p, tol=tol, sep=sep, max_iter=max_iter)
-    if verdict.kind is Uniqueness.UNIQUE:
-        xi_even = xi_odd = verdict.fixed_point
-    else:
-        xi_even, xi_odd = verdict.even_limit, verdict.odd_limit
-    return CurvePoint(
-        nu=float(nu),
-        kind=verdict.kind,
-        beta_even=_multicast_blocking_at(p, xi_even),
-        beta_odd=_multicast_blocking_at(p, xi_odd),
-        xi_even=xi_even,
-        xi_odd=xi_odd,
-        iterations=verdict.iterations,
-    )

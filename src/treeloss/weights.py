@@ -1,7 +1,7 @@
 """Activity weight vectors and their cached partial sums.
 
 A weight vector assigns a nonnegative activity ``w[i]`` to each occupancy
-level ``i = 0 .. top_index`` of a network element, with ``w[0] > 0``.
+level ``i = 0 .. len(w) - 1`` of a network element, with ``w[0] > 0``.
 Partial sums ``S_k = w[0] + ... + w[k]`` are cached at construction because
 every downstream formula consumes partial sums, never the raw entries.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from numbers import Rational
 from pathlib import Path
@@ -80,19 +79,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def top_index(self) -> int:
-        return len(self.entries) - 1
-
-    def partial_sum(self, k: int):
-        """S_k = entries[0] + ... + entries[k]; k outside [0, top_index] is rejected."""
-        return self.partial_sums[check_int("partial sum index", k, 0, self.top_index)]
-
-    def exact_partial_sum(self, k: int) -> Fraction:
-        """S_k as the exact rational the entries sum to (float entries included)."""
-        d, nums = self._exact_sums
-        return Fraction(nums[check_int("partial sum index", k, 0, self.top_index)], d)
 
 
 def _clipped_rows(seq, cap: int, cv: int, ce: int) -> tuple:

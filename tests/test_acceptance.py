@@ -17,6 +17,7 @@ from treeloss.oracle import (
     occupancy_distribution,
     rooted_tree,
     spherical_tree,
+    TreeSpec,
     TreeTooLargeError,
 )
 from treeloss.phase1d import (
@@ -40,7 +41,6 @@ from treeloss.rfmap import (
 )
 from treeloss.simulate import SimConfig, compare, compare_runs, run as sim_run
 from treeloss.treecalc import (
-    TreeSpec,
     center_occupancy,
     multicast_blocking,
     rooted_state,

@@ -12,12 +12,11 @@ import pytest
 
 import treeloss
 from treeloss import __version__, _num, rfmap, treecalc
-from treeloss.cli import _BLAS_THREAD_VARS, _usable_cpus, main
-from treeloss.oracle import exact_blocking, exact_partition, spherical_tree
+from treeloss.cli import main
+from treeloss.oracle import TreeSpec, exact_blocking, exact_partition, spherical_tree
 from treeloss.phase1d import phase_window
 from treeloss.rfmap import ModelParams
-from treeloss.simulate import SimConfig, run as sim_run
-from treeloss.treecalc import TreeSpec
+from treeloss.simulate import _BLAS_THREAD_VARS, SimConfig, run as sim_run
 from treeloss.weights import load_weight_file, poisson_weights
 
 from test_phase1d import _ref_phase_window
@@ -135,7 +134,7 @@ class TestWindowCommand:
     ])
     def test_extreme_weights_are_usage_error(self, capsys, tmp_path, q, entries, reason):
         # the window's floats overflow (first) or its leading coefficient
-        # underflows to zero (second); phase_window itself still raises
+        # underflows to zero (second); phase_window refuses both
         wf = tmp_path / "w.txt"
         wf.write_text("\n".join(entries) + "\n")
         code, out, err = _run(
@@ -148,8 +147,9 @@ class TestWindowCommand:
     @pytest.mark.parametrize("q", ["500", "1000"])
     def test_infinite_endpoint_is_usage_error(self, capsys, q):
         # nu_plus (q = 500) or both endpoints (q = 1000) saturate to inf, which
-        # phase_window returns and JSON cannot carry
-        assert phase_window(int(q), 2, poisson_weights(7.0, 2)).nu_plus == math.inf
+        # JSON cannot carry, so phase_window refuses them
+        with pytest.raises(ValueError, match="nu_plus is not finite"):
+            phase_window(int(q), 2, poisson_weights(7.0, 2))
         assert _run(capsys, "window", "--q", q, "--cap", "2", "--lam", "7") == (
             2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n"
         )
@@ -774,8 +774,9 @@ class TestSimulateCommand:
         assert seen == [len(os.sched_getaffinity(0))]
 
     def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        # the default --jobs on a platform without an affinity call
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert _usable_cpus() == (os.cpu_count() or 1)
+        assert _num._usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs_refused_before_tree_or_pool(self, capsys, monkeypatch, jobs):
@@ -912,15 +913,14 @@ class TestWorkerCount:
         TestSimulateCommand.ARGS,
     ])
     @pytest.mark.parametrize("jobs,workers", [("1", 1), ("2", 2), ("100000", 2)])
-    def test_jobs_capped_at_the_usable_cpus(self, capsys, monkeypatch, argv, jobs, workers):
-        seen = []
-        monkeypatch.setattr("treeloss.cli._usable_cpus", lambda: 2)
-        monkeypatch.setattr(
-            "treeloss.cli.map_tasks",
-            lambda fn, tasks, jobs: seen.append(jobs) or [fn(t) for t in tasks],
-        )
-        monkeypatch.setattr(
-            "treeloss.simulate.run", lambda cfg, jobs: seen.append(jobs) or sim_run(cfg)
-        )
-        assert _run(capsys, *argv, "--jobs", jobs)[0] == 0
-        assert seen == [workers]
+    def test_jobs_capped_at_the_usable_cpus(
+        self, capsys, monkeypatch, stub_fork, argv, jobs, workers
+    ):
+        monkeypatch.setattr(_num, "_usable_cpus", lambda: 2)
+        if workers == 1:
+            assert _run(capsys, *argv, "--jobs", jobs)[0] == 0
+        else:
+            with pytest.raises(RuntimeError, match="sent no results"):
+                main([*argv, "--jobs", jobs, "--out", os.devnull])
+        assert len(stub_fork) == workers - 1
+

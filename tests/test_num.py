@@ -6,7 +6,14 @@ import time
 
 import pytest
 
+from treeloss import _num
 from treeloss._num import map_tasks
+
+
+@pytest.fixture(autouse=True)
+def cpus(monkeypatch):
+    """Eight usable CPUs, so each pool below runs on the workers it asks for."""
+    monkeypatch.setattr(_num, "_usable_cpus", lambda: 8)
 
 
 @pytest.fixture(autouse=True)
@@ -102,3 +109,16 @@ def test_an_interrupt_ends_children_still_computing():
     with pytest.raises(KeyboardInterrupt):
         map_tasks(fn, [0, 1, 2], 3)
     assert time.monotonic() - t0 < 10
+
+
+@pytest.mark.parametrize("cpus,children", [(1, 0), (3, 2)])
+def test_jobs_above_the_usable_cpus_fork_cpus_minus_one_children(
+    monkeypatch, stub_fork, cpus, children
+):
+    monkeypatch.setattr(_num, "_usable_cpus", lambda: cpus)
+    if children:
+        with pytest.raises(RuntimeError, match="sent no results"):
+            map_tasks(abs, list(range(100)), 10**5)
+    else:
+        assert map_tasks(abs, list(range(-3, 3)), 10**5) == [3, 2, 1, 0, 1, 2]
+    assert len(stub_fork) == children

@@ -11,6 +11,7 @@ from treeloss.oracle import (
     GUARD_LIMIT,
     Configuration,
     FiniteTree,
+    TreeSpec,
     TreeTooLargeError,
     build_tree,
     edge_centered_tree,
@@ -23,7 +24,6 @@ from treeloss.oracle import (
 )
 from treeloss.oracle import _check_size, _check_spec_size, _spec_nodes
 from treeloss.rfmap import ModelParams
-from treeloss.treecalc import TreeSpec
 from treeloss.weights import WeightVector, poisson_weights
 
 

@@ -48,9 +48,15 @@ def _lams(cap, w):
     return tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))
 
 
+def _exact_sum(w, k):
+    """S_k as the exact rational the entries sum to (float entries included)."""
+    d, nums = w._exact_sums
+    return Fraction(nums[k], d)
+
+
 def _log_concavity_margin(w, cap):
     """S_{cap-1}**2 - S_cap S_{cap-2}, exactly: condition_a_margin at q = 1 is -4 S_cap S_{cap-2}."""
-    return (condition_a_margin(1, cap, w) + 4 * w.exact_partial_sum(cap - 1) ** 2) / 4
+    return (condition_a_margin(1, cap, w) + 4 * _exact_sum(w, cap - 1) ** 2) / 4
 
 
 def _mp_map(p):
@@ -117,7 +123,7 @@ class TestDerivatives:
         # S_c S_{c-2} - S_{c-1}**2 as a float difference loses most digits
         q, cap, nu, x = 5, 6, 3.0, 5.54
         p = PhaseParams(q=q, cap=cap, edge_weights=poisson_weights(0.0873, cap), nu=nu)
-        sm2, sm1, sc = (p.edge_weights.exact_partial_sum(k) for k in (cap - 2, cap - 1, cap))
+        sm2, sm1, sc = (_exact_sum(p.edge_weights, k) for k in (cap - 2, cap - 1, cap))
         fx = Fraction(x)
         g = (sm1 + fx * sm2) / (sc + fx * sm1)
         log_slope = (sm2 * sc - sm1 * sm1) / ((sm1 + fx * sm2) * (sc + fx * sm1))
@@ -286,6 +292,20 @@ class TestWindow:
             win.alpha_minus * win.alpha_plus, float(s[2] / s[0]), rel_tol=1e-12
         )
 
+    @pytest.mark.parametrize("q,w,reason", [
+        # nu_plus saturates to inf at this branching
+        (300, geometric_weights(20.0, 2), "nu_plus is not finite"),
+        # the coefficients over D**2 are beyond the float range
+        (6, poisson_weights(1e100, 2), "integer division result too large for a float"),
+        # the leading coefficient over D**2 underflows to zero
+        (49, WeightVector((1.2885089446087878e-284, 2.806662057886418e-181,
+                           2.1783822470271507e-139)), "float division by zero"),
+    ])
+    def test_window_beyond_the_float_range_is_refused(self, q, w, reason):
+        with pytest.raises(ValueError) as err:
+            phase_window(q, 2, w)
+        assert str(err.value) == f"edge weights too extreme for a float window: {reason}"
+
     @given(st.integers(7, 25), st.floats(min_value=6.2, max_value=20.0))
     def test_endpoints_bracket_a_multiple_point(self, q, rate):
         w = poisson_weights(rate, 2)
@@ -374,8 +394,8 @@ class TestAssumptions:
 def _ref_exact_partial_sum(w, k):
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"partial sum index must be an int, got {k!r}")
-    if not 0 <= k <= w.top_index:
-        raise ValueError(f"partial sum index {k} outside [0, {w.top_index}]")
+    if not 0 <= k < len(w):
+        raise ValueError(f"partial sum index {k} outside [0, {len(w) - 1}]")
     total = Fraction(0)
     for e in w.entries[: k + 1]:
         total += Fraction(e)
@@ -385,8 +405,8 @@ def _ref_exact_partial_sum(w, k):
 def _ref_log_concavity_margin(w, cap):
     if not (isinstance(cap, int) and cap >= 2):
         raise ValueError(f"cap must be an int >= 2, got {cap!r}")
-    if w.top_index < cap:
-        raise ValueError(f"need entries up to index {cap}, have {w.top_index}")
+    if len(w) <= cap:
+        raise ValueError(f"need entries up to index {cap}, have {len(w) - 1}")
     s = lambda k: _ref_exact_partial_sum(w, k)  # noqa: E731
     return s(cap - 1) ** 2 - s(cap) * s(cap - 2)
 
@@ -417,7 +437,7 @@ def _ref_nu_of_fixed_point(q, cap, w, x):
     x = float(x)
     if not (x >= 0.0 and math.isfinite(x)):
         raise ValueError(f"evaluation point must be finite and >= 0, got {x!r}")
-    sm2, sm1, sc = (float(w.partial_sum(k)) for k in (cap - 2, cap - 1, cap))
+    sm2, sm1, sc = (float(w.partial_sums[k]) for k in (cap - 2, cap - 1, cap))
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
 
 
@@ -435,12 +455,17 @@ def _ref_phase_window(q, cap, w):
     disc = a1 * a1 - 4 * a2 * a0
     if disc <= 0 or a1 >= 0:
         raise RuntimeError("internal consistency")
-    alpha_plus = (float(-a1) + math.sqrt(float(disc))) / (2.0 * float(a2))
-    alpha_minus = float(a0 / a2) / alpha_plus
-    nu_minus = _ref_nu_of_fixed_point(q, cap, w, alpha_minus)
-    nu_plus = _ref_nu_of_fixed_point(q, cap, w, alpha_plus)
+    try:
+        alpha_plus = (float(-a1) + math.sqrt(float(disc))) / (2.0 * float(a2))
+        alpha_minus = float(a0 / a2) / alpha_plus
+        nu_minus = _ref_nu_of_fixed_point(q, cap, w, alpha_minus)
+        nu_plus = _ref_nu_of_fixed_point(q, cap, w, alpha_plus)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError("edge weights too extreme for a float window") from exc
     if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
         raise RuntimeError("internal consistency: window endpoints out of order")
+    if not math.isfinite(nu_plus):
+        raise ValueError("edge weights too extreme for a float window: nu_plus is not finite")
     return PhaseWindow(True, False, alpha_minus, alpha_plus, nu_minus, nu_plus)
 
 
@@ -464,8 +489,8 @@ def _assert_matches_reference(q, cap, w):
     assert _outcome(condition_a_margin, q, cap, w) == _outcome(_ref_condition_a_margin, q, cap, w)
     if len(w) == cap + 1:  # condition_a_margin takes exactly cap + 1 entries
         assert _outcome(_log_concavity_margin, w, cap) == _outcome(_ref_log_concavity_margin, w, cap)
-    for k in range(-1, len(w) + 1):
-        assert _outcome(w.exact_partial_sum, k) == _outcome(_ref_exact_partial_sum, w, k)
+    for k in range(len(w)):
+        assert _exact_sum(w, k) == _ref_exact_partial_sum(w, k)
 
 
 _ENTRY = st.one_of(

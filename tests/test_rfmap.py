@@ -602,7 +602,7 @@ class TestScalarPath:
     def test_cases_reach_nan_and_underflow(self):
         assert math.isnan(_scalar_map(_params())(math.inf))
         p = ModelParams(3, 1, 1, 1, WeightVector((1.0, 7.0)), WeightVector((1e-200, 1e200)))
-        assert 1e-200 / float(p.edge_weights.partial_sum(1)) == 0.0
+        assert 1e-200 / float(p.edge_weights.partial_sums[1]) == 0.0
         assert _scalar_map(p)(0.0) == 0.0
 
 

@@ -1,15 +1,21 @@
 """Event-driven simulator: reproducibility, exact-law agreement, comparisons."""
 import math
+import os
+import subprocess
+import sys
 from heapq import heappop, heappush
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treeloss import simulate
+import treeloss
+from treeloss import _num, simulate
 from treeloss.oracle import (
     Configuration,
     FiniteTree,
+    TreeSpec,
     build_tree,
     exact_blocking,
     is_feasible,
@@ -18,7 +24,6 @@ from treeloss.oracle import (
 )
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import CompareReport, SimConfig, compare, compare_runs, run
-from treeloss.treecalc import TreeSpec
 from treeloss.weights import WeightVector, poisson_weights
 
 
@@ -288,9 +293,52 @@ class TestWorkers:
 
     @pytest.mark.parametrize("jobs", [2, 3, 6])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_any_worker_count_gives_the_serial_result(self, name, jobs):
+    def test_any_worker_count_gives_the_serial_result(self, monkeypatch, name, jobs):
+        monkeypatch.setattr(_num, "_usable_cpus", lambda: 8)  # so jobs = 3 runs three
         cfg = self.CONFIGS[name]
         assert repr(run(cfg, jobs=jobs)) == repr(run(cfg))
+
+    def test_slices_are_cut_for_the_usable_cpus(self, monkeypatch, stub_fork):
+        # jobs far above two usable CPUs: the five replications go in two
+        # slices, one for this process and one for a single child
+        monkeypatch.setattr(_num, "_usable_cpus", lambda: 2)
+        slices, fork_join = [], simulate.map_tasks
+        monkeypatch.setattr(
+            simulate, "map_tasks",
+            lambda fn, tasks, jobs: slices.append(len(tasks)) or fork_join(fn, tasks, jobs),
+        )
+        with pytest.raises(RuntimeError, match="sent no results"):
+            run(self.CONFIGS["per-call"], jobs=10**5)
+        assert slices == [2]
+        assert len(stub_fork) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_workers_fork_from_a_process_with_one_thread(self):
+        # a fork copies only the calling thread, so numpy's BLAS pool must not
+        # have started one; the probe counts this process's threads when run
+        # is about to fork, in a fresh interpreter with no BLAS thread count set
+        probe = (
+            "import os\n"
+            "from treeloss import simulate\n"
+            "from treeloss.oracle import TreeSpec\n"
+            "from treeloss.weights import poisson_weights\n"
+            "fork_join, threads = simulate.map_tasks, []\n"
+            "def counted(*args):\n"
+            "    threads.append(len(os.listdir('/proc/self/task')))\n"
+            "    return fork_join(*args)\n"
+            "simulate.map_tasks = counted\n"
+            "p = simulate.ModelParams(2, 2, 1, 2, poisson_weights(1.0, 1), poisson_weights(1.0, 2))\n"
+            "simulate.run(simulate.SimConfig(p, TreeSpec('spherical', 1), horizon_time=50.0,\n"
+            "                                replications=2), 2)\n"
+            "print(threads, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        )
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in simulate._BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == b"[1] False"  # and the environment is restored
 
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
     def test_jobs_must_be_a_positive_int(self, jobs):

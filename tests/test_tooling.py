@@ -1,9 +1,10 @@
-"""Package hygiene: exported names resolve, every exported function has a
-caller outside its module, no module imports scipy or a memo decorator, the
-count rule (an int, not a bool, within bounds) and the fork of a worker
-process are each written once, in ``_num``, the edge budget rule once, in
-``weights``, and the map's row sums once, in ``rfmap``, no float result
-depends on the builtin ``sum``, and the README's Python examples run."""
+"""Package hygiene: exported names resolve, every exported function and every
+public method of an exported class has a caller outside its module, no
+module imports scipy or a memo decorator, the count rule (an int, not a
+bool, within bounds) and the fork of a worker process are each written
+once, in ``_num``, the edge budget rule once, in ``weights``, and the map's
+row sums once, in ``rfmap``, no float result depends on the builtin
+``sum``, and the README's Python examples run."""
 import ast
 import importlib
 import inspect
@@ -21,7 +22,6 @@ from treeloss import (
     ModelParams,
     SimConfig,
     TreeSpec,
-    WeightVector,
     center_occupancy,
     classify_by_iteration,
     condition_a_margin,
@@ -89,14 +89,28 @@ def test_readme_python_examples_run():
     assert len(cross_check) == 1 and cross_check[0].startswith("True ")
 
 
+def _exported_callables() -> dict:
+    """Each exported function, and each public method or property that an
+    exported class defines, by the module that defines it."""
+    found = {}
+    for name in treeloss.__all__:
+        value = getattr(treeloss, name)
+        if inspect.isfunction(value):
+            found[name] = value.__module__
+        elif inspect.isclass(value):
+            found.update(
+                (attr, value.__module__) for attr, member in vars(value).items()
+                if not attr.startswith("_")
+                and (inspect.isfunction(member) or isinstance(member, property))
+            )
+    return found
+
+
 def test_every_exported_function_has_a_caller():
-    # an exported function that only its own unit tests call is API to keep
-    # for no one: it must be imported, or reached as an attribute, outside
-    # the module that defines it
-    functions = {
-        name: getattr(treeloss, name).__module__ for name in treeloss.__all__
-        if inspect.isfunction(getattr(treeloss, name))
-    }
+    # an exported function or method that only its own unit tests call is
+    # API to keep for no one: it must be imported, or reached as an
+    # attribute, outside the module that defines it
+    functions = _exported_callables()
     used = set()
     for module, text in _python_sources():
         for node in ast.walk(ast.parse(text)):
@@ -161,8 +175,6 @@ def _model(**changes):
 BOOL_FOR_INT = {
     "poisson_weights": lambda: poisson_weights(2.0, True),
     "geometric_weights": lambda: geometric_weights(2.0, True),
-    "partial_sum": lambda: WeightVector((1.0, 0.5)).partial_sum(True),
-    "exact_partial_sum": lambda: WeightVector((1.0, 0.5)).exact_partial_sum(True),
     "condition_a_margin": lambda: condition_a_margin(2, True, poisson_weights(1.0, 2)),
     "ModelParams.q": lambda: _model(q=True),
     "ModelParams.cap": lambda: _model(cap=True, ce=1, edge_weights=poisson_weights(1.0, 1)),

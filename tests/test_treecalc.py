@@ -1,5 +1,6 @@
 """Finite-tree recursion, center laws, blocking probabilities, and curves."""
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from treeloss import treecalc
 from treeloss._num import log_sum_exp, map_tasks
 from treeloss.oracle import (
+    TreeSpec,
     edge_centered_tree,
     exact_blocking,
     exact_partition,
@@ -15,11 +17,12 @@ from treeloss.oracle import (
     spherical_tree,
 )
 from treeloss.phase1d import PhaseParams, fixed_point
-from treeloss.rfmap import ModelParams, Uniqueness, _row_sums, random_field_map
+from treeloss.rfmap import (
+    ModelParams, Uniqueness, _row_sums, classify_by_iteration, random_field_map,
+)
 from treeloss.treecalc import (
     NormalizedState,
-    TreeSpec,
-    _curve_point,
+    _multicast_blocking_at,
     center_occupancy,
     multicast_blocking,
     rooted_state,
@@ -333,10 +336,25 @@ class TestOneRowSum:
                 rooted_state(p, height)
 
 
+def _curve_point(nu, p):
+    """One point as a ``blocking-curve`` row forms it: nu classified on its
+    model p, the blocking and ratios at each parity's limit."""
+    verdict = classify_by_iteration(p, tol=1e-12, sep=1e-8, max_iter=10**6)
+    if verdict.kind is Uniqueness.UNIQUE:
+        xi_even = xi_odd = verdict.fixed_point
+    else:
+        xi_even, xi_odd = verdict.even_limit, verdict.odd_limit
+    return SimpleNamespace(
+        nu=nu, kind=verdict.kind, iterations=verdict.iterations,
+        beta_even=_multicast_blocking_at(p, xi_even), beta_odd=_multicast_blocking_at(p, xi_odd),
+        xi_even=xi_even, xi_odd=xi_odd,
+    )
+
+
 def _curve(q, cap, cv, ce, edge_weights, nu_values, node_family=poisson_weights):
-    """Blocking-curve points along nu_values, as ``blocking-curve`` maps them."""
+    """Blocking-curve points along nu_values."""
     models = [ModelParams(q, cap, cv, ce, node_family(nu, cv), edge_weights) for nu in nu_values]
-    return [_curve_point(nu, p, 1e-12, 1e-8, 10**6) for nu, p in zip(nu_values, models)]
+    return [_curve_point(nu, p) for nu, p in zip(nu_values, models)]
 
 
 class TestBlockingCurve:
@@ -377,7 +395,7 @@ class TestBlockingCurve:
 
     def test_empty_grid(self):
         # the command's pool over no points: no worker, no point
-        assert map_tasks(lambda task: _curve_point(*task, 1e-12, 1e-8, 10**6), [], 2) == []
+        assert map_tasks(lambda task: _curve_point(*task), [], 2) == []
 
 
 class TestTreeSpec:
