@@ -24,6 +24,7 @@ import json
 import math
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import fields
 from fractions import Fraction
 
@@ -183,19 +184,28 @@ def _cmd_blocking_curve(args) -> int:
     nus = _grid(args.nu_min, args.nu_max, args.nu_step, "nu")
 
     def model(nu) -> ModelParams:
-        return ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nu, args.cv), edge)
-
-    # every row's model is built before any worker forks, failing in the order
-    # the rows would; a later row can fail only in its node weights
-    models = [model(nus[0])]
-    _check_iteration(args.tol, args.sep, args.max_iter)
-    models += map(model, nus[1:])
-    for p in models:
+        p = ModelParams(args.q, args.cap, args.cv, ce, poisson_weights(nu, args.cv), edge)
         _check_finite_sums(p)
+        return p
 
-    def row(task) -> tuple:
+    def fails(nu) -> bool:
+        try:
+            model(nu)
+        except ValueError:
+            return True
+        return False
+
+    # Refuse before any worker forks, with the serial rows' error: row 0 and
+    # the flags first. A later row fails only when its node weights or T_1
+    # overflow, and both grow with nu, so the failing rows end the grid.
+    model(nus[0])
+    _check_iteration(args.tol, args.sep, args.max_iter)
+    if fails(nus[-1]):
+        model(nus[bisect_left(nus, True, key=fails)])
+
+    def row(nu) -> tuple:
         # nu classified on its model p, blocking at each parity's limit
-        nu, p = task
+        p = model(nu)
         verdict = classify_by_iteration(p, tol=args.tol, sep=args.sep, max_iter=args.max_iter)
         if verdict.kind is Uniqueness.UNIQUE:
             xi_even = xi_odd = verdict.fixed_point
@@ -210,7 +220,7 @@ def _cmd_blocking_curve(args) -> int:
             ";".join(_fmt(x) for x in xi_odd),
         )
 
-    rows = map_tasks(row, list(zip(nus, models)), _workers(args))
+    rows = map_tasks(row, nus, _workers(args))
     return _emit_csv(
         args, "blocking-curve", "nu,unique,beta_even,beta_odd,xi_even,xi_odd", rows
     )
@@ -292,12 +302,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     stats = simulate.run(cfg, jobs)
-    payload = {
-        f.name: _jsonable(getattr(stats, f.name))
-        for f in fields(stats)
-        if not f.name.startswith("rep_")
-    }
-    return _emit_json(args, payload)
+    return _emit_json(args, {f.name: _jsonable(getattr(stats, f.name)) for f in fields(stats)})
 
 
 # ---------------------------------------------------------------- selftest

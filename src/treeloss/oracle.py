@@ -98,10 +98,10 @@ class FiniteTree:
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "edge_ends", tuple(ends))
 
-    def node_index(self, v) -> int:
+    def _node_index(self, v) -> int:
         return self.nodes.index(v)
 
-    def edge_index(self, e) -> int:
+    def _edge_index(self, e) -> int:
         return self.edges.index(tuple(sorted(e)))
 
 
@@ -285,8 +285,8 @@ def _quotient(p: ModelParams, num: int, den: int):
 def _lead_for_target(t: FiniteTree, target):
     if isinstance(target, tuple):
         u, v = sorted(target)
-        return ("edge", (t.node_index(u), t.node_index(v), t.edge_index((u, v))))
-    return ("node", t.node_index(target))
+        return ("edge", (t._node_index(u), t._node_index(v), t._edge_index((u, v))))
+    return ("node", t._node_index(target))
 
 
 def exact_partition(p: ModelParams, t: FiniteTree, root) -> tuple:
@@ -295,7 +295,7 @@ def exact_partition(p: ModelParams, t: FiniteTree, root) -> tuple:
     Float weights give the correctly rounded floats; a total beyond the float
     range is refused with ``ValueError``.
     """
-    totals = _sum_product(p, t, ("root", t.node_index(root)))
+    totals = _sum_product(p, t, ("root", t._node_index(root)))
     dv, de = p.node_weights._exact_sums[0], p.edge_weights._exact_sums[0]
     den = dv ** len(t.nodes) * de ** len(t.edges)
     try:
@@ -305,7 +305,7 @@ def exact_partition(p: ModelParams, t: FiniteTree, root) -> tuple:
 
 
 def occupancy_distribution(p: ModelParams, t: FiniteTree, node) -> tuple:
-    totals = _sum_product(p, t, ("root", t.node_index(node)))
+    totals = _sum_product(p, t, ("root", t._node_index(node)))
     total = sum(totals)
     return tuple(_quotient(p, z, total) for z in totals)
 

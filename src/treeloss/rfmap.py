@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from ._num import check_int, check_nonneg, power
@@ -78,6 +79,8 @@ class ModelParams:
 
     def __post_init__(self):
         check_int("q", self.q, 1)
+        if self.q > sys.float_info.max:  # the maps take q as a float exponent
+            raise ValueError(f"q must be at most the largest float, {sys.float_info.max!r}")
         check_int("cap", self.cap, 1)
         check_int("cv", self.cv, 1, self.cap)
         check_int("ce", self.ce, 0, self.cap)

@@ -19,8 +19,9 @@ Two service disciplines:
 * ``shared_server`` — each busy element completes one call per unit-mean
   service period, regardless of how many are queued on it.
 
-Estimates use arrival counting (admitted/offered) after a warmup interval,
-plus the time-averaged occupancy of a designated center node. Replications
+Estimates use arrival counting (admitted/offered) after a warmup interval
+at node 0 (the ball's centre or the rooted tree's root) and at the first
+edge, plus the time-averaged occupancy law of node 0. Replications
 run on independent counter-based RNG streams spawned from one seed, so
 results are reproducible bit-for-bit. ``run(cfg, jobs)`` splits them into
 w contiguous slices, w = ``jobs`` capped at the replications and the usable
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
-from typing import Optional
 
 from ._num import check_int, check_nonneg, map_tasks, pool_size
 from .oracle import _COUNT_CAP, Configuration, TreeSpec, _spec_nodes, build_tree, is_feasible
@@ -82,16 +82,18 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulation of ``params`` on the finite tree that ``tree`` names;
+    ``warmup_time`` defaults to 10 * (1 + node rate + edge rate), refused when
+    that overflows."""
+
     params: ModelParams
     tree: TreeSpec
     service_mode: str = "per_call"
     duration_mode: str = "exponential"
-    warmup_time: Optional[float] = None  # None: 10 * (1 + node rate + edge rate)
+    warmup_time: float | None = None
     horizon_time: float = 1000.0
     replications: int = 8
     seed: int = 0
-    node_target: int = 0
-    edge_target: Optional[tuple] = None  # None: first tree edge
     check_feasibility: bool = False
 
     def __post_init__(self):
@@ -111,7 +113,13 @@ class SimConfig:
             )
         warmup = self.warmup_time
         if warmup is None:
-            warmup = 10.0 * (1.0 + _node_rate(self.params) + _edge_rate(self.params))
+            node, edge = _node_rate(self.params), _edge_rate(self.params)
+            warmup = 10.0 * (1.0 + node + edge)
+            if warmup == math.inf:
+                raise ValueError(
+                    f"node rate {node!r} and edge rate {edge!r} overflow the default "
+                    "warmup 10 * (1 + node rate + edge rate)"
+                )
         warmup = check_nonneg("warmup_time", warmup)
         object.__setattr__(self, "warmup_time", warmup)
         horizon = float(self.horizon_time)
@@ -122,7 +130,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimStats:
-    """Aggregated estimates; per-replication values kept for reproducibility checks."""
+    """Estimates at node 0 and the first edge: arrival counts summed over the
+    replications, and blocking ratios and node 0's occupancy law as means with
+    standard errors (nan from one replication; edge values nan without edge calls)."""
 
     replications: int
     post_warmup_events: int
@@ -136,9 +146,6 @@ class SimStats:
     edge_beta_se: float
     occupancy: tuple
     occupancy_se: tuple
-    rep_node_beta: tuple
-    rep_edge_beta: tuple
-    rep_occupancy: tuple
 
 
 def _node_rate(p: ModelParams) -> float:
@@ -177,8 +184,6 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     budget = [[(n + ei, w) for w, ei in adj] for adj in tree.adjacency]
     budget += [[ends] for ends in tree.edge_ends]
     occ = [0] * (n + e)
-    center = tree.node_index(cfg.node_target)
-    target = n + (tree.edge_index(cfg.edge_target) if cfg.edge_target is not None else 0)
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
     service = _COMPLETE if shared else _DEPART
@@ -222,7 +227,7 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
             t, _, kind, x = heap[0]
             if t > end:
                 break
-            times[occ[center]] += t - last
+            times[occ[0]] += t - last
             last = t
 
             if kind == _ARRIVE:
@@ -254,12 +259,12 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
 
             if check_feasibility:
                 assert_legal()
-        times[occ[center]] += end - last
+        times[occ[0]] += end - last
 
     span = horizon - warmup
     occupancy = tuple(x / span for x in occ_time)
-    edge_counts = (offered[target], blocked[target]) if e else (0, 0)
-    return offered[center], blocked[center], *edge_counts, occupancy, sum(offered)
+    edge_counts = (offered[n], blocked[n]) if e else (0, 0)
+    return offered[0], blocked[0], *edge_counts, occupancy, sum(offered)
 
 
 def _mean_se(values: list) -> tuple:
@@ -281,10 +286,6 @@ def _run_slice(cfg: SimConfig, seeds: list) -> list:
     import numpy as np
 
     tree = build_tree(cfg.tree, cfg.params.q)
-    if cfg.node_target not in tree.nodes:
-        raise ValueError(f"node target {cfg.node_target!r} not in tree")
-    if cfg.edge_target is not None and tuple(sorted(cfg.edge_target)) not in tree.edges:
-        raise ValueError(f"edge target {cfg.edge_target!r} not in tree")
     return [_simulate_once(cfg, tree, np.random.Generator(np.random.Philox(s))) for s in seeds]
 
 
@@ -311,16 +312,14 @@ def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
     cuts = [cfg.replications * k // workers for k in range(workers + 1)]
     slices = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
     reps = [rep for part in map_tasks(partial(_run_slice, cfg), slices, workers) for rep in part]
-    offered_n, blocked_n, offered_e, blocked_e, rep_occupancy, events = zip(*reps)
-    rep_node_beta = tuple(map(_ratio, blocked_n, offered_n))
-    rep_edge_beta = tuple(map(_ratio, blocked_e, offered_e))
-    node_beta, node_se = _mean_se(list(rep_node_beta))
-    edge_vals = [v for v in rep_edge_beta if not math.isnan(v)]
-    if edge_vals and len(edge_vals) == len(reps):
-        edge_beta, edge_se = _mean_se(edge_vals)
-    else:
+    offered_n, blocked_n, offered_e, blocked_e, occupancies, events = zip(*reps)
+    node_beta, node_se = _mean_se(list(map(_ratio, blocked_n, offered_n)))
+    edge_betas = list(map(_ratio, blocked_e, offered_e))
+    if any(map(math.isnan, edge_betas)):
         edge_beta, edge_se = math.nan, math.nan
-    occ_stats = [_mean_se(list(column)) for column in zip(*rep_occupancy)]
+    else:
+        edge_beta, edge_se = _mean_se(edge_betas)
+    occ_stats = [_mean_se(list(column)) for column in zip(*occupancies)]
     return SimStats(
         replications=cfg.replications,
         post_warmup_events=sum(events),
@@ -334,9 +333,6 @@ def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
         edge_beta_se=edge_se,
         occupancy=tuple(m for m, _ in occ_stats),
         occupancy_se=tuple(s for _, s in occ_stats),
-        rep_node_beta=rep_node_beta,
-        rep_edge_beta=rep_edge_beta,
-        rep_occupancy=rep_occupancy,
     )
 
 

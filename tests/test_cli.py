@@ -1,5 +1,8 @@
 """Command-line interface: schemas, exit codes, determinism, file output."""
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import treeloss
 from treeloss import __version__, _num, rfmap, treecalc
@@ -16,7 +20,7 @@ from treeloss.cli import main
 from treeloss.oracle import TreeSpec, exact_blocking, exact_partition, spherical_tree
 from treeloss.phase1d import phase_window
 from treeloss.rfmap import ModelParams
-from treeloss.simulate import _BLAS_THREAD_VARS, SimConfig, run as sim_run
+from treeloss.simulate import _BLAS_THREAD_VARS, SimConfig, SimStats, run as sim_run
 from treeloss.weights import load_weight_file, poisson_weights
 
 from test_phase1d import _ref_phase_window
@@ -355,6 +359,20 @@ class TestBlockingCurveCommand:
         monkeypatch.setattr(os, "fork", no_fork)
         assert _run(capsys, *self.ARGS, *flags, "--jobs", "2") == serial == (
             2, "", f"error: {message}\n"
+        )
+
+    def test_a_tail_failing_from_mid_grid_is_refused_at_its_first_row(self, capsys, monkeypatch):
+        # nu = 1e102, 2e102, ..., 2e103 at cv = 3: nu**3 / 6 overflows from
+        # the eighth row on, so that row's error is the serial loop's
+        grid = ("--cap", "3", "--cv", "3", "--nu-min", "1e102", "--nu-step", "1e102")
+        assert _run(capsys, *self.ARGS, *grid, "--nu-max", "7e102")[0] == 0
+
+        def no_fork():
+            raise AssertionError("a worker process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _run(capsys, *self.ARGS, *grid, "--nu-max", "2e103", "--jobs", "2") == (
+            2, "", "error: weight entries must be finite and >= 0: (1.0, 8e+102, 3.2e+205, inf)\n"
         )
 
     def test_no_output_depends_on_the_interpreters_sum(self, capsys, monkeypatch):
@@ -714,6 +732,21 @@ class TestSimulateCommand:
         assert doc["node_beta"] == stats.node_beta
         assert doc["edge_beta"] is None  # nan serialized as null
 
+    def test_prints_every_result_field(self, capsys):
+        # a field of SimStats that the payload leaves out cannot come back unseen
+        code, out, _ = _run(capsys, *self.ARGS)
+        assert code == 0
+        assert set(json.loads(out)) == {f.name for f in dataclasses.fields(SimStats)}
+
+    def test_overflowing_default_warmup_names_the_rates(self, capsys):
+        assert _run(
+            capsys, "simulate", "--q", "2", "--cap", "2", "--lam", "1", "--nu", "1e308",
+            "--radius", "1",
+        ) == (
+            2, "", "error: node rate 1e+308 and edge rate 1.0 overflow the default warmup "
+            "10 * (1 + node rate + edge rate)\n"
+        )
+
     def test_readme_example_bytes(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -814,6 +847,23 @@ class TestSimulateCommand:
         assert proc.stderr == (
             b"error: a spherical tree of radius 8 at q = 10 has 122222222 nodes; "
             b"simulate takes at most 100000\n"
+        )
+        assert proc.stdout == b""
+
+    def test_huge_cap_is_refused_at_once(self):
+        # the edge weights of a 10^18 cap run out of a 1 GiB address space, so
+        # the cap must be refused before the vector is built
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeloss", "simulate", "--q", "2", "--cap", str(10**18),
+             "--lam", "1", "--nu", "1", "--radius", "1", "--horizon", "50", "--jobs", "1"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: weight vector top index must be an int in [0, 1000], got 1000000000000000000\n"
         )
         assert proc.stdout == b""
 
@@ -924,3 +974,85 @@ class TestWorkerCount:
                 main([*argv, "--jobs", jobs, "--out", os.devnull])
         assert len(stub_fork) == workers - 1
 
+
+# ---------------------------------------------------------------- hostile argv
+
+# An argv is drawn valid, then up to two of its flag values are swapped for
+# hostile ones: counts that are negative, 0 or huge, floats that are nan,
+# infinite, 1e308, subnormal, 0 or negative, choices that name nothing. Every
+# case stays cheap: --horizon <= 50, --reps <= 3, at most 50 grid rows,
+# --max-iter <= 10**4 and --jobs 1.
+_HOSTILE = {
+    "count": st.sampled_from([-3, -1, 0, 10**18, 2**63, 10**400]),
+    "float": st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
+                              "2.2250738585072014e-308", "0", "-1"]),
+    "horizon": st.sampled_from(["nan", "-inf", "-1e308", "5e-324", "0", "-1"]),
+    "small": st.sampled_from([-1, 0, 3]),
+    "choice": st.sampled_from(["", "nan", "-1"]),
+}
+
+
+def _argv(draw, command: str, flags: dict) -> list:
+    """``command`` with ``flags`` (flag: (kind, valid value)), up to two made hostile."""
+    values = {flag: value for flag, (_, value) in flags.items()}
+    hostile = draw(st.integers(0, 2))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=hostile,
+                              max_size=hostile, unique=True)):
+        values[flag] = draw(_HOSTILE[flags[flag][0]])
+    if "--nu-step" in values:
+        # nu-max = nu-min + k * nu-step: a valid grid has k + 1 <= 50 rows
+        lo, step = float(values["--nu-min"]), float(values["--nu-step"])
+        values["--nu-max"] = lo + draw(st.integers(-1, 48)) * step
+    return [command, "--jobs", "1", *(str(x) for kv in values.items() for x in kv)]
+
+
+def _model_flags(draw, q: int) -> dict:
+    cap = draw(st.integers(1, 3))
+    return {
+        "--q": ("count", draw(st.integers(1, q))),
+        "--cap": ("count", cap),
+        "--cv": ("count", draw(st.integers(1, cap))),
+        "--ce": ("count", draw(st.integers(0, cap))),
+        "--weights": ("choice", draw(st.sampled_from(["poisson", "geometric"]))),
+        "--lam": ("float", draw(st.floats(0.05, 1.5))),
+    }
+
+
+@st.composite
+def _simulate_argv(draw) -> list:
+    flags = _model_flags(draw, 3)
+    flags["--nu"] = ("float", draw(st.floats(0.05, 1.5)))
+    if draw(st.booleans()):
+        flags["--height"] = ("count", draw(st.integers(0, 3)))
+    else:
+        flags["--radius"] = ("count", draw(st.integers(1, 2)))
+    flags["--horizon"] = ("horizon", draw(st.floats(20.0, 50.0)))
+    flags["--reps"] = ("small", draw(st.integers(1, 3)))
+    flags["--seed"] = ("count", draw(st.integers(0, 2**32)))
+    flags["--service"] = ("choice", draw(st.sampled_from(["per-call", "shared-server"])))
+    flags["--durations"] = ("choice", draw(st.sampled_from(["exponential", "deterministic"])))
+    return _argv(draw, "simulate", flags)
+
+
+@st.composite
+def _blocking_curve_argv(draw) -> list:
+    flags = _model_flags(draw, 12)
+    flags["--nu-min"] = ("float", draw(st.floats(0.05, 50.0)))
+    flags["--nu-step"] = ("float", draw(st.floats(0.05, 5.0)))
+    flags["--max-iter"] = ("small", draw(st.sampled_from([4, 100, 10**4])))
+    flags["--tol"] = ("float", draw(st.sampled_from([1e-12, 1e-14])))
+    flags["--sep"] = ("float", draw(st.sampled_from([1e-8, 1e-6])))
+    return _argv(draw, "blocking-curve", flags)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_simulate_argv(), _blocking_curve_argv()))
+# a q beyond the float range overflowed int-to-float in the blocking column
+@example(["blocking-curve", "--q", str(10**400), "--cap", "1", "--lam", "1",
+          "--nu-min", "1", "--nu-max", "1", "--nu-step", "1", "--max-iter", "4"])
+def test_no_input_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -480,8 +480,8 @@ class TestBuilders:
 class TestFiniteTreeValidation:
     def test_accepts_path(self):
         t = FiniteTree((0, 1, 2), ((0, 1), (1, 2)))
-        assert t.edge_index((1, 0)) == t.edge_index((0, 1))
-        assert t.node_index(2) == 2
+        assert t._edge_index((1, 0)) == t._edge_index((0, 1))
+        assert t._node_index(2) == 2
 
     @pytest.mark.parametrize(
         "nodes,edges",

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,17 @@ class TestMap:
                 node_weights=w1,
                 edge_weights=w1,
             )
+
+    def test_q_beyond_the_float_range_is_refused(self):
+        # the maps raise x to the power q through q * log(x), so q must be a float
+        w1 = poisson_weights(1.0, 1)
+        top = int(sys.float_info.max)
+        p = ModelParams(q=top, cap=2, cv=1, ce=1, node_weights=w1, edge_weights=w1)
+        # m(0) = (2/2)**q = 1 and m(1) = (3/4)**q = 0: a two-cycle
+        v = classify_by_iteration(p)
+        assert (v.kind, v.even_limit, v.odd_limit) == (Uniqueness.MULTIPLE, (0.0,), (1.0,))
+        with pytest.raises(ValueError, match=r"q must be at most the largest float, 1.79\d*e\+308"):
+            ModelParams(q=top + 1, cap=2, cv=1, ce=1, node_weights=w1, edge_weights=w1)
 
     def test_coefficient_table_leaves_fields_equality_and_repr_alone(self):
         p = _params(cv=2, nu=30.0)

@@ -7,6 +7,7 @@ from heapq import heappop, heappush
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -57,11 +58,8 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     n, e = len(tree.nodes), len(tree.edges)
     occ_n = [0] * n
     occ_e = [0] * e
-    center = tree.node_index(cfg.node_target)
-    if cfg.edge_target is not None:
-        target_edge = tree.edge_index(cfg.edge_target)
-    else:
-        target_edge = 0 if tree.edges else -1  # -1: no edges, nothing to count
+    center = 0
+    target_edge = 0 if tree.edges else -1  # -1: no edges, nothing to count
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
     deterministic = cfg.duration_mode == "deterministic"
@@ -177,10 +175,11 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     return offered_n, blocked_n, offered_e, blocked_e, occupancy, events
 
 
-def _reference_run(cfg: SimConfig):
-    """``run`` with its event loop replaced by the per-draw reference."""
-    with mock.patch.object(simulate, "_simulate_once", _ref_simulate_once):
-        return run(cfg)
+def _replications(cfg: SimConfig, once=simulate._simulate_once) -> list:
+    """Each replication's counts, occupancy law and arrivals, from the loop ``once``."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    with mock.patch.object(simulate, "_simulate_once", once):
+        return simulate._run_slice(cfg, seeds)
 
 
 @st.composite
@@ -202,11 +201,6 @@ def _sim_configs(draw):
     tree = build_tree(spec, q)
     warmup = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.5, 20.0)))
     start = 10.0 * (1.0 + nu + (lam if ce else 0.0)) if warmup is None else warmup
-    edge_target = None
-    if tree.edges and draw(st.booleans()):
-        edge_target = draw(st.sampled_from(tree.edges))
-        if draw(st.booleans()):
-            edge_target = edge_target[::-1]
     return SimConfig(
         params=params,
         tree=spec,
@@ -216,8 +210,6 @@ def _sim_configs(draw):
         horizon_time=start + draw(st.floats(1.0, 40.0)),
         replications=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32)),
-        node_target=draw(st.sampled_from(tree.nodes)),
-        edge_target=edge_target,
         check_feasibility=draw(st.integers(0, 9)) < 3,
     )
 
@@ -225,10 +217,9 @@ def _sim_configs(draw):
 class TestBitIdentity:
     """The block-drawing event loop gives the per-draw reference's results.
 
-    Results are compared by ``repr``, which spells every float exactly and,
-    unlike ``==``, treats the NaN estimates of streams with no offers as
-    equal; every field of ``SimStats`` is in it, the per-replication tuples
-    included.
+    Each replication's counts, occupancy law and arrival count are compared
+    by ``repr``, which spells every float exactly; ``run`` aggregates those
+    and nothing else, so every field of ``SimStats`` follows.
     """
 
     @settings(max_examples=200)
@@ -243,13 +234,11 @@ class TestBitIdentity:
             horizon_time=60.0,
             replications=2,
             seed=4,
-            node_target=2,
-            edge_target=(2, 0),
             check_feasibility=True,
         )
     )
     def test_equals_per_draw_reference(self, cfg):
-        assert repr(run(cfg)) == repr(_reference_run(cfg))
+        assert repr(_replications(cfg)) == repr(_replications(cfg, _ref_simulate_once))
 
     def test_readme_configuration_across_blocks(self):
         cfg = SimConfig(
@@ -259,10 +248,10 @@ class TestBitIdentity:
             replications=2,
             seed=2024,
         )
-        stats = run(cfg)
+        reps = _replications(cfg)
         # every arrival draws once, so each replication spans several blocks
-        assert stats.post_warmup_events > 2 * simulate._BLOCK * cfg.replications
-        assert repr(stats) == repr(_reference_run(cfg))
+        assert min(rep[-1] for rep in reps) > 2 * simulate._BLOCK
+        assert repr(reps) == repr(_replications(cfg, _ref_simulate_once))
 
 
 class TestWorkers:
@@ -285,8 +274,6 @@ class TestWorkers:
             horizon_time=80.0,
             replications=5,
             seed=9,
-            node_target=2,
-            edge_target=(2, 0),
             check_feasibility=True,
         ),
     }
@@ -345,17 +332,6 @@ class TestWorkers:
         with pytest.raises(ValueError, match=f"jobs must be an int >= 1, got {jobs!r}"):
             run(self.CONFIGS["per-call"], jobs=jobs)
 
-    def test_target_errors_come_back_from_the_workers(self):
-        cfg = SimConfig(
-            params=_network_params(),
-            tree=TreeSpec("spherical", 1),
-            horizon_time=100.0,
-            replications=2,
-            node_target=99,
-        )
-        with pytest.raises(ValueError, match="node target 99 not in tree"):
-            run(cfg, jobs=2)
-
 
 class TestReproducibility:
     def test_same_seed_same_results(self):
@@ -377,7 +353,7 @@ class TestReproducibility:
         )
         a = run(SimConfig(seed=1, **base))
         b = run(SimConfig(seed=2, **base))
-        assert a.rep_node_beta != b.rep_node_beta
+        assert a.node_beta != b.node_beta
 
     def test_counts_are_consistent(self):
         cfg = SimConfig(
@@ -391,7 +367,7 @@ class TestReproducibility:
         assert stats.post_warmup_events > 0
         assert 0 <= stats.node_blocked <= stats.node_offered
         assert 0 <= stats.edge_blocked <= stats.edge_offered
-        assert len(stats.rep_node_beta) == 2
+        assert stats.replications == 2
 
 
 class TestAgainstExactLaws:
@@ -609,22 +585,15 @@ class TestConfigValidation:
         cfg = SimConfig(params=_single_node_params(nu=4.0), tree=TreeSpec("rooted", 0))
         assert cfg.warmup_time == 10.0 * (1.0 + 4.0)
 
-    def test_targets_checked_at_run_time(self):
-        cfg = SimConfig(
-            params=_network_params(),
-            tree=TreeSpec("spherical", 1),
-            horizon_time=100.0,
-            replications=1,
-            node_target=99,
+    def test_overflowing_default_warmup_names_the_rates(self):
+        # 10 * (1 + 1e308 + 0.8) is inf: the rates are at fault, not a warmup
+        # the caller never gave
+        p = _network_params(nu=1e308)
+        with pytest.raises(ValueError) as err:
+            SimConfig(params=p, tree=TreeSpec("spherical", 1))
+        assert str(err.value) == (
+            "node rate 1e+308 and edge rate 0.8 overflow the default warmup "
+            "10 * (1 + node rate + edge rate)"
         )
-        with pytest.raises(ValueError):
-            run(cfg)
-        cfg = SimConfig(
-            params=_network_params(),
-            tree=TreeSpec("spherical", 1),
-            horizon_time=100.0,
-            replications=1,
-            edge_target=(5, 6),
-        )
-        with pytest.raises(ValueError):
-            run(cfg)
+        given = SimConfig(params=p, tree=TreeSpec("spherical", 1), warmup_time=1.0)
+        assert given.warmup_time == 1.0

@@ -97,6 +97,15 @@ class TestFamilies:
             factory(1.0, -1)
 
     @pytest.mark.parametrize("factory", [poisson_weights, geometric_weights])
+    def test_top_index_is_at_most_1000(self, factory):
+        # a huge cap would otherwise build its vector until memory runs out
+        assert len(factory(0.5, 1000)) == 1001
+        with pytest.raises(
+            ValueError, match=r"weight vector top index must be an int in \[0, 1000\], got 1001"
+        ):
+            factory(0.5, 1001)
+
+    @pytest.mark.parametrize("factory", [poisson_weights, geometric_weights])
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_non_finite_rate_rejected(self, factory, rate):
         with pytest.raises(ValueError, match="rate must be positive and finite"):
