@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from typing import Iterable
 
 
@@ -19,6 +20,14 @@ def check_int(name: str, value, least: int, most: int | None = None) -> int:
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
     return value
+
+
+def check_q(q, least: int = 1) -> int:
+    """``check_int("q", q, least)`` for a branching number, which must also be a
+    float: the maps raise ratios to the power q as q * log(ratio)."""
+    if check_int("q", q, least) > sys.float_info.max:
+        raise ValueError(f"q must be at most the largest float, {sys.float_info.max!r}")
+    return q
 
 
 def _usable_cpus() -> int:
@@ -141,7 +150,7 @@ def check_nonneg(name: str, value) -> float:
 
 
 def power(base: float, exponent: float) -> float:
-    """base**exponent for base >= 0 via exp-of-log; overflow saturates to inf.
+    """base**exponent for base >= 0, exponent >= 0 via exp-of-log; overflow saturates.
 
     The exp-of-log route keeps large integer exponents (tree branching numbers)
     from tripping pow()'s OverflowError and gives a well-defined 0**e = 0.
@@ -152,8 +161,8 @@ def power(base: float, exponent: float) -> float:
         raise ValueError(f"power() requires base >= 0, got {base}")
     try:
         return math.exp(exponent * math.log(base))
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # to inf, 1 or 0, by the side of 1 the base is on
+        return math.inf if base > 1.0 else 1.0 if base == 1.0 else 0.0
 
 
 def log_sum_exp(values: Iterable[float]) -> float:

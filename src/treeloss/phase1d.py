@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._num import check_int, check_nonneg, power
-from .rfmap import ModelParams, Uniqueness, _bisect, _log_slope, _scalar_map, _scalar_slope
+from ._num import check_int, check_nonneg, check_q, power
+from .rfmap import ModelParams, Uniqueness, _log_slope, _sandwich_root, _scalar_map, _scalar_slope
 from .weights import AssumptionViolation, WeightVector, _exact_window_sums, poisson_weights
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 
 
 def _validate_qcw(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
-    check_int("q", q, min_q)
+    check_q(q, min_q)
     check_int("cap", cap, 2)
     if len(w) != cap + 1:
         raise ValueError(f"edge weights need length cap+1={cap + 1}, got {len(w)}")
@@ -122,8 +122,9 @@ def schwarzian(p: PhaseParams, x) -> float:
 def fixed_point(p: PhaseParams) -> float:
     """Locate the unique fixed point in [0, nu] by bisection to float resolution.
 
-    Returns the float x with m(x) > x and m(x+) <= x+, x+ the next float up.
-    The bracket must satisfy m(0) > 0 and m(nu) <= nu; anything else is a
+    Returns the float x with m(x) >= x and m(x+) <= x+, x+ the next float up
+    (``rfmap._sandwich_root``; m(x) == x only when m(m(0)) == m(0) = x). The
+    bracket must satisfy m(0) > 0 and m(nu) <= nu; anything else is a
     violated precondition and raises RuntimeError rather than widening the
     bracket silently.
     """
@@ -132,7 +133,7 @@ def fixed_point(p: PhaseParams) -> float:
         raise RuntimeError("map value at 0 is not positive; bracket [0, nu] invalid")
     if m(p.nu) - p.nu > 0.0:
         raise RuntimeError("map value at nu exceeds nu; bracket [0, nu] invalid")
-    return _bisect(lambda x: m(x) - x, 0.0, p.nu, 1, math.inf)[0]
+    return _sandwich_root(m, 1e-12, math.inf)[2]
 
 
 def _nu_of(q: int, lams: tuple[float, float, float], x) -> float:
@@ -262,7 +263,7 @@ def poisson_window_statistic(q: int, cap: int, rate):
     positive it stays positive as the rate grows, so threshold hunting in the
     rate is a single bracket search. Exact when ``rate`` is a Fraction.
     """
-    check_int("q", q, 1)
+    check_q(q)
     check_int("cap", cap, 2)
     w = poisson_weights(rate, cap)
     e = w.entries

@@ -18,29 +18,26 @@ for k = 1..cv, xi_0 = 1. This equals the direct double sum over the edge and
 child occupancies (swap the order of summation); the numerator coefficients
 are termwise dominated by the denominator ones, so 0 <= Phi_k <= nu_k always.
 
-For a nonincreasing map the infinite-tree law is unique exactly when
-iterating the map from the zero vector converges; a persistent two-cycle of
-the iterates witnesses multiple laws. ``classify_by_iteration`` implements
-that test. For cv == 1 the map is the scalar
-m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q. It is nonincreasing when the clipped
-edge sums have S(cap-1)**2 >= S(cap) S(cap-2) (log-concave at cap-1); then
-it has negative Schwarzian, so an attracting fixed point attracts globally
-(Singer, SIAM J. Appl. Math. 1978): when the iteration is slow the fixed
-point is bisected inside the parity sandwich and the verdict read off
-|m'(x*)| <= 1. Otherwise m increases: iterates from 0 climb to its least
-fixed point and iterates from nu >= m fall to its greatest, so the map is
-iterated from both starts and the law is unique when the two limits agree.
-A verdict is Inconclusive only when the step budget runs out.
+When Phi reverses the likelihood-ratio order (clipped edge sums
+log-concave), the infinite-tree law is unique exactly when iterating the map
+from the zero vector converges; a persistent two-cycle of the iterates
+witnesses multiple laws. ``classify_by_iteration`` implements that test. For
+cv == 1 the map is the scalar m(x) = nu ((a0 + a1 x)/(b0 + b1 x))**q. It is
+nonincreasing when S(cap-1)**2 >= S(cap) S(cap-2); then it has negative
+Schwarzian, so the verdict is the sign of |m'(x*)| - 1 (Singer, SIAM J.
+Appl. Math. 1978), read at a bisected x* instead of iterating. Otherwise m
+increases: iterates from 0 climb to its least fixed point and iterates from
+nu >= m fall to its greatest, so the map is iterated from both starts and
+the law is unique when the two limits agree.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
-from ._num import check_int, check_nonneg, power
+from ._num import check_int, check_nonneg, check_q, power
 from .weights import WeightVector, _clipped_rows
 
 __all__ = [
@@ -78,9 +75,7 @@ class ModelParams:
     edge_weights: WeightVector
 
     def __post_init__(self):
-        check_int("q", self.q, 1)
-        if self.q > sys.float_info.max:  # the maps take q as a float exponent
-            raise ValueError(f"q must be at most the largest float, {sys.float_info.max!r}")
+        check_q(self.q)
         check_int("cap", self.cap, 1)
         check_int("cv", self.cv, 1, self.cap)
         check_int("ce", self.ce, 0, self.cap)
@@ -204,8 +199,8 @@ class UniquenessVerdict:
     by the kind). For an increasing cv == 1 map they are instead the limit
     of the iterates from 0 and the limit (or, for Inconclusive, the last
     iterate) from nu_1. ``method`` names what decided the verdict: ``"iteration"``
-    (the iterates settled, or the budget ran out) or ``"bisection"`` (the
-    cv == 1 fallback bisected the fixed point and read its slope).
+    (the iterates settled, or the budget ran out), ``"bisection"`` (the
+    cv == 1 fixed point was bisected and its slope read) or ``"unordered"``.
     """
 
     kind: Uniqueness
@@ -218,11 +213,6 @@ class UniquenessVerdict:
 
 def _sup_gap(a: tuple, b: tuple) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
-
-
-# plain iteration steps before a slow cv == 1 run switches to bisection;
-# about what one bisection to float resolution costs
-_SWITCH_STEP = 64
 
 
 def _bisect(f, lo: float, hi: float, cost: int, budget: int) -> tuple:
@@ -264,30 +254,26 @@ def classify_by_iteration(
     sep: float = 1e-8,
     max_iter: int = 10**6,
 ) -> UniquenessVerdict:
-    """Iterate Phi from the zero vector and classify the limiting behavior.
+    """Classify the limiting behavior of Phi from the zero vector.
 
     Unique: successive iterates agree within ``tol`` (sup norm, relative to
     1 + ||xi||_inf). Multiple: both parity subsequences have stabilized to
     within ``tol`` but sit further than ``sep`` apart, and each limit is
     numerically fixed under Phi∘Phi. Inconclusive: budget exhausted.
     ``tol < sep`` is required so that slow convergence cannot masquerade as a
-    two-cycle.
+    two-cycle. Convergence from 0 proves uniqueness only when Phi reverses
+    the likelihood-ratio order, as it does when the clipped edge sums are
+    log-concave (Karlin 1968); without that order a cv >= 2 Unique is
+    Inconclusive with ``method="unordered"``, both limits the one from 0.
 
-    For cv == 1 with a nonincreasing map the same tests run in a loop on
-    plain floats of the scalar map, which gives the vector loop's verdict bit
-    for bit. Its parity subsequences must form a monotone sandwich (evens
-    rise, odds fall, evens below odds); that ordering is asserted on every
-    step and a violation raises RuntimeError, since it would mean the
-    iteration itself is buggy. If such a run is undecided after 64 steps,
-    the sandwich brackets the fixed point x*, which is bisected to float
-    resolution. The map m has negative Schwarzian, so an
-    attracting fixed point attracts globally (Singer, SIAM J. Appl. Math.
-    1978): |m'(x*)| <= 1 means Unique at x*; otherwise the even limit is
-    bisected as the root of m(m(y)) - y between the last even iterate and
-    x*, and the odd limit is its image. These verdicts carry
-    ``method="bisection"`` and do not depend on ``tol`` or ``sep``. Every
-    map evaluation counts against ``max_iter``; a budget that runs out
-    during bisection gives Inconclusive with the last two iterates.
+    A nonincreasing cv == 1 map m is not iterated. x* is bisected below the
+    top of the sandwich m(m(0)) <= x* <= m(0) (``_sandwich_root``). m has
+    negative Schwarzian, so an attracting fixed point attracts globally
+    (Singer 1978): |m'(x*)| <= 1 means Unique at x*; otherwise the even limit
+    is bisected as the root of m(m(y)) - y between m(m(0)) and x*, and the
+    odd limit is its image. These verdicts carry ``method="bisection"``.
+    Every map evaluation counts against ``max_iter``; a budget that runs out
+    gives Inconclusive with the ends m(m(0)) and m(0).
 
     For cv == 1 with an increasing map (exact cross ratio > 0) there is no
     two-cycle: iterates from 0 rise to the least fixed point and iterates
@@ -302,11 +288,18 @@ def classify_by_iteration(
     _check_finite_sums(p)
     # the scalar map is decreasing iff its exact cross ratio is <= 0
     if p.cv == 1 and _cross_ratio(p) <= 0.0:
-        return _classify_monotone(p, tol, sep, max_iter)
+        return _decide_scalar(p, tol, max_iter)
     step = _map_step(p)
     low = _iterate(step, (0.0,) * p.cv, tol, sep, max_iter)
-    if p.cv > 1 or low.kind is not Uniqueness.UNIQUE:
+    if low.kind is not Uniqueness.UNIQUE:
         return low
+    if p.cv > 1:
+        if _log_concave(p):
+            return low
+        x = low.fixed_point
+        return UniquenessVerdict(
+            Uniqueness.INCONCLUSIVE, low.iterations, even_limit=x, odd_limit=x, method="unordered"
+        )
     # an increasing cv == 1 map: 0 climbs to the least fixed point, nu_1 >= m falls to the greatest
     high = _iterate(step, (float(p.node_weights.entries[1]),), tol, sep, max_iter - low.iterations)
     if high.kind is not Uniqueness.UNIQUE:
@@ -344,44 +337,6 @@ def _iterate(step, x0: tuple, tol, sep, max_iter) -> UniquenessVerdict:
     return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, x1, x2)
 
 
-def _classify_monotone(p, tol, sep, max_iter) -> UniquenessVerdict:
-    """``classify_by_iteration``'s loop for a nonincreasing cv == 1 map, on floats."""
-    m = _scalar_map(p)
-    x1, x2, x3 = 0.0, None, None  # iterates n-1, n-2, n-3
-    even, odd = 0.0, math.inf  # the sandwich: last even and odd iterates
-
-    for n in range(1, max_iter + 1):
-        x = m(x1)
-        scale = 1.0 + x
-        slack = tol * scale
-        if x < even - slack or x > odd + slack:
-            parity = "odd" if n % 2 else "even"
-            raise RuntimeError(
-                f"internal consistency: {parity} iterates left the monotone sandwich"
-            )
-        if n % 2:
-            odd = x
-        else:
-            even = x
-
-        if abs(x - x1) <= slack:
-            return UniquenessVerdict(Uniqueness.UNIQUE, n, fixed_point=(x,))
-        if (
-            n >= 3
-            and abs(x - x2) <= slack
-            and abs(x1 - x3) <= slack
-            and abs(x - x1) > sep * scale
-            and abs(m(m(x)) - x) <= 50 * tol * scale
-            and abs(m(m(x1)) - x1) <= 50 * tol * scale
-        ):
-            return _by_parity(Uniqueness.MULTIPLE, n, (x,), (x1,))
-        if n == _SWITCH_STEP:
-            return _decide_scalar(m, p, even, odd, n, max_iter)
-        x1, x2, x3 = x, x1, x2
-
-    return _by_parity(Uniqueness.INCONCLUSIVE, max_iter, (x1,), (x2,))
-
-
 def _cross_ratio(p: ModelParams) -> float:
     """r = (a1 b0 - a0 b1) / (b0 b1) for cv == 1, one correctly rounded quotient of exact sums.
 
@@ -395,6 +350,17 @@ def _cross_ratio(p: ModelParams) -> float:
     return (n2 * n0 - n1 * n1) / (n0 * n1)
 
 
+def _log_concave(p: ModelParams) -> bool:
+    """Whether the clipped edge sums S(min(a, ce)), a = 0..cap, are log-concave, exactly.
+
+    From a = ce on they are constant, so the margin S(a)**2 - S(a-1) S(a+1)
+    is S(ce) (S(ce) - S(a-1)) >= 0 there; below ce nothing is clipped, and
+    the margin is tested on the integer numerators N_a.
+    """
+    n = p.edge_weights._exact_sums[1]
+    return all(n[a] * n[a] >= n[a - 1] * n[a + 1] for a in range(1, p.ce))
+
+
 def _log_slope(p: ModelParams, x: float) -> float:
     """g'(x)/g(x) for cv == 1, g = (a0 + a1 x)/(b0 + b1 x); each factor after r is <= 1."""
     (b0, b1), (a0, a1) = p._rows
@@ -406,16 +372,36 @@ def _scalar_slope(p: ModelParams, x: float, mx: float) -> float:
     return p.q * (mx * _log_slope(p, x))
 
 
-def _decide_scalar(m, p, even, odd, n, max_iter) -> UniquenessVerdict:
-    """Decide a slow cv == 1 run of the map m from its parity sandwich [even, odd] at step n."""
-    x, used = _bisect(lambda x: m(x) - x, even, odd, 1, max_iter - n)
-    n += used
+def _sandwich_root(m, tol: float, budget) -> tuple:
+    """x* of a nonincreasing map m >= 0, bisected below the top of its sandwich.
+
+    m(m(0)) <= x* <= m(0); ends out of order beyond tol (1 + m(m(0))), or
+    below 0, raise RuntimeError, and rounding within that is sorted. m(x) - x
+    has a known sign at 0 and m(0) but not at m(m(0)), so x* is bisected on
+    [0, hi]; when the ends coincide, hi is a float fixed point. Returns
+    ``(lo, hi, x, used)``, x None when ``budget`` evaluations of m run out
+    and ``used`` counting the two for the ends.
+    """
+    hi = m(0.0)
+    lo = m(hi)
+    slack = tol * (1.0 + lo)
+    if not -slack <= lo <= hi + slack:
+        raise RuntimeError("internal consistency: iterates left the monotone sandwich")
+    lo, hi = min(lo, hi), max(lo, hi)
+    x, used = _bisect(lambda x: m(x) - x, lo if lo == hi else 0.0, hi, 1, budget - 2)
+    return lo, hi, x, used + 2
+
+
+def _decide_scalar(p: ModelParams, tol: float, max_iter: int) -> UniquenessVerdict:
+    """Decide a nonincreasing cv == 1 map: x* from its sandwich, then the slope m'(x*)."""
+    m = _scalar_map(p)
+    lo, hi, x, n = _sandwich_root(m, tol, max_iter)
     if x is not None:
         if abs(_scalar_slope(p, x, x)) <= 1.0:  # m(x*) = x*
             return UniquenessVerdict(
                 Uniqueness.UNIQUE, n, fixed_point=(x,), method="bisection"
             )
-        y, used = _bisect(lambda y: m(m(y)) - y, even, x, 2, max_iter - n)
+        y, used = _bisect(lambda y: m(m(y)) - y, lo, x, 2, max_iter - n)
         n += used
         if y is not None and n < max_iter:
             return UniquenessVerdict(
@@ -423,7 +409,7 @@ def _decide_scalar(m, p, even, odd, n, max_iter) -> UniquenessVerdict:
                 method="bisection",
             )
     return UniquenessVerdict(
-        Uniqueness.INCONCLUSIVE, max_iter, even_limit=(even,), odd_limit=(odd,)
+        Uniqueness.INCONCLUSIVE, max_iter, even_limit=(lo,), odd_limit=(hi,)
     )
 
 

@@ -41,8 +41,8 @@ README_WINDOW_JSON = """{
 """
 
 # sha256 of the stdout of the README `blocking-curve` and `classify` examples
-README_CURVE_SHA256 = "594b820935b95ffca55217d88066b5ac2e6cb8915f496b182bb2a3b0b818545e"
-README_CLASSIFY_SHA256 = "676588c50dcb7d1443b922529fbfb13c4ab7f08a2e5658cd9040faebebc9e9a7"
+README_CURVE_SHA256 = "0174c01028406fffd8a802b7f9fc2a459135f6d6392a486de25400cbcbc7c465"
+README_CLASSIFY_SHA256 = "c0204c5d59be2d943b730a79d3450cb96126dd7429bc1812d775aede2e4ba9c7"
 
 # `treeloss simulate` as the README runs it
 README_SIMULATE_JSON = """{
@@ -158,6 +158,12 @@ class TestWindowCommand:
             2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n"
         )
 
+    def test_q_beyond_the_float_range_is_usage_error(self, capsys):
+        # the window raises ratios to the power q as a float exponent
+        assert _run(capsys, "window", "--q", str(10**400), "--cap", "2", "--lam", "1") == (
+            2, "", "error: q must be at most the largest float, 1.7976931348623157e+308\n"
+        )
+
     def test_json_only_command_rejects_csv(self, capsys):
         code, _, _ = _run(
             capsys,
@@ -238,8 +244,8 @@ class TestClassifyCommand:
         assert doc["even_limit"][0] < doc["odd_limit"][0]
 
     @pytest.mark.parametrize("nu,kind,method", [
-        ("1", "unique", "iteration"),     # settles in 27 steps
-        ("26.5", "unique", "bisection"),  # just below the window: slow, bisected
+        ("1", "unique", "bisection"),     # a nonincreasing cv = 1 map is never iterated
+        ("26.5", "unique", "bisection"),
         ("50", "multiple", "bisection"),
     ])
     def test_method_records_what_decided(self, capsys, nu, kind, method):
@@ -251,6 +257,21 @@ class TestClassifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert (doc["kind"], doc["method"]) == (kind, method)
+
+    def test_converged_run_without_the_order_is_inconclusive(self, capsys, tmp_path):
+        # the edge sums 1, 1.04, 2.34 are not log-concave: the run from 0 settles
+        # at one fixed point, while the run from (nu, 0) reaches another
+        wf = tmp_path / "w.txt"
+        wf.write_text("1\n0.04058270999673785\n1.3043017599545044\n")
+        code, out, _ = _run(
+            capsys, "classify", "--q", "12", "--cap", "2", "--cv", "2", "--ce", "2",
+            "--weights", f"file:{wf}", "--nu", "79.35687883366793",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["kind"], doc["method"], doc["iterations"]) == ("inconclusive", "unordered", 29)
+        assert doc["fixed_point"] is None
+        assert doc["even_limit"] == doc["odd_limit"] == [0.003216868428253506, 0.07631017959940609]
 
     def test_readme_example_bytes(self, capsys):
         code, out, _ = _run(
@@ -938,8 +959,9 @@ class TestOverflowingWeights:
             "--weights", weights("1", "1e300", "2e300"), "--nu", "1e10",
         )
         assert code == 0
+        # the bracket [0, m(0)] reaches down to the subnormals before x* is found
         assert json.loads(out) == {
-            "kind": "multiple", "iterations": 3, "method": "iteration", "fixed_point": None,
+            "kind": "multiple", "iterations": 2244, "method": "bisection", "fixed_point": None,
             "even_limit": [0.0], "odd_limit": [1111111111.111111],
         }
         code, out, _ = _run(
@@ -947,8 +969,8 @@ class TestOverflowingWeights:
         )
         assert code == 0
         assert json.loads(out) == {
-            "kind": "unique", "iterations": 3, "method": "iteration",
-            "fixed_point": [1.1111111111111114e+307], "even_limit": None, "odd_limit": None,
+            "kind": "unique", "iterations": 57, "method": "bisection",
+            "fixed_point": [1.1111111111111113e+307], "even_limit": None, "odd_limit": None,
         }
 
 

@@ -1,5 +1,6 @@
 """Scalar map analysis: derivatives, fixed points, and the multiplicity window."""
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -188,12 +189,33 @@ class TestFixedPoint:
         st.floats(min_value=1e-6, max_value=1e6),
     )
     @example(10, 2, poisson_weights, 0.75, 50.0)  # REFERENCE
+    @example(2, 2, geometric_weights, 9.96, 2.33e-06)  # m(x) - x < 0 at m(m(0)) already
     def test_root_at_float_resolution(self, q, cap, family, rate, nu):
-        # m(x) - x changes sign between x and the next float up
+        # m(x) - x changes sign between x and the next float up, or is 0 at x:
+        # a map flat to rounding has m(m(0)) == m(0), and x = m(0) is then fixed
         p = PhaseParams(q=q, cap=cap, edge_weights=family(rate, cap), nu=nu)
         x = fixed_point(p)
         up = math.nextafter(x, math.inf)
-        assert _ratio_map(p, x) - x > 0.0 >= _ratio_map(p, up) - up, (x, up)
+        assert _ratio_map(p, x) - x >= 0.0 >= _ratio_map(p, up) - up, (x, up)
+
+    @given(
+        st.integers(2, 30),
+        st.integers(2, 6),
+        st.sampled_from([poisson_weights, geometric_weights]),
+        st.floats(min_value=0.05, max_value=20.0),
+        st.floats(min_value=1e-6, max_value=1e6),
+    )
+    @example(10, 2, poisson_weights, 0.75, 50.0)  # REFERENCE
+    def test_matches_a_50_digit_root(self, q, cap, family, rate, nu):
+        # the float map's q-th power carries about q ulps, and the root no more
+        p = PhaseParams(q=q, cap=cap, edge_weights=family(rate, cap), nu=nu)
+        x = fixed_point(p)
+        with mpmath.workdps(50):
+            m = _mp_map(p)
+            lo, hi = mpmath.mpf(x) * (1 - 1e-6), mpmath.mpf(x) * (1 + 1e-6)
+            root = mpmath.findroot(lambda t: m(t) - t, (lo, hi), solver="anderson")
+            assert lo < root < hi
+            assert abs(x - root) <= 4 * q * sys.float_info.epsilon * root, (x, root)
 
 
 class TestConditionA:
@@ -383,6 +405,13 @@ class TestAssumptions:
             poisson_window_statistic(0, 2, 1.0)
         with pytest.raises(ValueError):
             poisson_window_statistic(3, 1, 1.0)
+        with pytest.raises(ValueError, match="q must be at most the largest float"):
+            poisson_window_statistic(10**400, 2, 1.0)
+
+    @pytest.mark.parametrize("base,want", [(0.5, 0.0), (1.0, 1.0), (2.0, math.inf)])
+    def test_power_of_an_exponent_beyond_the_floats(self, base, want):
+        # q * log(base) has no float value; the side of 1 the base is on decides
+        assert power(base, 10**400) == want
 
 
 # ------------------------------------------------------------------ exactness

@@ -2,9 +2,9 @@
 public method of an exported class has a caller outside its module, no
 module imports scipy or a memo decorator, the count rule (an int, not a
 bool, within bounds) and the fork of a worker process are each written
-once, in ``_num``, the edge budget rule once, in ``weights``, and the map's
-row sums once, in ``rfmap``, no float result depends on the builtin
-``sum``, and the README's Python examples run."""
+once, in ``_num``, the edge budget rule once, in ``weights``, the map's
+row sums once, in ``rfmap``, every bisection runs in ``rfmap``, no float
+result depends on the builtin ``sum``, and the README's Python examples run."""
 import ast
 import importlib
 import inspect
@@ -294,3 +294,15 @@ def test_row_sums_are_defined_once_in_rfmap():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_row_sums"
     ]
     assert defs == ["rfmap.py"]
+
+
+def _is_bisect(call) -> bool:
+    f = call.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "_bisect"
+
+
+def test_bisections_live_in_rfmap():
+    # the cv = 1 fixed point has one finder, which phase1d.fixed_point calls too
+    assert _call_sites(_is_bisect) == {
+        ("rfmap.py", "_sandwich_root"), ("rfmap.py", "_decide_scalar"),
+    }
