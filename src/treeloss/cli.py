@@ -12,9 +12,9 @@ A command imports the model modules it calls (phase1d, treecalc, oracle,
 simulate) when it runs, so each process loads only what its command uses.
 The library makes the decisions a Python caller needs too: ``phase_window``
 refuses a window its floats cannot carry, ``_num.map_tasks`` caps every
-``--jobs`` pool at the usable CPUs, and ``simulate.run`` starts no BLAS
-thread before it forks. This module parses and checks the flags, calls the
-library and emits its results.
+``--jobs`` pool at the usable CPUs, and ``SimConfig`` refuses a run by its
+tree size and expected arrivals. This module parses and checks the flags,
+calls the library and emits its results.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ float is formed from them only by Python's correctly rounded ``int / int``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,8 +184,8 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     are exact integers, so every sign is exact; each float is a correctly
     rounded quotient of two of them, the value ``float(Fraction)`` gives.
 
-    Weights whose window floats overflow, vanish or saturate to inf raise
-    ValueError: a float window cannot carry them.
+    Weights or a q whose window floats overflow, vanish or saturate to inf
+    raise ValueError: a float window cannot carry them.
     """
     d, n0, n1, n2 = _require_assumption(q, cap, w)
     margin = _condition_a_numerator(q, n0, n1, n2)
@@ -210,7 +211,13 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
         nu_minus = _nu_of(q, lams, alpha_minus)
         nu_plus = _nu_of(q, lams, alpha_plus)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"edge weights too extreme for a float window: {exc}") from exc
+        # the discriminant grows as (q (S_{cap-1}^2 + S_cap S_{cap-2}))^2: when
+        # the weights' factor squared is a float, q is what overflowed it
+        by_q = isinstance(exc, OverflowError) and (
+            (n1 * n1 + n2 * n0) ** 2 // (dd * dd) <= sys.float_info.max
+        )
+        what = "q too large" if by_q else "edge weights too extreme"
+        raise ValueError(f"{what} for a float window: {exc}") from exc
     if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
         raise RuntimeError("internal consistency: window endpoints out of order")
     # nu_plus bounds nu_minus, and _num.power saturates to inf instead of raising
@@ -268,4 +275,9 @@ def poisson_window_statistic(q: int, cap: int, rate):
     w = poisson_weights(rate, cap)
     e = w.entries
     s = w.partial_sums
-    return (1 + q) ** 2 * (e[cap - 1] * s[cap - 1] - e[cap] * s[cap - 2]) - 4 * q * s[cap - 1] ** 2
+    try:  # with a float rate, the int (1 + q)**2 must convert to a float
+        stat = (1 + q) ** 2 * (e[cap - 1] * s[cap - 1] - e[cap] * s[cap - 2])
+        return stat - 4 * q * s[cap - 1] ** 2
+    except OverflowError as exc:
+        what = f"q = {q:.3g}" if (1 + q) ** 2 > sys.float_info.max else f"rate {rate!r}"
+        raise ValueError(f"{what} overflows the window statistic's floats: {exc}") from exc

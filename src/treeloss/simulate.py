@@ -7,9 +7,9 @@ elements 0..n-1 are the nodes and n..n+e-1 the edges, each with its own cap
 (cv or ce) and the edge budgets it draws on (a node every incident edge's, an
 edge its own). An arrival is admitted iff the element's own cap and every
 budget it draws on still hold with one more call, which is the
-route-and-resource rule of a loss network (Kelly 1991). There are three
-event kinds: an arrival, the departure of one call, and a service
-completion.
+route-and-resource rule of a loss network (Kelly 1991). There are two
+event kinds: an arrival, and the end of a service, which is one call's
+departure or a shared server's completion.
 
 Two service disciplines:
 
@@ -21,36 +21,34 @@ Two service disciplines:
 
 Estimates use arrival counting (admitted/offered) after a warmup interval
 at node 0 (the ball's centre or the rooted tree's root) and at the first
-edge, plus the time-averaged occupancy law of node 0. Replications
-run on independent counter-based RNG streams spawned from one seed, so
-results are reproducible bit-for-bit. ``run(cfg, jobs)`` splits them into
-w contiguous slices, w = ``jobs`` capped at the replications and the usable
-CPUs (``_num.pool_size``), one per worker (this process and w - 1 forked
-children, through ``_num.map_tasks``), each worker building the tree once,
-and joins the slices in replication order before aggregating, so every
-estimate is the same float for any number of workers (independent
-replications in parallel, Heidelberger 1988). A fork copies only the
-calling thread, so a run that forks imports numpy, if it is not loaded yet,
-with one BLAS thread, and the workers inherit it.
+edge, plus the time-averaged occupancy law of node 0. Replication k draws
+from its own Mersenne Twister, ``random.Random(f"treeloss.simulate {seed}
+{k}")``: a ``str`` seed is hashed with SHA-512, and the same seed gives the
+same ``random()`` sequence on every Python version, so results are
+reproducible bit-for-bit (given the C library's ``log1p``). ``run(cfg,
+jobs)`` splits the replications into w contiguous slices, w = ``jobs``
+capped at the replications and the usable CPUs (``_num.pool_size``), one
+per worker (this process and w - 1 forked children, through
+``_num.map_tasks``), each worker building the tree once, and joins the
+slices in replication order before aggregating, so every estimate is the
+same float for any number of workers (independent replications in
+parallel, Heidelberger 1988).
 
-Each replication draws standard exponentials from its stream in blocks of
-``_BLOCK`` and forms an exponential of rate r as ``(1.0 / r) * e``. numpy's
-``exponential(scale)`` computes exactly ``scale * standard_exponential()``,
-and filling an array consumes the bit generator in the same order as
-repeated scalar calls, so every draw is the same float as a scalar
-``rng.exponential(1.0 / r)`` would give at that point, and the estimates
-are bit-identical to drawing one value per event.
+A standard exponential is e = ``-log1p(-u)`` for u = ``rng.random()`` in
+[0, 1), so finite and >= 0, and one of rate r is ``(1.0 / r) * e``. They are
+drawn in blocks of ``_BLOCK`` and taken in stream order: every draw is the
+float that one ``-log1p(-rng.random())`` per event would give.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
+import random
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import repeat
+from itertools import chain, repeat
+from math import log1p
 
 from ._num import check_int, check_nonneg, map_tasks, pool_size
 from .oracle import _COUNT_CAP, Configuration, TreeSpec, _spec_nodes, build_tree, is_feasible
@@ -70,21 +68,20 @@ __all__ = [
 # alone peaks near 100 MB (0.5 s on a 2-core Xeon), and each further radius
 # step multiplies that by about ten.
 _MAX_NODES = 10**5
-# Most replications a run takes. Spawning their seeds alone costs about 430
-# bytes and 10 us each (72 MB and 1.0 s for 10^5 on a 2-core Xeon), before
-# any replication runs.
+# Most replications a run takes. Each is seeded and draws one block before
+# its first event: 10^5 cost about 6 s and 50 MB on a 2-core Xeon.
 _MAX_REPLICATIONS = 10**5
+# Most arrivals a run may expect, about half an hour of event loop on one core.
+_MAX_ARRIVALS = 10**9
 _SERVICE_MODES = ("per_call", "shared_server")
 _DURATION_MODES = ("exponential", "deterministic")
-# the variables that size numpy's BLAS thread pool, which starts on import
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """A simulation of ``params`` on the finite tree that ``tree`` names;
     ``warmup_time`` defaults to 10 * (1 + node rate + edge rate), refused when
-    that overflows."""
+    that overflows. A run expecting more than ``_MAX_ARRIVALS`` arrivals is refused."""
 
     params: ModelParams
     tree: TreeSpec
@@ -111,9 +108,9 @@ class SimConfig:
                 f"a {self.tree.kind} tree of {size} {self.tree.size} at q = {self.params.q} "
                 f"has {count} nodes; simulate takes at most {_MAX_NODES}"
             )
+        node, edge = _node_rate(self.params), _edge_rate(self.params)
         warmup = self.warmup_time
         if warmup is None:
-            node, edge = _node_rate(self.params), _edge_rate(self.params)
             warmup = 10.0 * (1.0 + node + edge)
             if warmup == math.inf:
                 raise ValueError(
@@ -126,6 +123,14 @@ class SimConfig:
         if not math.isfinite(horizon) or horizon <= warmup:
             raise ValueError("horizon_time must be finite and exceed the warmup")
         object.__setattr__(self, "horizon_time", horizon)
+        # a tree's edges are its nodes less one
+        arrivals = self.replications * horizon * (nodes * node + (nodes - 1) * edge)
+        if arrivals > _MAX_ARRIVALS:
+            count = f"{arrivals:.3g}" if arrivals < math.inf else "more than 1e+308"
+            raise ValueError(
+                f"the run expects {count} arrivals, replications * horizon * (nodes * "
+                f"node rate + edges * edge rate); simulate takes at most {_MAX_ARRIVALS:.0e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -156,46 +161,40 @@ def _edge_rate(p: ModelParams) -> float:
     return float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
 
 
-# Standard exponentials drawn per numpy call. The size sets only the cost:
-# the draws come out in stream order whatever it is.
-_BLOCK = 4096
-
-# Event kinds: a call arrives, a per-call holding time ends, or a shared
-# server completes its current call.
-_ARRIVE, _DEPART, _COMPLETE = range(3)
-
-
-def _standard_exponentials(rng):
-    """Yield ``rng``'s standard exponentials in stream order, a block at a time."""
-    while True:
-        # a memoryview yields Python floats without holding a list of them
-        yield from memoryview(rng.standard_exponential(_BLOCK))
+# Standard exponentials drawn per block. The size sets only the cost, as the
+# draws come out in stream order whatever it is: each replication draws at
+# least one whole block, and a smaller block costs more per draw.
+_BLOCK = 256
 
 
 def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     p = cfg.params
     cap = p.cap
     n, e = len(tree.nodes), len(tree.edges)
-    # Elements 0..n-1 are the nodes, n..n+e-1 the edges. budget[x] lists, for
+    m = n + e
+    # Elements 0..n-1 are the nodes, n..m-1 the edges. budget[x] lists, for
     # each budget x draws on, the other two elements of its node-edge-node triple.
     top = [p.cv] * n + [p.ce] * e
     rates = [_node_rate(p)] * n + [_edge_rate(p)] * e
     scale = [1.0 / r if r > 0 else 0.0 for r in rates]
     budget = [[(n + ei, w) for w, ei in adj] for adj in tree.adjacency]
     budget += [[ends] for ends in tree.edge_ends]
-    occ = [0] * (n + e)
+    occ = [0] * m
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
-    service = _COMPLETE if shared else _DEPART
     check_feasibility = cfg.check_feasibility
     push, pop, replace = heappush, heappop, heapreplace
-    draw = _standard_exponentials(rng).__next__
+    u = rng.random
+    # standard exponentials in stream order, a block at a time, chained at C level
+    batches = iter(lambda: [-log1p(-u()) for _ in repeat(None, _BLOCK)], None)
+    draw = chain.from_iterable(batches).__next__
     # exponential(scale) is scale * standard exponential, and 1.0 * x == x
     duration = repeat(1.0).__next__ if cfg.duration_mode == "deterministic" else draw
 
-    # (time, sequence number, kind, element); the sequence number breaks ties
-    armed = [x for x in range(n + e) if rates[x] > 0]
-    heap = [(scale[x] * draw(), s, _ARRIVE, x) for s, x in enumerate(armed)]
+    # (time, sequence number, code): code x < m is an arrival at element x,
+    # code m + x the end of a service at x; the sequence number breaks ties
+    armed = [x for x in range(m) if rates[x] > 0]
+    heap = [(scale[x] * draw(), s, x) for s, x in enumerate(armed)]
     heapify(heap)
     seq = len(heap)
 
@@ -208,51 +207,57 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
             raise RuntimeError("internal consistency: simulated state left the feasible set")
 
     def tallies():
-        return [0.0] * (p.cv + 1), [0] * (n + e), [0] * (n + e)
+        return [0.0] * (p.cv + 1), [0] * m, [0] * m
 
     # One loop body, run twice: the events before the warmup (t < warmup, that
     # is t <= the float below it) go into tallies that are thrown away, and the
     # rest up to the horizon into the estimates, timed from last = warmup.
-    # Adding t - last = 0.0 leaves an occupancy time as it is.
-    occ_time, offered, blocked = tallies()
+    # Node 0's occupancy time is added when that occupancy changes and at the
+    # end of each phase.
+    occ_time, admitted, blocked = tallies()
     phases = (
         (0.0, math.nextafter(warmup, -math.inf), tallies()),
-        (warmup, horizon, (occ_time, offered, blocked)),
+        (warmup, horizon, (occ_time, admitted, blocked)),
     )
-    for last, end, (times, offers, blocks) in phases:
+    for last, end, (times, admits, blocks) in phases:
         while heap:
             # The event is handled at the top of the heap, which an arrival's
             # successor or a re-armed completion then replaces; (t, seq) keys
             # are unique, so the events come out in the order pops would give.
-            t, _, kind, x = heap[0]
+            t, _, x = heap[0]
             if t > end:
                 break
-            times[occ[0]] += t - last
-            last = t
 
-            if kind == _ARRIVE:
+            if x < m:  # an arrival at x
                 o = occ[x] + 1
-                admit = o <= top[x]
-                if admit:
+                if o <= top[x]:
                     for a, b in budget[x]:
                         if o + occ[a] + occ[b] > cap:
-                            admit = False
+                            blocks[x] += 1
                             break
-                offers[x] += 1
-                if admit:
-                    # a shared server is started by the call that finds it idle
-                    if not shared or o == 1:
-                        push(heap, (t + duration(), seq, service, x))
-                        seq += 1
-                    occ[x] = o
+                    else:  # every budget holds: admit
+                        admits[x] += 1
+                        # a shared server is started by the call that finds it idle
+                        if not shared or o == 1:
+                            push(heap, (t + duration(), seq, m + x))
+                            seq += 1
+                        if not x:
+                            times[o - 1] += t - last
+                            last = t
+                        occ[x] = o
                 else:
                     blocks[x] += 1
-                replace(heap, (t + scale[x] * draw(), seq, _ARRIVE, x))
+                replace(heap, (t + scale[x] * draw(), seq, x))
                 seq += 1
-            else:  # _DEPART or _COMPLETE
-                occ[x] -= 1
-                if kind == _COMPLETE and occ[x] >= 1:
-                    replace(heap, (t + duration(), seq, _COMPLETE, x))
+            else:  # the end of a service at x - m
+                x -= m
+                o = occ[x] - 1
+                if not x:
+                    times[o + 1] += t - last
+                    last = t
+                occ[x] = o
+                if shared and o:
+                    replace(heap, (t + duration(), seq, m + x))
                     seq += 1
                 else:
                     pop(heap)
@@ -263,8 +268,9 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
 
     span = horizon - warmup
     occupancy = tuple(x / span for x in occ_time)
-    edge_counts = (offered[n], blocked[n]) if e else (0, 0)
-    return offered[0], blocked[0], *edge_counts, occupancy, sum(offered)
+    arrivals = sum(admitted) + sum(blocked)
+    edge_counts = (admitted[n] + blocked[n], blocked[n]) if e else (0, 0)
+    return admitted[0] + blocked[0], blocked[0], *edge_counts, occupancy, arrivals
 
 
 def _mean_se(values: list) -> tuple:
@@ -280,13 +286,12 @@ def _ratio(num: int, den: int) -> float:
     return num / den if den > 0 else math.nan
 
 
-def _run_slice(cfg: SimConfig, seeds: list) -> list:
-    """Build the tree once and simulate one replication per seed sequence in
-    ``seeds``, in order."""
-    import numpy as np
-
+def _run_slice(cfg: SimConfig, reps: range) -> list:
+    """Build the tree once and simulate replications ``reps``, in order, each
+    on its own stream."""
     tree = build_tree(cfg.tree, cfg.params.q)
-    return [_simulate_once(cfg, tree, np.random.Generator(np.random.Philox(s))) for s in seeds]
+    streams = (random.Random(f"treeloss.simulate {cfg.seed} {k}") for k in reps)
+    return [_simulate_once(cfg, tree, rng) for rng in streams]
 
 
 def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
@@ -298,19 +303,8 @@ def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
     """
     check_int("jobs", jobs, 1)
     workers = pool_size(jobs, cfg.replications)
-    # numpy is imported here so the analytic commands start without it, and
-    # before the workers fork, so they inherit it; a fork copies only the
-    # calling thread, so no BLAS thread may start before it
-    blas_set = any(v in os.environ for v in _BLAS_THREAD_VARS)
-    if workers > 1 and "numpy" not in sys.modules and not blas_set:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        import numpy  # noqa: F401
-        del os.environ["OPENBLAS_NUM_THREADS"]
-    import numpy as np
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     cuts = [cfg.replications * k // workers for k in range(workers + 1)]
-    slices = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+    slices = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     reps = [rep for part in map_tasks(partial(_run_slice, cfg), slices, workers) for rep in part]
     offered_n, blocked_n, offered_e, blocked_e, occupancies, events = zip(*reps)
     node_beta, node_se = _mean_se(list(map(_ratio, blocked_n, offered_n)))

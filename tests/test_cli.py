@@ -20,7 +20,7 @@ from treeloss.cli import main
 from treeloss.oracle import TreeSpec, exact_blocking, exact_partition, spherical_tree
 from treeloss.phase1d import phase_window
 from treeloss.rfmap import ModelParams
-from treeloss.simulate import _BLAS_THREAD_VARS, SimConfig, SimStats, run as sim_run
+from treeloss.simulate import SimConfig, SimStats, run as sim_run
 from treeloss.weights import load_weight_file, poisson_weights
 
 from test_phase1d import _ref_phase_window
@@ -46,23 +46,23 @@ README_CLASSIFY_SHA256 = "c0204c5d59be2d943b730a79d3450cb96126dd7429bc1812d775ae
 
 # `treeloss simulate` as the README runs it
 README_SIMULATE_JSON = """{
-  "edge_beta": 0.4086781076811585,
-  "edge_beta_se": 0.0020045484626920263,
-  "edge_blocked": 19302,
-  "edge_offered": 47229,
-  "node_beta": 0.7730029464024409,
-  "node_beta_se": 0.0023185305852493807,
-  "node_blocked": 36483,
-  "node_offered": 47193,
+  "edge_beta": 0.41412485965694557,
+  "edge_beta_se": 0.0019883517791319093,
+  "edge_blocked": 19602,
+  "edge_offered": 47330,
+  "node_beta": 0.7731494210903507,
+  "node_beta_se": 0.0018787462103812584,
+  "node_blocked": 36497,
+  "node_offered": 47203,
   "occupancy": [
-    0.7745872382443274,
-    0.22541276175567257
+    0.77073535657892,
+    0.2292646434210799
   ],
   "occupancy_se": [
-    0.002989596499135986,
-    0.0029895964991359823
+    0.002473114870040961,
+    0.0024731148700409622
   ],
-  "post_warmup_events": 331379,
+  "post_warmup_events": 331718,
   "replications": 24
 }
 """
@@ -157,6 +157,20 @@ class TestWindowCommand:
         assert _run(capsys, "window", "--q", q, "--cap", "2", "--lam", "7") == (
             2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n"
         )
+
+    @pytest.mark.parametrize("exp", [150, 155, 200, 300])
+    def test_a_q_that_overflows_the_window_is_named(self, capsys, exp):
+        # from about q = 1.3e154 on, q alone takes the window's coefficients
+        # beyond the floats; below it, nu_plus saturates as at q = 500
+        if exp == 150:
+            message = "edge weights too extreme for a float window: nu_plus is not finite"
+        else:
+            message = "q too large for a float window: integer division result too large for a float"
+        q = str(10**exp)
+        window = _run(capsys, "window", "--q", q, "--cap", "2", "--lam", "5")
+        sweep = _run(capsys, "sweep-region", "--q", q, "--cap", "2", "--lam-min", "5",
+                     "--lam-max", "6", "--lam-step", "1", "--jobs", "1")
+        assert window == sweep == (2, "", f"error: {message}\n")
 
     def test_q_beyond_the_float_range_is_usage_error(self, capsys):
         # the window raises ratios to the power q as a float exponent
@@ -467,7 +481,7 @@ def test_bad_count_is_named_by_its_flag_before_weights_are_built(
 
 
 def test_import_leaves_numpy_unloaded():
-    # only the simulator needs numpy; the analytic commands must start without it
+    # numpy costs a tenth of a second to import, and no module needs it
     src = str(Path(treeloss.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -791,33 +805,23 @@ class TestSimulateCommand:
         for jobs in ("1", "2", "3"):
             assert _run(capsys, *self.ARGS, "--jobs", jobs) == default
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-    def test_workers_fork_from_a_process_with_one_thread(self):
-        # a fork copies only the calling thread, so numpy's BLAS pool must not
-        # have started one; the probe counts this process's threads each time
-        # the simulator is about to fork, in a fresh interpreter with no BLAS
-        # thread count set
+    def test_a_forking_run_leaves_numpy_unloaded(self):
+        # the simulator draws from the standard library, so a run that forks
+        # its workers has imported no numpy (and no BLAS thread) by its end
         probe = (
             "import os, sys\n"
-            "import treeloss.simulate as simulate\n"
             "from treeloss.cli import main\n"
-            "fork_join, threads = simulate.map_tasks, []\n"
-            "def counted(*args):\n"
-            "    threads.append(len(os.listdir('/proc/self/task')))\n"
-            "    return fork_join(*args)\n"
-            "simulate.map_tasks = counted\n"
             "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
-            "print(threads, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+            "print('numpy' in sys.modules)\n"
         )
         src = str(Path(treeloss.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
-        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-c", probe, *self.ARGS, "--jobs", "2"],
             capture_output=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == b"[1] False"  # and the environment is restored
+        assert proc.stdout.strip() == b"False"
 
     def test_default_jobs_is_the_usable_cpu_count(self, capsys, monkeypatch):
         seen = []
@@ -888,9 +892,27 @@ class TestSimulateCommand:
         )
         assert proc.stdout == b""
 
+    def test_unbounded_work_is_refused_at_once(self):
+        # arrivals 1e-308 apart stop advancing the float clock, so without the
+        # expected-arrivals bound this run spins at one instant forever
+        src = str(Path(treeloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeloss", "simulate", "--q", "2", "--cap", "2",
+             "--lam", "1", "--nu", "1e308", "--radius", "1", "--warmup", "0", "--horizon", "1",
+             "--reps", "1", "--jobs", "1"],
+            capture_output=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: the run expects more than 1e+308 arrivals, replications * horizon * "
+            b"(nodes * node rate + edges * edge rate); simulate takes at most 1e+09\n"
+        )
+        assert proc.stdout == b""
+
     def test_huge_replication_count_is_refused_at_once(self):
-        # spawning 10^8 seeds runs out of a 1 GiB address space, so the count
-        # must be refused before any seed is spawned
+        # the tallies of 10^8 replications run out of a 1 GiB address space,
+        # so the count must be refused before any replication runs
         src = str(Path(treeloss.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
@@ -1003,7 +1025,8 @@ class TestWorkerCount:
 # hostile ones: counts that are negative, 0 or huge, floats that are nan,
 # infinite, 1e308, subnormal, 0 or negative, choices that name nothing. Every
 # case stays cheap: --horizon <= 50, --reps <= 3, at most 50 grid rows,
-# --max-iter <= 10**4 and --jobs 1.
+# --max-iter <= 10**4 and --jobs 1; a hostile rate under a drawn --warmup is
+# refused by its expected arrivals.
 _HOSTILE = {
     "count": st.sampled_from([-3, -1, 0, 10**18, 2**63, 10**400]),
     "float": st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
@@ -1048,6 +1071,8 @@ def _simulate_argv(draw) -> list:
         flags["--height"] = ("count", draw(st.integers(0, 3)))
     else:
         flags["--radius"] = ("count", draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        flags["--warmup"] = ("float", draw(st.floats(0.0, 10.0)))
     flags["--horizon"] = ("horizon", draw(st.floats(20.0, 50.0)))
     flags["--reps"] = ("small", draw(st.integers(1, 3)))
     flags["--seed"] = ("count", draw(st.integers(0, 2**32)))

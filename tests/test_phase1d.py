@@ -328,6 +328,20 @@ class TestWindow:
             phase_window(q, 2, w)
         assert str(err.value) == f"edge weights too extreme for a float window: {reason}"
 
+    @pytest.mark.parametrize("exp,message", [
+        # the coefficients fit, and nu_plus saturates to inf as at q = 300 above
+        (150, "edge weights too extreme for a float window: nu_plus is not finite"),
+        # the discriminant over D**4 grows as (q (S_1^2 + S_2 S_0))^2, and only
+        # q's factor is beyond the float range
+        (155, "q too large for a float window: integer division result too large for a float"),
+        (200, "q too large for a float window: integer division result too large for a float"),
+        (300, "q too large for a float window: integer division result too large for a float"),
+    ])
+    def test_a_q_that_overflows_the_window_is_named(self, exp, message):
+        with pytest.raises(ValueError) as err:
+            phase_window(10**exp, 2, poisson_weights(5.0, 2))
+        assert str(err.value) == message
+
     @given(st.integers(7, 25), st.floats(min_value=6.2, max_value=20.0))
     def test_endpoints_bracket_a_multiple_point(self, q, rate):
         w = poisson_weights(rate, 2)
@@ -407,6 +421,25 @@ class TestAssumptions:
             poisson_window_statistic(3, 1, 1.0)
         with pytest.raises(ValueError, match="q must be at most the largest float"):
             poisson_window_statistic(10**400, 2, 1.0)
+
+    @pytest.mark.parametrize("exp", [150, 155, 200, 300])
+    def test_statistic_names_what_overflows_its_floats(self, exp):
+        # (1 + q)**2 is an int, beyond the float range from about q = 1.3e154
+        q = 10**exp
+        if exp == 150:
+            assert 0.0 < poisson_window_statistic(q, 2, 1.0) < math.inf
+        else:
+            with pytest.raises(ValueError) as err:
+                poisson_window_statistic(q, 2, 1.0)
+            assert str(err.value) == (
+                f"q = 1e+{exp} overflows the window statistic's floats: "
+                "int too large to convert to float"
+            )
+        # a Fraction rate keeps the statistic exact at any q
+        assert poisson_window_statistic(q, 2, Fraction(1)) > 0
+        # S_2**2 overflows at cap 3 although every Poisson entry is a float
+        with pytest.raises(ValueError, match=r"^rate 1e\+80 overflows the window statistic's"):
+            poisson_window_statistic(6, 3, 1e80)
 
     @pytest.mark.parametrize("base,want", [(0.5, 0.0), (1.0, 1.0), (2.0, math.inf)])
     def test_power_of_an_exponent_beyond_the_floats(self, base, want):

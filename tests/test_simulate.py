@@ -1,17 +1,11 @@
 """Event-driven simulator: reproducibility, exact-law agreement, comparisons."""
 import math
-import os
-import subprocess
-import sys
 from heapq import heappop, heappush
-from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import treeloss
 from treeloss import _num, simulate
 from treeloss.oracle import (
     Configuration,
@@ -51,7 +45,8 @@ def _network_params(nu=1.2, lam=0.8):
 
 
 def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
-    """The simulator with one numpy call per draw, kept as the reference."""
+    """The simulator with one ``-log1p(-rng.random())`` per draw, kept as the
+    reference; node 0's occupancy time is added when that occupancy changes."""
     p = cfg.params
     node_rate = float(p.node_weights.entries[1])
     edge_rate = float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
@@ -64,8 +59,11 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     shared = cfg.service_mode == "shared_server"
     deterministic = cfg.duration_mode == "deterministic"
 
+    def exponential(scale: float) -> float:
+        return scale * -math.log1p(-rng.random())
+
     def duration() -> float:
-        return 1.0 if deterministic else float(rng.exponential(1.0))
+        return 1.0 if deterministic else exponential(1.0)
 
     heap: list = []
     seq = 0
@@ -77,10 +75,10 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
 
     if node_rate > 0:
         for i in range(n):
-            push(float(rng.exponential(1.0 / node_rate)), "an", i)
+            push(exponential(1.0 / node_rate), "an", i)
     if edge_rate > 0:
         for k in range(e):
-            push(float(rng.exponential(1.0 / edge_rate)), "ae", k)
+            push(exponential(1.0 / edge_rate), "ae", k)
 
     occ_time = [0.0] * (p.cv + 1)
     offered_n = blocked_n = offered_e = blocked_e = events = 0
@@ -100,6 +98,16 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
         up, vp = tree.edge_ends[k]
         return occ_n[up] + occ_e[k] + 1 + occ_n[vp] <= p.cap
 
+    def change_node(i: int, t: float, step: int):
+        """Change node i's occupancy by ``step`` at time t, first timing node 0's."""
+        nonlocal last
+        if i == center:
+            lo = max(last, warmup)
+            if t > lo:
+                occ_time[occ_n[center]] += t - lo
+            last = t
+        occ_n[i] += step
+
     def assert_legal():
         cfg_now = Configuration(
             node_occ={v: occ_n[i] for i, v in enumerate(tree.nodes)},
@@ -112,10 +120,6 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
         t, _, kind, idx = heappop(heap)
         if t > horizon:
             break
-        lo, hi = max(last, warmup), t
-        if hi > lo:
-            occ_time[occ_n[center]] += hi - lo
-        last = t
 
         if kind == "an":
             counted = t >= warmup
@@ -127,13 +131,13 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                 if shared:
                     if occ_n[idx] == 0:
                         push(t + duration(), "cn", idx)
-                    occ_n[idx] += 1
+                    change_node(idx, t, 1)
                 else:
-                    occ_n[idx] += 1
+                    change_node(idx, t, 1)
                     push(t + duration(), "dn", idx)
             elif counted and idx == center:
                 blocked_n += 1
-            push(t + float(rng.exponential(1.0 / node_rate)), "an", idx)
+            push(t + exponential(1.0 / node_rate), "an", idx)
         elif kind == "ae":
             counted = t >= warmup
             if counted:
@@ -150,13 +154,13 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                     push(t + duration(), "de", idx)
             elif counted and idx == target_edge:
                 blocked_e += 1
-            push(t + float(rng.exponential(1.0 / edge_rate)), "ae", idx)
+            push(t + exponential(1.0 / edge_rate), "ae", idx)
         elif kind == "dn":
-            occ_n[idx] -= 1
+            change_node(idx, t, -1)
         elif kind == "de":
             occ_e[idx] -= 1
         elif kind == "cn":
-            occ_n[idx] -= 1
+            change_node(idx, t, -1)
             if occ_n[idx] >= 1:
                 push(t + duration(), "cn", idx)
         else:  # "ce"
@@ -177,9 +181,8 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
 
 def _replications(cfg: SimConfig, once=simulate._simulate_once) -> list:
     """Each replication's counts, occupancy law and arrivals, from the loop ``once``."""
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     with mock.patch.object(simulate, "_simulate_once", once):
-        return simulate._run_slice(cfg, seeds)
+        return simulate._run_slice(cfg, range(cfg.replications))
 
 
 @st.composite
@@ -298,34 +301,6 @@ class TestWorkers:
             run(self.CONFIGS["per-call"], jobs=10**5)
         assert slices == [2]
         assert len(stub_fork) == 1
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-    def test_workers_fork_from_a_process_with_one_thread(self):
-        # a fork copies only the calling thread, so numpy's BLAS pool must not
-        # have started one; the probe counts this process's threads when run
-        # is about to fork, in a fresh interpreter with no BLAS thread count set
-        probe = (
-            "import os\n"
-            "from treeloss import simulate\n"
-            "from treeloss.oracle import TreeSpec\n"
-            "from treeloss.weights import poisson_weights\n"
-            "fork_join, threads = simulate.map_tasks, []\n"
-            "def counted(*args):\n"
-            "    threads.append(len(os.listdir('/proc/self/task')))\n"
-            "    return fork_join(*args)\n"
-            "simulate.map_tasks = counted\n"
-            "p = simulate.ModelParams(2, 2, 1, 2, poisson_weights(1.0, 1), poisson_weights(1.0, 2))\n"
-            "simulate.run(simulate.SimConfig(p, TreeSpec('spherical', 1), horizon_time=50.0,\n"
-            "                                replications=2), 2)\n"
-            "print(threads, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
-        )
-        src = str(Path(treeloss.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k not in simulate._BLAS_THREAD_VARS}
-        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == b"[1] False"  # and the environment is restored
 
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
     def test_jobs_must_be_a_positive_int(self, jobs):
@@ -595,5 +570,26 @@ class TestConfigValidation:
             "node rate 1e+308 and edge rate 0.8 overflow the default warmup "
             "10 * (1 + node rate + edge rate)"
         )
-        given = SimConfig(params=p, tree=TreeSpec("spherical", 1), warmup_time=1.0)
-        assert given.warmup_time == 1.0
+        # a given warmup is the caller's, and the rates then refuse the run
+        # by its expected arrivals
+        with pytest.raises(ValueError, match=r"^the run expects more than 1e\+308 arrivals"):
+            SimConfig(params=p, tree=TreeSpec("spherical", 1), warmup_time=1.0)
+
+    def test_expected_arrivals_limit(self):
+        # one node at rate 1 for 10^9 time units expects exactly 10^9 arrivals
+        p = _single_node_params(nu=1.0)
+        SimConfig(params=p, tree=TreeSpec("rooted", 0), warmup_time=0.0, horizon_time=1e9,
+                  replications=1)
+        with pytest.raises(ValueError) as err:
+            SimConfig(params=p, tree=TreeSpec("rooted", 0), warmup_time=0.0, horizon_time=1e9,
+                      replications=2)
+        assert str(err.value) == (
+            "the run expects 2e+09 arrivals, replications * horizon * (nodes * node rate "
+            "+ edges * edge rate); simulate takes at most 1e+09"
+        )
+        # nodes and edges both count: the q = 2 ball of radius 1 has 4 and 3,
+        # so at rates 2 and 2 each time unit expects 14 arrivals
+        p, spec = _network_params(nu=2.0, lam=2.0), TreeSpec("spherical", 1)
+        SimConfig(params=p, tree=spec, warmup_time=0.0, horizon_time=5e7, replications=1)
+        with pytest.raises(ValueError, match=r"expects 1.4e\+09 arrivals"):
+            SimConfig(params=p, tree=spec, warmup_time=0.0, horizon_time=1e8, replications=1)

@@ -1,6 +1,6 @@
 """Package hygiene: exported names resolve, every exported function and every
 public method of an exported class has a caller outside its module, no
-module imports scipy or a memo decorator, the count rule (an int, not a
+module imports numpy, scipy or a memo decorator, the count rule (an int, not a
 bool, within bounds) and the fork of a worker process are each written
 once, in ``_num``, the edge budget rule once, in ``weights``, the map's
 row sums once, in ``rfmap``, every bisection runs in ``rfmap``, no float
@@ -139,6 +139,14 @@ def test_no_module_imports_scipy():
     files = sorted(SRC.rglob("*.py"))
     assert files
     assert [str(f.relative_to(SRC)) for f in files if "scipy" in _imported_roots(f)] == []
+
+
+def test_no_module_imports_numpy():
+    # the simulator draws from the standard library's random, so no command
+    # pays numpy's import
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    assert [str(f.relative_to(SRC)) for f in files if "numpy" in _imported_roots(f)] == []
 
 
 MEMOS = {"lru_cache", "cache"}
