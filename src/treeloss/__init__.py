@@ -36,9 +36,8 @@ _EXPORTS = {
         "unicast_blocking",
     ),
     "oracle": (
-        "Configuration", "FiniteTree", "TreeSpec", "TreeTooLargeError", "edge_centered_tree",
-        "exact_blocking", "exact_partition", "is_feasible",
-        "occupancy_distribution", "rooted_tree", "spherical_tree",
+        "FiniteTree", "TreeSpec", "TreeTooLargeError", "edge_centered_tree", "exact_blocking",
+        "exact_partition", "occupancy_distribution", "rooted_tree", "spherical_tree",
     ),
     "simulate": ("SimConfig", "SimStats", "compare", "compare_runs", "run"),
 }

@@ -28,12 +28,10 @@ __all__ = [
     "TreeTooLargeError",
     "TreeSpec",
     "FiniteTree",
-    "Configuration",
     "rooted_tree",
     "spherical_tree",
     "edge_centered_tree",
     "build_tree",
-    "is_feasible",
     "exact_partition",
     "occupancy_distribution",
     "exact_blocking",
@@ -121,14 +119,6 @@ class TreeSpec:
             check_int("spherical radius", self.size, 1)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Full occupancy assignment: node -> count, sorted edge pair -> count."""
-
-    node_occ: dict
-    edge_occ: dict
-
-
 def _grow(fan: tuple, q: int, height: int, edges: list) -> FiniteTree:
     """The tree of ``edges`` plus ``k`` children under node ``v`` for each
     ``(v, k)`` of ``fan``, in order; the fan's nodes are 0 .. len(fan) - 1.
@@ -171,24 +161,6 @@ def build_tree(spec: TreeSpec, q: int) -> FiniteTree:
     if spec.kind == "rooted":
         return rooted_tree(q, spec.size)
     return spherical_tree(q, spec.size)
-
-
-def is_feasible(p: ModelParams, t: FiniteTree, c: Configuration) -> bool:
-    node_occ = dict(c.node_occ)
-    edge_occ = {tuple(sorted(k)): v for k, v in c.edge_occ.items()}
-    if set(node_occ) != set(t.nodes):
-        raise ValueError("configuration must assign exactly the tree's nodes")
-    if set(edge_occ) != set(t.edges):
-        raise ValueError("configuration must assign exactly the tree's edges")
-    for occs, top in ((node_occ.values(), p.cv), (edge_occ.values(), p.ce)):
-        for occ in occs:
-            if not is_int(occ):
-                raise ValueError(f"occupancies must be ints, got {occ!r}")
-            if not 0 <= occ <= top:
-                return False
-    return all(
-        node_occ[u] + edge_occ[(u, v)] + node_occ[v] <= p.cap for u, v in t.edges
-    )
 
 
 def _check_size(p: ModelParams, nodes: int, exact: bool = True):

@@ -7,9 +7,13 @@ elements 0..n-1 are the nodes and n..n+e-1 the edges, each with its own cap
 (cv or ce) and the edge budgets it draws on (a node every incident edge's, an
 edge its own). An arrival is admitted iff the element's own cap and every
 budget it draws on still hold with one more call, which is the
-route-and-resource rule of a loss network (Kelly 1991). There are two
-event kinds: an arrival, and the end of a service, which is one call's
-departure or a shared server's completion.
+route-and-resource rule of a loss network (Kelly 1991), so every state
+the loop reaches is feasible. There are two event kinds: an arrival, and the
+end of a service, which is one call's departure or a shared server's
+completion. Each event ends in exactly one ``heapreplace`` or ``heappop``,
+looked up in this module when a replication starts and called after the
+event's occupancy update: ``tests/test_simulate.py`` wraps both to check
+every state against the feasibility rule.
 
 Two service disciplines:
 
@@ -51,7 +55,7 @@ from itertools import chain, repeat
 from math import log1p
 
 from ._num import check_int, check_nonneg, map_tasks, pool_size
-from .oracle import _COUNT_CAP, Configuration, TreeSpec, _spec_nodes, build_tree, is_feasible
+from .oracle import _COUNT_CAP, TreeSpec, _spec_nodes, build_tree
 from .rfmap import ModelParams
 
 __all__ = [
@@ -91,7 +95,6 @@ class SimConfig:
     horizon_time: float = 1000.0
     replications: int = 8
     seed: int = 0
-    check_feasibility: bool = False
 
     def __post_init__(self):
         if self.service_mode not in _SERVICE_MODES:
@@ -182,7 +185,6 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     occ = [0] * m
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     shared = cfg.service_mode == "shared_server"
-    check_feasibility = cfg.check_feasibility
     push, pop, replace = heappush, heappop, heapreplace
     u = rng.random
     # standard exponentials in stream order, a block at a time, chained at C level
@@ -197,14 +199,6 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     heap = [(scale[x] * draw(), s, x) for s, x in enumerate(armed)]
     heapify(heap)
     seq = len(heap)
-
-    def assert_legal():
-        cfg_now = Configuration(
-            node_occ=dict(zip(tree.nodes, occ[:n])),
-            edge_occ=dict(zip(tree.edges, occ[n:])),
-        )
-        if not is_feasible(p, tree, cfg_now):
-            raise RuntimeError("internal consistency: simulated state left the feasible set")
 
     def tallies():
         return [0.0] * (p.cv + 1), [0] * m, [0] * m
@@ -261,9 +255,6 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                     seq += 1
                 else:
                     pop(heap)
-
-            if check_feasibility:
-                assert_legal()
         times[occ[0]] += end - last
 
     span = horizon - warmup

@@ -480,6 +480,19 @@ def test_bad_count_is_named_by_its_flag_before_weights_are_built(
     assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("weights,message", [
+    ("file", "weight file has 2 entries, need at least 3"),
+    ("poisson", "--lam is required for poisson/geometric weights when ce >= 1"),
+])
+def test_edge_weights_that_do_not_fit_the_model_are_refused(capsys, tmp_path, weights, message):
+    # at cap = 2 the edge weights need ce + 1 = 3 entries, and poisson ones a rate
+    w = tmp_path / "w.txt"
+    w.write_text("1\n0.5\n")
+    family = f"file:{w}" if weights == "file" else weights
+    argv = ("classify", "--q", "2", "--cap", "2", "--weights", family, "--nu", "1")
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy costs a tenth of a second to import, and no module needs it
     src = str(Path(treeloss.__file__).resolve().parents[1])

@@ -184,6 +184,8 @@ class TestMap:
                 node_weights=w1,
                 edge_weights=w1,
             )
+        with pytest.raises(ValueError, match=r"^edge_weights needs length ce\+1=3, got 2$"):
+            ModelParams(q=2, cap=2, cv=1, ce=2, node_weights=w1, edge_weights=w1)
 
     def test_q_beyond_the_float_range_is_refused(self):
         # the maps raise x to the power q through q * log(x), so q must be a float

@@ -1,5 +1,8 @@
 """Event-driven simulator: reproducibility, exact-law agreement, comparisons."""
 import math
+import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from heapq import heappop, heappush
 from unittest import mock
 
@@ -8,18 +11,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from treeloss import _num, simulate
 from treeloss.oracle import (
-    Configuration,
     FiniteTree,
     TreeSpec,
     build_tree,
     exact_blocking,
-    is_feasible,
     occupancy_distribution,
     spherical_tree,
 )
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import CompareReport, SimConfig, compare, compare_runs, run
 from treeloss.weights import WeightVector, poisson_weights
+
+from feasibility import is_feasible
 
 
 def _single_node_params(nu=1.0, cv=1, cap=2):
@@ -46,7 +49,8 @@ def _network_params(nu=1.2, lam=0.8):
 
 def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     """The simulator with one ``-log1p(-rng.random())`` per draw, kept as the
-    reference; node 0's occupancy time is added when that occupancy changes."""
+    reference; node 0's occupancy time is added when that occupancy changes,
+    and every event's state is checked against the feasibility rule."""
     p = cfg.params
     node_rate = float(p.node_weights.entries[1])
     edge_rate = float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
@@ -108,14 +112,6 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
             last = t
         occ_n[i] += step
 
-    def assert_legal():
-        cfg_now = Configuration(
-            node_occ={v: occ_n[i] for i, v in enumerate(tree.nodes)},
-            edge_occ={ed: occ_e[k] for k, ed in enumerate(tree.edges)},
-        )
-        if not is_feasible(p, tree, cfg_now):
-            raise RuntimeError("internal consistency: simulated state left the feasible set")
-
     while heap:
         t, _, kind, idx = heappop(heap)
         if t > horizon:
@@ -168,8 +164,8 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
             if occ_e[idx] >= 1:
                 push(t + duration(), "ce", idx)
 
-        if cfg.check_feasibility:
-            assert_legal()
+        node_occ, edge_occ = dict(zip(tree.nodes, occ_n)), dict(zip(tree.edges, occ_e))
+        assert is_feasible(p, tree, node_occ, edge_occ), "reference left the feasible set"
 
     lo = max(last, warmup)
     if horizon > lo:
@@ -177,6 +173,36 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     span = horizon - warmup
     occupancy = tuple(x / span for x in occ_time)
     return offered_n, blocked_n, offered_e, blocked_e, occupancy, events
+
+
+@contextmanager
+def _legality_checked():
+    """Check the state of every ``simulate._simulate_once`` event against the
+    feasibility rule, and yield ``[count of states checked]``.
+
+    Each event ends in one ``heapreplace`` or ``heappop``, after its occupancy
+    update, and the loop looks both up in ``simulate`` when it starts; the
+    wrappers read its ``occ``, ``n``, ``tree`` and ``p`` from the calling frame.
+    A forked worker's checks raise there but add nothing to the count.
+    """
+    checked = [0]
+
+    def check_then(op):
+        def checked_op(heap, *item):
+            loop = sys._getframe(1).f_locals
+            occ, n, tree = loop["occ"], loop["n"], loop["tree"]
+            node_occ, edge_occ = dict(zip(tree.nodes, occ[:n])), dict(zip(tree.edges, occ[n:]))
+            assert is_feasible(loop["p"], tree, node_occ, edge_occ), (
+                f"simulated state left the feasible set: {node_occ} {edge_occ}"
+            )
+            checked[0] += 1
+            return op(heap, *item)
+
+        return checked_op
+
+    with mock.patch.object(simulate, "heapreplace", check_then(simulate.heapreplace)), \
+            mock.patch.object(simulate, "heappop", check_then(simulate.heappop)):
+        yield checked
 
 
 def _replications(cfg: SimConfig, once=simulate._simulate_once) -> list:
@@ -213,7 +239,6 @@ def _sim_configs(draw):
         horizon_time=start + draw(st.floats(1.0, 40.0)),
         replications=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32)),
-        check_feasibility=draw(st.integers(0, 9)) < 3,
     )
 
 
@@ -226,9 +251,9 @@ class TestBitIdentity:
     """
 
     @settings(max_examples=200)
-    @given(_sim_configs())
+    @given(_sim_configs(), st.integers(0, 9).map(lambda k: k < 3))
     @example(
-        SimConfig(
+        cfg=SimConfig(
             params=_network_params(),
             tree=TreeSpec("spherical", 1),
             service_mode="shared_server",
@@ -237,11 +262,19 @@ class TestBitIdentity:
             horizon_time=60.0,
             replications=2,
             seed=4,
-            check_feasibility=True,
-        )
+        ),
+        hooked=True,
     )
-    def test_equals_per_draw_reference(self, cfg):
-        assert repr(_replications(cfg)) == repr(_replications(cfg, _ref_simulate_once))
+    def test_equals_per_draw_reference(self, cfg, hooked):
+        # the reference checks every state itself, and the hook, on three
+        # draws in ten, checks the event loop's
+        if hooked:
+            with _legality_checked() as checked:
+                reps = _replications(cfg)
+            assert checked[0] >= sum(rep[-1] for rep in reps)  # at least one per arrival
+        else:
+            reps = _replications(cfg)
+        assert repr(reps) == repr(_replications(cfg, _ref_simulate_once))
 
     def test_readme_configuration_across_blocks(self):
         cfg = SimConfig(
@@ -277,7 +310,6 @@ class TestWorkers:
             horizon_time=80.0,
             replications=5,
             seed=9,
-            check_feasibility=True,
         ),
     }
 
@@ -286,7 +318,13 @@ class TestWorkers:
     def test_any_worker_count_gives_the_serial_result(self, monkeypatch, name, jobs):
         monkeypatch.setattr(_num, "_usable_cpus", lambda: 8)  # so jobs = 3 runs three
         cfg = self.CONFIGS[name]
-        assert repr(run(cfg, jobs=jobs)) == repr(run(cfg))
+        if name.endswith("-checked"):
+            with _legality_checked() as checked:
+                stats = run(cfg, jobs=jobs)
+            assert checked[0] > 0  # this process's slice; the children check their own
+        else:
+            stats = run(cfg, jobs=jobs)
+        assert repr(stats) == repr(run(cfg))
 
     def test_slices_are_cut_for_the_usable_cpus(self, monkeypatch, stub_fork):
         # jobs far above two usable CPUs: the five replications go in two
@@ -430,9 +468,22 @@ class TestAgainstExactLaws:
             horizon_time=80.0,
             replications=2,
             seed=17,
-            check_feasibility=True,
         )
-        run(cfg)
+        with _legality_checked() as checked:
+            stats = run(cfg)
+        # every arrival is an event, and the departures are events too
+        assert checked[0] > stats.post_warmup_events > 0
+
+    def test_legality_check_refuses_an_infeasible_state(self):
+        def event_end(p, tree, n, occ):  # the loop's names, read by the check
+            simulate.heappop([(0.0, 0, 0)])
+
+        p, tree = _network_params(), spherical_tree(2, 1)  # cv = ce = 1, 4 nodes, 3 edges
+        with _legality_checked() as checked:
+            event_end(p, tree, 4, [1, 0, 0, 0, 0, 0, 1])
+            with pytest.raises(AssertionError, match="left the feasible set"):
+                event_end(p, tree, 4, [2, 0, 0, 0, 0, 0, 0])
+        assert checked == [1]
 
 
 class TestEdgelessTrees:
@@ -487,6 +538,14 @@ class TestCompare:
         shifted = stats.node_beta + 10.0 * stats.node_beta_se
         report = compare(stats, {"node_beta": shifted})
         assert not report.entries[0].ok
+        assert not report.passed
+
+    def test_zero_stderr_gives_an_infinite_z_to_a_differing_estimate(self):
+        stats = replace(self._stats(), node_beta_se=0.0)
+        report = compare(stats, {"node_beta": stats.node_beta + 0.01})
+        (entry,) = report.entries
+        assert entry.z == math.inf
+        assert not entry.ok
         assert not report.passed
 
     def test_validation(self):

@@ -1,10 +1,11 @@
-"""Package hygiene: exported names resolve, every exported function and every
-public method of an exported class has a caller outside its module, no
-module imports numpy, scipy or a memo decorator, the count rule (an int, not a
-bool, within bounds) and the fork of a worker process are each written
-once, in ``_num``, the edge budget rule once, in ``weights``, the map's
-row sums once, in ``rfmap``, every bisection runs in ``rfmap``, no float
-result depends on the builtin ``sum``, and the README's Python examples run."""
+"""Package hygiene: exported names resolve, every exported function, every
+public method of an exported class and every ``SimConfig`` field has a
+caller outside its module, no module imports numpy, scipy or a memo
+decorator, the count rule (an int, not a bool, within bounds) and the fork
+of a worker process are each written once, in ``_num``, the edge budget rule
+once, in ``weights``, the map's row sums once, in ``rfmap``, every bisection
+runs in ``rfmap``, no float result depends on the builtin ``sum``, and the
+README's Python examples run."""
 import ast
 import importlib
 import inspect
@@ -13,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,21 @@ def test_every_exported_function_has_a_caller():
             used.update(n for n in names if n in functions and functions[n] != module)
     assert len(functions) > 20
     assert sorted(set(functions) - used) == []
+
+
+def test_every_sim_config_field_has_a_caller():
+    # a SimConfig option that no caller outside simulate sets is a switch
+    # kept for the unit tests alone, and every run pays for reading it
+    passed = set()
+    for module, text in _python_sources():
+        if module == "treeloss.simulate":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and "SimConfig" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                passed.update(k.arg for k in node.keywords)
+    assert sorted({f.name for f in fields(SimConfig)} - passed) == []
 
 
 def _imported_roots(path: Path) -> set:
