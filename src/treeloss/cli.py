@@ -294,7 +294,6 @@ def _cmd_simulate(args) -> int:
     cfg = simulate.SimConfig(
         params=p,
         tree=_tree_spec(args),
-        service_mode=args.service.replace("-", "_"),
         duration_mode=args.durations,
         warmup_time=args.warmup,
         horizon_time=args.horizon,
@@ -487,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="event-driven simulation on a finite tree")
     _add_model_flags(sp)
     _add_tree_flags(sp)
-    sp.add_argument("--service", choices=("per-call", "shared-server"), default="per-call")
     sp.add_argument("--durations", choices=("exponential", "deterministic"),
                     default="exponential")
     sp.add_argument("--warmup", type=float, default=None)

@@ -8,20 +8,21 @@ elements 0..n-1 are the nodes and n..n+e-1 the edges, each with its own cap
 edge its own). An arrival is admitted iff the element's own cap and every
 budget it draws on still hold with one more call, which is the
 route-and-resource rule of a loss network (Kelly 1991), so every state
-the loop reaches is feasible. There are two event kinds: an arrival, and the
-end of a service, which is one call's departure or a shared server's
-completion. Each event ends in exactly one ``heapreplace`` or ``heappop``,
-looked up in this module when a replication starts and called after the
-event's occupancy update: ``tests/test_simulate.py`` wraps both to check
-every state against the feasibility rule.
+the loop reaches is feasible. There are two event kinds: an arrival, and a
+server's completion of the call it serves. Each event ends in exactly one
+``heapreplace`` or ``heappop``, looked up in this module when a replication
+starts and called after the event's occupancy update:
+``tests/test_simulate.py`` wraps both to check every state against the
+feasibility rule.
 
-Two service disciplines:
-
-* ``per_call`` — every admitted call holds its slot for an independent
-  unit-mean duration (sampled exponential, or exactly 1 in deterministic
-  mode), so an element with occupancy n drains at rate n.
-* ``shared_server`` — each busy element completes one call per unit-mean
-  service period, regardless of how many are queued on it.
+Each element serves calls the way its weights w say, so that its law is the
+product form's (Kelly, *Reversibility and Stochastic Networks*, 1979):
+Poisson weights r^n/n! every call at once, so occupancy n drains at rate n,
+and geometric weights r^n one call at a time, so a busy element drains at
+rate 1. A service takes an independent unit-mean duration (sampled
+exponential, or exactly 1 in deterministic mode). ``_server_count`` matches
+w with both series in its rate r = w_1; ``SimConfig`` refuses any other
+vector, and any w_0 other than 1.
 
 Estimates use arrival counting (admitted/offered) after a warmup interval
 at node 0 (the ball's centre or the rooted tree's root) and at the first
@@ -57,6 +58,7 @@ from math import log1p
 from ._num import check_int, check_nonneg, map_tasks, pool_size
 from .oracle import _COUNT_CAP, TreeSpec, _spec_nodes, build_tree
 from .rfmap import ModelParams
+from .weights import _MAX_TOP_INDEX, WeightVector, geometric_weights, poisson_weights
 
 __all__ = [
     "SimConfig",
@@ -77,19 +79,44 @@ _MAX_NODES = 10**5
 _MAX_REPLICATIONS = 10**5
 # Most arrivals a run may expect, about half an hour of event loop on one core.
 _MAX_ARRIVALS = 10**9
-_SERVICE_MODES = ("per_call", "shared_server")
+# How far, relative, a weight entry may lie from its series and still be read
+# as that series: a weight file in 12 significant digits matches.
+_SERIES_RTOL = 1e-9
 _DURATION_MODES = ("exponential", "deterministic")
+
+
+def _server_count(w: WeightVector, what: str) -> int:
+    """The servers of an element with weights ``w``: its top index c for
+    Poisson weights, 1 for geometric ones (and for a vector that sees no calls)."""
+    entries = w.entries
+    if float(entries[0]) != 1.0:
+        raise ValueError(f"{what} weights must start with w_0 = 1, got {entries[0]!r}")
+    if not any(entries[1:]):
+        return 1
+    top, rate = len(entries) - 1, float(entries[1])
+    check_int(f"{what} weights' top index", top, 0, _MAX_TOP_INDEX)
+    for servers, series in ((top, poisson_weights), (1, geometric_weights)):
+        try:
+            ref = series(rate, top).entries
+        except ValueError:  # a zero rate, or a series entry beyond the floats
+            continue
+        if all(math.isclose(x, y, rel_tol=_SERIES_RTOL) for x, y in zip(entries, ref)):
+            return servers
+    raise ValueError(
+        f"{what} weights are neither Poisson (r^n/n!, every call served at once) nor "
+        f"geometric (r^n, one call at a time) in their rate r = w_1 = {rate!r}"
+    )
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """A simulation of ``params`` on the finite tree that ``tree`` names;
     ``warmup_time`` defaults to 10 * (1 + node rate + edge rate), refused when
-    that overflows. A run expecting more than ``_MAX_ARRIVALS`` arrivals is refused."""
+    that overflows. A run expecting more than ``_MAX_ARRIVALS`` arrivals is refused.
+    The private non-field ``_servers`` holds the node and edge server counts."""
 
     params: ModelParams
     tree: TreeSpec
-    service_mode: str = "per_call"
     duration_mode: str = "exponential"
     warmup_time: float | None = None
     horizon_time: float = 1000.0
@@ -97,8 +124,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.service_mode not in _SERVICE_MODES:
-            raise ValueError(f"service_mode must be one of {_SERVICE_MODES}")
+        p = self.params
+        servers = _server_count(p.node_weights, "node"), _server_count(p.edge_weights, "edge")
+        object.__setattr__(self, "_servers", servers)
         if self.duration_mode not in _DURATION_MODES:
             raise ValueError(f"duration_mode must be one of {_DURATION_MODES}")
         check_int("replications", self.replications, 1, _MAX_REPLICATIONS)
@@ -178,13 +206,14 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     # Elements 0..n-1 are the nodes, n..m-1 the edges. budget[x] lists, for
     # each budget x draws on, the other two elements of its node-edge-node triple.
     top = [p.cv] * n + [p.ce] * e
+    node_servers, edge_servers = cfg._servers
+    servers = [node_servers] * n + [edge_servers] * e
     rates = [_node_rate(p)] * n + [_edge_rate(p)] * e
     scale = [1.0 / r if r > 0 else 0.0 for r in rates]
     budget = [[(n + ei, w) for w, ei in adj] for adj in tree.adjacency]
     budget += [[ends] for ends in tree.edge_ends]
     occ = [0] * m
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
-    shared = cfg.service_mode == "shared_server"
     push, pop, replace = heappush, heappop, heapreplace
     u = rng.random
     # standard exponentials in stream order, a block at a time, chained at C level
@@ -194,7 +223,7 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     duration = repeat(1.0).__next__ if cfg.duration_mode == "deterministic" else draw
 
     # (time, sequence number, code): code x < m is an arrival at element x,
-    # code m + x the end of a service at x; the sequence number breaks ties
+    # code m + x a completion at x; the sequence number breaks ties
     armed = [x for x in range(m) if rates[x] > 0]
     heap = [(scale[x] * draw(), s, x) for s, x in enumerate(armed)]
     heapify(heap)
@@ -231,8 +260,8 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                             break
                     else:  # every budget holds: admit
                         admits[x] += 1
-                        # a shared server is started by the call that finds it idle
-                        if not shared or o == 1:
+                        # a call that finds a server idle starts its service
+                        if o <= servers[x]:
                             push(heap, (t + duration(), seq, m + x))
                             seq += 1
                         if not x:
@@ -243,14 +272,15 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                     blocks[x] += 1
                 replace(heap, (t + scale[x] * draw(), seq, x))
                 seq += 1
-            else:  # the end of a service at x - m
+            else:  # a completion at x - m
                 x -= m
                 o = occ[x] - 1
                 if not x:
                     times[o + 1] += t - last
                     last = t
                 occ[x] = o
-                if shared and o:
+                # the freed server takes a waiting call, if any waits
+                if o >= servers[x]:
                     replace(heap, (t + duration(), seq, m + x))
                     seq += 1
                 else:

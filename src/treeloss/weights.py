@@ -126,7 +126,7 @@ def poisson_weights(rate, top_index: int) -> WeightVector:
 
 
 def geometric_weights(rate, top_index: int) -> WeightVector:
-    """Entries rate**i for i = 0..top_index (processor-sharing service)."""
+    """Entries rate**i for i = 0..top_index (one call served at a time)."""
     return _rate_series(rate, top_index, factorial=False)
 
 

@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from treeloss.oracle import TreeSpec, exact_blocking, exact_partition, spherical
 from treeloss.phase1d import phase_window
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import SimConfig, SimStats, run as sim_run
-from treeloss.weights import load_weight_file, poisson_weights
+from treeloss.weights import geometric_weights, load_weight_file, poisson_weights
 
 from test_phase1d import _ref_phase_window
 
@@ -1076,9 +1077,30 @@ def _model_flags(draw, q: int) -> dict:
     }
 
 
+# weight files drawn for simulate, one per distinct content, removed at exit
+_WEIGHT_DIR = tempfile.TemporaryDirectory(prefix="treeloss-weights-")
+
+
+def _weight_file(draw) -> str:
+    """``file:PATH`` of four entries: a Poisson or geometric series in full or in
+    12 digits, one that is neither past its first two entries, or one with w_0 = 2."""
+    lam = draw(st.integers(1, 15)) / 10
+    series = draw(st.sampled_from([poisson_weights, geometric_weights]))(lam, 3).entries
+    spell = draw(st.sampled_from([repr, "{:.12g}".format]))
+    entries = draw(st.sampled_from([
+        [spell(x) for x in series], ["1", "0.5", "0.3", "0.2"], ["2", "1", "0.25", "0.0625"],
+    ]))
+    text = "\n".join(entries) + "\n"
+    path = Path(_WEIGHT_DIR.name, hashlib.sha256(text.encode()).hexdigest()[:16])
+    path.write_text(text)
+    return f"file:{path}"
+
+
 @st.composite
 def _simulate_argv(draw) -> list:
     flags = _model_flags(draw, 3)
+    if draw(st.booleans()):
+        flags["--weights"] = ("choice", _weight_file(draw))
     flags["--nu"] = ("float", draw(st.floats(0.05, 1.5)))
     if draw(st.booleans()):
         flags["--height"] = ("count", draw(st.integers(0, 3)))
@@ -1089,7 +1111,6 @@ def _simulate_argv(draw) -> list:
     flags["--horizon"] = ("horizon", draw(st.floats(20.0, 50.0)))
     flags["--reps"] = ("small", draw(st.integers(1, 3)))
     flags["--seed"] = ("count", draw(st.integers(0, 2**32)))
-    flags["--service"] = ("choice", draw(st.sampled_from(["per-call", "shared-server"])))
     flags["--durations"] = ("choice", draw(st.sampled_from(["exponential", "deterministic"])))
     return _argv(draw, "simulate", flags)
 

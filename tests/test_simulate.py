@@ -20,18 +20,18 @@ from treeloss.oracle import (
 )
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import CompareReport, SimConfig, compare, compare_runs, run
-from treeloss.weights import WeightVector, poisson_weights
+from treeloss.weights import WeightVector, geometric_weights, poisson_weights
 
 from feasibility import is_feasible
 
 
-def _single_node_params(nu=1.0, cv=1, cap=2):
+def _single_node_params(nu=1.0, cv=1, cap=2, family=poisson_weights):
     return ModelParams(
         q=1,
         cap=cap,
         cv=cv,
         ce=0,
-        node_weights=poisson_weights(nu, cv),
+        node_weights=family(nu, cv),
         edge_weights=WeightVector((1.0,)),
     )
 
@@ -47,11 +47,20 @@ def _network_params(nu=1.2, lam=0.8):
     )
 
 
+def _ref_servers(w: WeightVector) -> int:
+    """One server for geometric weights, where w_2 = w_1^2 (Poisson has w_1^2 / 2),
+    else one per call up to the top index."""
+    x = [float(v) for v in w.entries]
+    return 1 if len(x) > 2 and math.isclose(x[2], x[1] ** 2, rel_tol=1e-9) else len(x) - 1
+
+
 def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     """The simulator with one ``-log1p(-rng.random())`` per draw, kept as the
     reference; node 0's occupancy time is added when that occupancy changes,
-    and every event's state is checked against the feasibility rule."""
+    and every event's state is checked against the feasibility rule. An
+    element with c servers and n calls serves min(n, c) of them."""
     p = cfg.params
+    node_servers, edge_servers = _ref_servers(p.node_weights), _ref_servers(p.edge_weights)
     node_rate = float(p.node_weights.entries[1])
     edge_rate = float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
     n, e = len(tree.nodes), len(tree.edges)
@@ -60,7 +69,6 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     center = 0
     target_edge = 0 if tree.edges else -1  # -1: no edges, nothing to count
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
-    shared = cfg.service_mode == "shared_server"
     deterministic = cfg.duration_mode == "deterministic"
 
     def exponential(scale: float) -> float:
@@ -124,13 +132,9 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                 if idx == center:
                     offered_n += 1
             if admit_node(idx):
-                if shared:
-                    if occ_n[idx] == 0:
-                        push(t + duration(), "cn", idx)
-                    change_node(idx, t, 1)
-                else:
-                    change_node(idx, t, 1)
-                    push(t + duration(), "dn", idx)
+                change_node(idx, t, 1)
+                if occ_n[idx] <= node_servers:
+                    push(t + duration(), "cn", idx)
             elif counted and idx == center:
                 blocked_n += 1
             push(t + exponential(1.0 / node_rate), "an", idx)
@@ -141,27 +145,19 @@ def _ref_simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                 if idx == target_edge:
                     offered_e += 1
             if admit_edge(idx):
-                if shared:
-                    if occ_e[idx] == 0:
-                        push(t + duration(), "ce", idx)
-                    occ_e[idx] += 1
-                else:
-                    occ_e[idx] += 1
-                    push(t + duration(), "de", idx)
+                occ_e[idx] += 1
+                if occ_e[idx] <= edge_servers:
+                    push(t + duration(), "ce", idx)
             elif counted and idx == target_edge:
                 blocked_e += 1
             push(t + exponential(1.0 / edge_rate), "ae", idx)
-        elif kind == "dn":
+        elif kind == "cn":  # a completion: the freed server takes a waiting call
             change_node(idx, t, -1)
-        elif kind == "de":
-            occ_e[idx] -= 1
-        elif kind == "cn":
-            change_node(idx, t, -1)
-            if occ_n[idx] >= 1:
+            if occ_n[idx] >= node_servers:
                 push(t + duration(), "cn", idx)
         else:  # "ce"
             occ_e[idx] -= 1
-            if occ_e[idx] >= 1:
+            if occ_e[idx] >= edge_servers:
                 push(t + duration(), "ce", idx)
 
         node_occ, edge_occ = dict(zip(tree.nodes, occ_n)), dict(zip(tree.edges, occ_e))
@@ -217,14 +213,18 @@ def _sim_configs(draw):
     cap = draw(st.integers(1, 4))
     cv = draw(st.integers(1, cap))
     ce = draw(st.integers(0, cap))
+    # each family fixes its elements' service: Poisson one server per call,
+    # geometric one server
+    node_family = draw(st.sampled_from([poisson_weights, geometric_weights]))
+    edge_family = draw(st.sampled_from([poisson_weights, geometric_weights]))
     if draw(st.integers(0, 9)) == 0:  # no node stream: edge arrivals alone
         node_weights = WeightVector((1.0,) + (0.0,) * cv)
         nu = 0.0
     else:
         nu = draw(st.floats(0.05, 4.0))
-        node_weights = poisson_weights(nu, cv)
+        node_weights = node_family(nu, cv)
     lam = draw(st.floats(0.05, 4.0))
-    params = ModelParams(q, cap, cv, ce, node_weights, poisson_weights(lam, ce))
+    params = ModelParams(q, cap, cv, ce, node_weights, edge_family(lam, ce))
     kind = draw(st.sampled_from(["rooted", "spherical"]))
     spec = TreeSpec(kind, draw(st.integers(0 if kind == "rooted" else 1, 2)))
     tree = build_tree(spec, q)
@@ -233,7 +233,6 @@ def _sim_configs(draw):
     return SimConfig(
         params=params,
         tree=spec,
-        service_mode=draw(st.sampled_from(["per_call", "shared_server"])),
         duration_mode=draw(st.sampled_from(["exponential", "deterministic"])),
         warmup_time=warmup,
         horizon_time=start + draw(st.floats(1.0, 40.0)),
@@ -253,10 +252,9 @@ class TestBitIdentity:
     @settings(max_examples=200)
     @given(_sim_configs(), st.integers(0, 9).map(lambda k: k < 3))
     @example(
-        cfg=SimConfig(
-            params=_network_params(),
+        cfg=SimConfig(  # one server at every element, each holding up to two calls
+            params=ModelParams(2, 2, 2, 2, geometric_weights(1.2, 2), geometric_weights(0.8, 2)),
             tree=TreeSpec("spherical", 1),
-            service_mode="shared_server",
             duration_mode="deterministic",
             warmup_time=0.0,
             horizon_time=60.0,
@@ -305,7 +303,6 @@ class TestWorkers:
         "shared-deterministic-checked": SimConfig(
             params=_network_params(),
             tree=TreeSpec("spherical", 1),
-            service_mode="shared_server",
             duration_mode="deterministic",
             horizon_time=80.0,
             replications=5,
@@ -406,14 +403,12 @@ class TestAgainstExactLaws:
 
     def test_shared_server_sees_geometric_law(self):
         # single station, one shared unit-rate server: truncated geometric
-        # occupancy (1, r, r^2)/(1 + r + r^2) at arrival rate r, regardless
-        # of the per-call weight family attached to the parameters
+        # occupancy (1, r, r^2)/(1 + r + r^2) at arrival rate r
         r = 0.5
-        p = _single_node_params(nu=r, cv=2, cap=2)
+        p = _single_node_params(nu=r, cv=2, cap=2, family=geometric_weights)
         cfg = SimConfig(
             params=p,
             tree=TreeSpec("rooted", 0),
-            service_mode="shared_server",
             horizon_time=800.0,
             replications=10,
             seed=7,
@@ -428,6 +423,30 @@ class TestAgainstExactLaws:
             },
         )
         assert report.passed, report
+
+    def test_poisson_nodes_with_geometric_edges(self):
+        # every node serves its two calls at once and every edge one call at
+        # a time; one discipline for all elements misses this law by 9 to 49 SE
+        p = ModelParams(2, 2, 2, 2, poisson_weights(1.5, 2), geometric_weights(0.8, 2))
+        cfg = SimConfig(
+            params=p,
+            tree=TreeSpec("spherical", 1),
+            horizon_time=3000.0,
+            replications=16,
+            seed=5,
+        )
+        assert cfg._servers == (2, 1)
+        stats = run(cfg)
+        t = spherical_tree(2, 1)
+        report = compare(
+            stats,
+            {
+                "node_beta": float(exact_blocking(p, t, target=0)),
+                "edge_beta": float(exact_blocking(p, t, target=(0, 1))),
+                "occupancy": [float(v) for v in occupancy_distribution(p, t, node=0)],
+            },
+        )
+        assert all(e.ok for e in report.entries), report
 
     def test_deterministic_durations_same_stationary_law(self):
         # the stationary law depends on durations only through their mean
@@ -581,9 +600,44 @@ class TestConfigValidation:
     def test_bad_modes(self):
         p = _single_node_params()
         with pytest.raises(ValueError):
-            SimConfig(params=p, tree=TreeSpec("rooted", 0), service_mode="batch")
-        with pytest.raises(ValueError):
             SimConfig(params=p, tree=TreeSpec("rooted", 0), duration_mode="uniform")
+
+    @staticmethod
+    def _weighted(node, edge) -> SimConfig:
+        cv, ce = len(node) - 1, len(edge) - 1
+        p = ModelParams(1, max(3, ce), cv, ce, WeightVector(node), WeightVector(edge))
+        return SimConfig(params=p, tree=TreeSpec("rooted", 1))
+
+    def test_server_counts_follow_the_weights(self):
+        def servers(node, edge):
+            return self._weighted(node, edge)._servers
+
+        assert servers(poisson_weights(0.7, 3).entries, geometric_weights(0.7, 3).entries) == (3, 1)
+        assert servers(geometric_weights(2.0, 2).entries, poisson_weights(2.0, 3).entries) == (1, 3)
+        # at a cap of one call Poisson and geometric agree; no calls, nothing to serve
+        assert servers((1, 0.5), (1.0,)) == (1, 1)
+        assert servers((1, 0, 0), (1, 0, 0, 0)) == (1, 1)
+        # a series written in 12 digits matches, within a relative 1e-9
+        assert servers((1, 0.8, 0.32), (1, 1.3, 1.69, 2.197)) == (2, 1)
+        assert servers((1, 0.8, 0.32 * (1 + 9e-10)), (1.0,)) == (2, 1)
+
+    @pytest.mark.parametrize("node,edge,message", [
+        ((1, 0.5, 0.3), (1.0,), r"^node weights are neither Poisson .* r = w_1 = 0.5$"),
+        ((1, 0.8, 0.32 * (1 + 2e-9)), (1.0,), "^node weights are neither Poisson"),
+        ((1, 0.5), (1, 0.5, 0.3), "^edge weights are neither Poisson"),
+        ((1, 0.5), (1, 0, 0.25), r"^edge weights are neither Poisson .* r = w_1 = 0.0$"),
+        ((1, 0.5), (1, 0.5, 0), "^edge weights are neither Poisson"),
+        ((1, 0.5), (2, 1, 0.25), r"^edge weights must start with w_0 = 1, got 2$"),
+        ((1, 0.5), (2,), r"^edge weights must start with w_0 = 1, got 2$"),
+        # a series entry beyond the floats matches no vector
+        ((1, 1e300), (1, 1e300, 1e300), "^edge weights are neither Poisson"),
+        # the series builders stop at top index 1000, as the Poisson tail underflows
+        ((1, 0.5), poisson_weights(0.5, 1000).entries + (0.0,),
+         r"^edge weights' top index must be an int in \[0, 1000\], got 1001$"),
+    ])
+    def test_weights_of_no_service_are_refused(self, node, edge, message):
+        with pytest.raises(ValueError, match=message):
+            self._weighted(node, edge)
 
     def test_bad_counts_and_seeds(self):
         p = _single_node_params()
