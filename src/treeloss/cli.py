@@ -54,12 +54,7 @@ def _fmt(x) -> str:
 
 def _edge_family(family: str, lam, ce: int) -> WeightVector:
     if family.startswith("file:"):
-        entries = load_weight_file(family[5:]).entries
-        if len(entries) < ce + 1:
-            raise ValueError(
-                f"weight file has {len(entries)} entries, need at least {ce + 1}"
-            )
-        return WeightVector(entries[: ce + 1])
+        return load_weight_file(family[5:])
     if ce == 0:
         return WeightVector((1,))
     if lam is None:
@@ -113,16 +108,11 @@ def _emit(args, text: str):
 
 
 def _emit_json(args, payload) -> int:
-    if getattr(args, "format", None) == "csv":
-        raise ValueError("this command emits JSON; csv format is not available")
     _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _emit_csv(args, command: str, header: str, rows: list) -> int:
-    if getattr(args, "format", None) == "json":
-        cols = header.split(",")
-        return _emit_json(args, [dict(zip(cols, map(_jsonable, row))) for row in rows])
     lines = [f"# treeloss {__version__} {command}", header]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     _emit(args, "\n".join(lines) + "\n")
@@ -307,8 +297,8 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- selftest
 
 
-def _selftest_checks(perturb: float):
-    """Yield (name, ok, detail) triples; perturb != 1 must trip the first check."""
+def _selftest_checks():
+    """Yield (name, ok, detail) triples."""
     from . import oracle
     from .phase1d import condition_a, condition_a_margin, phase_window
     from .treecalc import multicast_blocking, rooted_state, unicast_blocking
@@ -320,7 +310,7 @@ def _selftest_checks(perturb: float):
         for lam_rate in (0.5, 1.0):
             p = ModelParams(q, 2, 1, 2, poisson_weights(1.0, 1), poisson_weights(lam_rate, 2))
             st = rooted_state(p, m)
-            z0 = math.exp(st.log_z0) * perturb
+            z0 = math.exp(st.log_z0)
             zt = (z0,) + tuple(z0 * x for x in st.xi)
             zo = oracle.exact_partition(p, oracle.rooted_tree(q, m), 0)
             for a, b in zip(zt, zo):
@@ -388,19 +378,15 @@ def _selftest_checks(perturb: float):
 
 
 def _cmd_selftest(args) -> int:
-    perturb = 1.0 + 1e-6 if args.debug_perturb else 1.0
     t0 = time.monotonic()
     failures = 0
     print(f"treeloss {__version__} selftest")
-    for name, ok, detail in _selftest_checks(perturb):
+    for name, ok, detail in _selftest_checks():
         status = "ok" if ok else "FAIL"
         print(f"  {name:<28} {status:<5} {detail}")
         if not ok:
             failures += 1
-    elapsed = time.monotonic() - t0
-    print(f"{'PASS' if failures == 0 else 'FAIL'} in {elapsed:.1f}s")
-    if elapsed > 300:
-        print("warning: selftest exceeded the 5 minute budget", file=sys.stderr)
+    print(f"{'PASS' if failures == 0 else 'FAIL'} in {time.monotonic() - t0:.1f}s")
     return 0 if failures == 0 else 1
 
 
@@ -426,9 +412,6 @@ def _add_iter_flags(sp):
 
 
 def _add_out_flags(sp):
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="output format (grid commands default to csv and also "
-                         "accept json; single-result commands are json only)")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -500,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("selftest", help="fast internal consistency checks")
-    sp.add_argument("--debug-perturb", action="store_true",
-                    help="inject a tiny error to verify the checks can fail")
     sp.set_defaults(fn=_cmd_selftest)
 
     return ap

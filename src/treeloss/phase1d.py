@@ -235,31 +235,16 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
 @dataclass(frozen=True)
 class ClosedFormVerdict:
     kind: Uniqueness
-    near_boundary: bool
-    window: PhaseWindow
-
-
-# relative distance from a window endpoint within which a verdict is flagged near_boundary
-_BOUNDARY_RTOL = 1e-9
 
 
 def classify_closed_form(p: PhaseParams) -> ClosedFormVerdict:
     """Unique/Multiple by the window: Multiple iff nu lies strictly inside.
 
-    Window endpoints themselves classify Unique. A nu within ``_BOUNDARY_RTOL``
-    (1e-9, relative) of either endpoint keeps its verdict but is flagged
-    ``near_boundary`` - numerics this close to the edge deserve distrust.
+    Window endpoints themselves classify Unique.
     """
     win = phase_window(p.q, p.cap, p.edge_weights)
-    if not win.present:
-        return ClosedFormVerdict(Uniqueness.UNIQUE, False, win)
-    inside = win.nu_minus < p.nu < win.nu_plus
-    near = any(
-        abs(p.nu - endpoint) <= _BOUNDARY_RTOL * max(1.0, endpoint)
-        for endpoint in (win.nu_minus, win.nu_plus)
-    )
-    kind = Uniqueness.MULTIPLE if inside else Uniqueness.UNIQUE
-    return ClosedFormVerdict(kind, near, win)
+    inside = win.present and win.nu_minus < p.nu < win.nu_plus
+    return ClosedFormVerdict(Uniqueness.MULTIPLE if inside else Uniqueness.UNIQUE)
 
 
 def poisson_window_statistic(q: int, cap: int, rate):

@@ -367,13 +367,12 @@ class CompareEntry:
 @dataclass(frozen=True)
 class CompareReport:
     entries: tuple
-    fraction_within: float
     passed: bool
 
 
 def _zscore(estimate: float, reference: float, stderr: float) -> float:
     if math.isnan(estimate) or math.isnan(stderr):
-        raise ValueError("estimate has no observations; target mismatch")
+        raise ValueError("estimate has no observations")
     if estimate == reference:
         return 0.0
     if stderr == 0.0:
@@ -389,8 +388,7 @@ def _report(rows) -> CompareReport:
     entries = tuple(CompareEntry(*row, _zscore(*row[1:])) for row in rows)
     if not entries:
         raise ValueError("nothing to compare")
-    frac = sum(e.ok for e in entries) / len(entries)
-    return CompareReport(entries, frac, frac >= 0.95)
+    return CompareReport(entries, sum(e.ok for e in entries) / len(entries) >= 0.95)
 
 
 def compare(stats: SimStats, exact: dict) -> CompareReport:

@@ -180,12 +180,13 @@ class TestWindowCommand:
         )
 
     def test_json_only_command_rejects_csv(self, capsys):
-        code, _, _ = _run(
+        code, _, err = _run(
             capsys,
             "window", "--q", "6", "--cap", "2", "--weights", "poisson", "--lam", "5",
             "--format", "csv",
         )
         assert code == 2
+        assert "unrecognized arguments: --format csv" in err
 
     def test_readme_example_bytes(self, capsys):
         code, out, _ = _run(
@@ -344,14 +345,6 @@ class TestBlockingCurveCommand:
         assert len(out.strip().splitlines()) == 2 + 5
         assert len(reads) == 1
 
-    def test_json_format(self, capsys):
-        code, out, _ = _run(capsys, *self.ARGS, "--format", "json")
-        assert code == 0
-        rows = json.loads(out)
-        assert isinstance(rows, list) and len(rows) == 3
-        assert rows[0]["unique"] == "unique"
-        assert set(rows[0]) == {"nu", "unique", "beta_even", "beta_odd", "xi_even", "xi_odd"}
-
     def test_parallel_output_is_identical(self, capsys, tmp_path):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
@@ -482,7 +475,7 @@ def test_bad_count_is_named_by_its_flag_before_weights_are_built(
 
 
 @pytest.mark.parametrize("weights,message", [
-    ("file", "weight file has 2 entries, need at least 3"),
+    ("file", "edge_weights needs length ce+1=3, got 2"),
     ("poisson", "--lam is required for poisson/geometric weights when ce >= 1"),
 ])
 def test_edge_weights_that_do_not_fit_the_model_are_refused(capsys, tmp_path, weights, message):
@@ -492,6 +485,62 @@ def test_edge_weights_that_do_not_fit_the_model_are_refused(capsys, tmp_path, we
     family = f"file:{w}" if weights == "file" else weights
     argv = ("classify", "--q", "2", "--cap", "2", "--weights", family, "--nu", "1")
     assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# each command's flags besides the model's, at ce = 1 where it has a --ce
+FLAGS_AT_CE_1 = {
+    "classify": ("--ce", "1", "--nu", "1"),
+    "enumerate": ("--ce", "1", "--nu", "1", "--radius", "1"),
+    "simulate": ("--ce", "1", "--nu", "1", "--radius", "1"),
+    "blocking-curve": ("--ce", "1", "--nu-min", "1", "--nu-max", "2", "--nu-step", "1",
+                       "--jobs", "2"),
+    "window": (),
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS_AT_CE_1))
+def test_a_weight_file_longer_than_the_model_is_refused(capsys, monkeypatch, tmp_path, command):
+    # a file is read whole: entries beyond ce + 1 (cap + 1 for window) are an
+    # error, found before any worker forks, not a tail to drop unread
+    def no_fork():
+        raise AssertionError("a worker process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    w = tmp_path / "w.txt"
+    w.write_text("1\n0.5\n0.3\n0.2\n")
+    argv = (command, "--q", "2", "--cap", "2", "--weights", f"file:{w}", *FLAGS_AT_CE_1[command])
+    if command == "window":
+        message = "edge weights need length cap+1=3, got 4"
+    else:
+        message = "edge_weights needs length ce+1=2, got 4"
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# a valid run of each command, which one flag more makes invalid
+VALID_ARGV = {
+    "classify": ("--q", "2", "--cap", "2", "--lam", "1", "--nu", "1"),
+    "window": ("--q", "6", "--cap", "2", "--lam", "5"),
+    "blocking-curve": ("--q", "2", "--cap", "2", "--lam", "1", "--nu-min", "1",
+                       "--nu-max", "1", "--nu-step", "1"),
+    "sweep-region": ("--q", "6", "--cap", "2", "--lam-min", "5", "--lam-max", "5",
+                     "--lam-step", "1"),
+    "enumerate": ("--q", "2", "--cap", "2", "--lam", "1", "--nu", "1", "--radius", "1"),
+    "simulate": ("--q", "2", "--cap", "2", "--lam", "1", "--nu", "1", "--radius", "1",
+                 "--horizon", "10", "--reps", "1", "--jobs", "1"),
+    "selftest": (),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((command, "--format json") for command in VALID_ARGV if command != "selftest"),
+    ("selftest", "--debug-perturb"),
+])
+def test_removed_flags_are_unrecognized(capsys, command, flag):
+    code, out, _ = _run(capsys, command, "--help")
+    assert code == 0 and flag.split()[0] not in out
+    code, _, err = _run(capsys, command, *VALID_ARGV[command], *flag.split())
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_import_leaves_numpy_unloaded():
@@ -948,10 +997,31 @@ class TestSelftestCommand:
         assert "PASS" in out
         assert "recursion-vs-enumeration" in out
 
-    def test_perturbed_run_fails(self, capsys):
-        code, out, _ = _run(capsys, "selftest", "--debug-perturb")
+    # each check, and a function it calls, broken to an error just past its tolerance
+    BREAKS = {
+        "recursion-vs-enumeration": ("treeloss.treecalc.rooted_state", lambda f: (
+            lambda p, m: dataclasses.replace(f(p, m), log_z0=f(p, m).log_z0 + 1e-6))),
+        "blocking-vs-enumeration": ("treeloss.treecalc.multicast_blocking", lambda f: (
+            lambda p, radius: f(p, radius) + 1e-6)),
+        "conjugacy": ("treeloss.cli.interaction_map", lambda f: (
+            lambda p, psi: tuple(x * (1 + 1e-6) for x in f(p, psi)))),
+        "phase-boundaries": ("treeloss.phase1d.condition_a", lambda f: (
+            lambda q, cap, w: not f(q, cap, w))),
+        "window-endpoints": ("treeloss.phase1d.phase_window", lambda f: (
+            lambda q, cap, w: dataclasses.replace(f(q, cap, w), nu_plus=f(q, cap, w).nu_plus * 1.01))),
+    }
+
+    @pytest.mark.parametrize("check", sorted(BREAKS))
+    def test_a_broken_check_fails_on_its_own_line(self, capsys, monkeypatch, check):
+        target, wrap = self.BREAKS[check]
+        module, name = target.rsplit(".", 1)
+        monkeypatch.setattr(target, wrap(getattr(sys.modules[module], name)))
+        code, out, _ = _run(capsys, "selftest")
         assert code == 1
-        assert "FAIL" in out
+        lines = out.splitlines()
+        failed = [line.split()[0] for line in lines[1:-1] if line.split()[1] == "FAIL"]
+        assert failed == [check]
+        assert lines[-1].startswith("FAIL in ")
 
 
 class TestOverflowingWeights:
@@ -1081,16 +1151,17 @@ def _model_flags(draw, q: int) -> dict:
 _WEIGHT_DIR = tempfile.TemporaryDirectory(prefix="treeloss-weights-")
 
 
-def _weight_file(draw) -> str:
-    """``file:PATH`` of four entries: a Poisson or geometric series in full or in
-    12 digits, one that is neither past its first two entries, or one with w_0 = 2."""
+def _weight_file(draw, size: int) -> str:
+    """``file:PATH`` of the first ``size`` (at most four) entries of a Poisson or
+    geometric series in full or in 12 digits, of one that is neither past its
+    first two entries, or of one with w_0 = 2."""
     lam = draw(st.integers(1, 15)) / 10
     series = draw(st.sampled_from([poisson_weights, geometric_weights]))(lam, 3).entries
     spell = draw(st.sampled_from([repr, "{:.12g}".format]))
     entries = draw(st.sampled_from([
         [spell(x) for x in series], ["1", "0.5", "0.3", "0.2"], ["2", "1", "0.25", "0.0625"],
     ]))
-    text = "\n".join(entries) + "\n"
+    text = "\n".join(entries[:size]) + "\n"
     path = Path(_WEIGHT_DIR.name, hashlib.sha256(text.encode()).hexdigest()[:16])
     path.write_text(text)
     return f"file:{path}"
@@ -1100,7 +1171,7 @@ def _weight_file(draw) -> str:
 def _simulate_argv(draw) -> list:
     flags = _model_flags(draw, 3)
     if draw(st.booleans()):
-        flags["--weights"] = ("choice", _weight_file(draw))
+        flags["--weights"] = ("choice", _weight_file(draw, flags["--ce"][1] + 1))
     flags["--nu"] = ("float", draw(st.floats(0.05, 1.5)))
     if draw(st.booleans()):
         flags["--height"] = ("count", draw(st.integers(0, 3)))

@@ -371,23 +371,12 @@ class TestClosedFormClassification:
         assert verdict(win.nu_minus).kind is Uniqueness.UNIQUE  # endpoint: not strictly inside
         assert verdict(win.nu_plus).kind is Uniqueness.UNIQUE
 
-    def test_near_boundary_flag(self):
-        w = poisson_weights(0.75, 2)
-        v = classify_closed_form(
-            PhaseParams(q=10, cap=2, edge_weights=w, nu=NU_MINUS * (1 + 1e-10))
-        )
-        assert v.near_boundary
-        v = classify_closed_form(
-            PhaseParams(q=10, cap=2, edge_weights=w, nu=NU_MINUS * 1.5)
-        )
-        assert not v.near_boundary
-
     def test_absent_window_is_unique_everywhere(self):
         w = poisson_weights(2.0, 2)
+        assert not phase_window(6, 2, w).present
         for nu in (0.1, 10.0, 1e6):
             v = classify_closed_form(PhaseParams(q=6, cap=2, edge_weights=w, nu=nu))
             assert v.kind is Uniqueness.UNIQUE
-            assert not v.window.present
 
 
 class TestAssumptions:

@@ -1,11 +1,14 @@
 """Package hygiene: exported names resolve, every exported function, every
 public method of an exported class and every ``SimConfig`` field has a
-caller outside its module, no module imports numpy, scipy or a memo
+caller outside its module, every field of an exported dataclass a reader
+outside it, every subcommand option a mention in the README or a passer in
+the scripts or perfbench, no module imports numpy, scipy or a memo
 decorator, the count rule (an int, not a bool, within bounds) and the fork
 of a worker process are each written once, in ``_num``, the edge budget rule
 once, in ``weights``, the map's row sums once, in ``rfmap``, every bisection
 runs in ``rfmap``, no float result depends on the builtin ``sum``, and the
 README's Python examples run."""
+import argparse
 import ast
 import importlib
 import inspect
@@ -14,7 +17,7 @@ import pkgutil
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,7 @@ from treeloss import (
     spherical_tree,
     unicast_blocking,
 )
+from treeloss.cli import build_parser
 from treeloss.rfmap import _pair_interaction
 
 SRC = Path(treeloss.__file__).parent
@@ -140,6 +144,77 @@ def test_every_sim_config_field_has_a_caller():
             ):
                 passed.update(k.arg for k in node.keywords)
     assert sorted({f.name for f in fields(SimConfig)} - passed) == []
+
+
+def _exported_dataclass_fields() -> dict:
+    """The defining module of each (class, field) of each dataclass in ``__all__``."""
+    return {
+        (name, f.name): value.__module__ for name in treeloss.__all__
+        if is_dataclass(value := getattr(treeloss, name)) for f in fields(value)
+    }
+
+
+def _fields_emitted_whole(tree) -> set:
+    """(class, field) of each dataclass a payload emits through ``fields(x)``.
+
+    ``x`` must be a name that the same function bound to the result of a call
+    to an exported function; the dataclass is the one that function's return
+    annotation names, as ``verdict = classify_by_iteration(...)`` makes
+    ``fields(verdict)`` emit every ``UniquenessVerdict`` field."""
+    emitted = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        returns = {}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+                callee = node.value.func
+                callee = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if callee in treeloss.__all__:
+                    returns[node.targets[0].id] = getattr(treeloss, callee).__annotations__.get("return")
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields"
+                    and len(node.args) == 1 and isinstance(node.args[0], ast.Name)
+                    and returns.get(node.args[0].id) in treeloss.__all__):
+                cls = returns[node.args[0].id]
+                emitted.update((cls, f.name) for f in fields(getattr(treeloss, cls)))
+    return emitted
+
+
+def test_every_exported_dataclass_field_has_a_reader():
+    # a result field that only its own module's unit tests read is computed on
+    # every call for no one: outside its module it must be reached as an
+    # attribute, passed as a keyword, or emitted whole by a payload
+    owners = _exported_dataclass_fields()
+    read = set()
+    for module, text in _python_sources():
+        tree = ast.parse(text)
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+        read |= {key for key, owner in owners.items() if key[1] in names and owner != module}
+        read |= {key for key in _fields_emitted_whole(tree) if owners[key] != module}
+    assert len(owners) > 30
+    assert sorted(set(owners) - read) == []
+
+
+def test_every_subcommand_option_is_documented_or_used():
+    # an option that the README never names and no script or benchmark passes
+    # is a switch no user can find
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        (command, option) for command, parser in sub.choices.items()
+        for action in parser._actions if action.dest != "help"
+        for option in action.option_strings
+    }
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]:
+        named.update(
+            node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    assert len(options) > 50
+    assert sorted(x for x in options if x[1] not in named) == []
 
 
 def _imported_roots(path: Path) -> set:
