@@ -27,9 +27,9 @@ _EXPORTS = {
         "conjugate_maps", "interaction_map", "random_field_map",
     ),
     "phase1d": (
-        "AssumptionViolation", "ClosedFormVerdict", "PhaseParams", "PhaseWindow",
-        "classify_closed_form", "condition_a", "condition_a_margin", "fixed_point",
-        "phase_window", "poisson_window_statistic", "ratio_map_derivative", "schwarzian",
+        "AssumptionViolation", "PhaseParams", "PhaseWindow", "classify_closed_form",
+        "condition_a", "condition_a_margin", "fixed_point", "phase_window",
+        "poisson_window_statistic", "ratio_map_derivative", "schwarzian",
     ),
     "treecalc": (
         "NormalizedState", "center_occupancy", "multicast_blocking", "rooted_state",

@@ -374,7 +374,8 @@ def _selftest_checks():
         and abs(win.nu_minus - 26.770974722340239) <= 0.005 * win.nu_minus
         and abs(win.nu_plus - 90.726253564271425) <= 0.005 * win.nu_plus
     )
-    yield "window-endpoints", ok, f"({win.nu_minus:.6g}, {win.nu_plus:.6g})"
+    detail = f"({win.nu_minus:.6g}, {win.nu_plus:.6g})" if win.present else "no window"
+    yield "window-endpoints", ok, detail
 
 
 def _cmd_selftest(args) -> int:

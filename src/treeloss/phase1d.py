@@ -29,19 +29,20 @@ float is formed from them only by Python's correctly rounded ``int / int``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._num import check_int, check_nonneg, check_q, power
-from .rfmap import ModelParams, Uniqueness, _log_slope, _sandwich_root, _scalar_map, _scalar_slope
-from .weights import AssumptionViolation, WeightVector, _exact_window_sums, poisson_weights
+from .rfmap import (
+    ModelParams, Uniqueness, UniquenessVerdict, _log_slope, _sandwich_root, _scalar_map,
+    _scalar_slope,
+)
+from .weights import AssumptionViolation, WeightVector, poisson_weights
 
 __all__ = [
     "AssumptionViolation",
     "PhaseParams",
     "PhaseWindow",
-    "ClosedFormVerdict",
     "ratio_map_derivative",
     "schwarzian",
     "fixed_point",
@@ -53,19 +54,19 @@ __all__ = [
 ]
 
 
-def _validate_qcw(q: int, cap: int, w: WeightVector, min_q: int = 1) -> None:
-    check_q(q, min_q)
+def _window_sums(q: int, cap: int, w: WeightVector) -> tuple[int, int, int, int]:
+    """Validate; return (D, N_{cap-2}, N_{cap-1}, N_cap), the exact sums S_k = N_k / D at cap."""
+    check_q(q)
     check_int("cap", cap, 2)
     if len(w) != cap + 1:
         raise ValueError(f"edge weights need length cap+1={cap + 1}, got {len(w)}")
+    d, nums = w._exact_sums
+    return (d, *nums[cap - 2 :])
 
 
-def _require_assumption(
-    q: int, cap: int, w: WeightVector, min_q: int = 1
-) -> tuple[int, int, int, int]:
-    """Validate, check strict log-concavity exactly, return ``_exact_window_sums(cap, w)``."""
-    _validate_qcw(q, cap, w, min_q)
-    sums = _exact_window_sums(cap, w)
+def _require_assumption(q: int, cap: int, w: WeightVector) -> tuple[int, int, int, int]:
+    """``_window_sums(q, cap, w)``, after checking strict log-concavity exactly."""
+    sums = _window_sums(q, cap, w)
     _, n0, n1, n2 = sums
     if not n1 * n1 > n2 * n0:
         raise AssumptionViolation(
@@ -95,7 +96,8 @@ class PhaseParams:
     nu: float
 
     def __post_init__(self):
-        _require_assumption(self.q, self.cap, self.edge_weights, min_q=2)
+        check_q(self.q, 2)
+        _require_assumption(self.q, self.cap, self.edge_weights)
         nu = float(self.nu)
         if not (nu > 0.0 and math.isfinite(nu)):
             raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
@@ -146,8 +148,7 @@ def _nu_of(q: int, lams: tuple[float, float, float], x) -> float:
 
 def condition_a_margin(q: int, cap: int, w: WeightVector) -> Fraction:
     """(q-1)^2 S_{cap-1}^2 - (q+1)^2 S_cap S_{cap-2} as an exact rational."""
-    _validate_qcw(q, cap, w)
-    d, n0, n1, n2 = _exact_window_sums(cap, w)
+    d, n0, n1, n2 = _window_sums(q, cap, w)
     return Fraction(_condition_a_numerator(q, n0, n1, n2), d * d)
 
 
@@ -184,8 +185,8 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     are exact integers, so every sign is exact; each float is a correctly
     rounded quotient of two of them, the value ``float(Fraction)`` gives.
 
-    Weights or a q whose window floats overflow, vanish or saturate to inf
-    raise ValueError: a float window cannot carry them.
+    A window whose floats overflow, vanish or saturate to inf raises
+    ValueError naming q: a float window cannot carry it.
     """
     d, n0, n1, n2 = _require_assumption(q, cap, w)
     margin = _condition_a_numerator(q, n0, n1, n2)
@@ -210,19 +211,13 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
         lams = tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))  # S_{cap-2}, S_{cap-1}, S_cap
         nu_minus = _nu_of(q, lams, alpha_minus)
         nu_plus = _nu_of(q, lams, alpha_plus)
+        if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
+            raise RuntimeError("internal consistency: window endpoints out of order")
+        # nu_plus bounds nu_minus, and _num.power saturates to inf instead of raising
+        if not math.isfinite(nu_plus):
+            raise OverflowError("nu_plus is not finite")
     except (OverflowError, ZeroDivisionError) as exc:
-        # the discriminant grows as (q (S_{cap-1}^2 + S_cap S_{cap-2}))^2: when
-        # the weights' factor squared is a float, q is what overflowed it
-        by_q = isinstance(exc, OverflowError) and (
-            (n1 * n1 + n2 * n0) ** 2 // (dd * dd) <= sys.float_info.max
-        )
-        what = "q too large" if by_q else "edge weights too extreme"
-        raise ValueError(f"{what} for a float window: {exc}") from exc
-    if not (alpha_minus <= alpha_plus and nu_minus <= nu_plus):
-        raise RuntimeError("internal consistency: window endpoints out of order")
-    # nu_plus bounds nu_minus, and _num.power saturates to inf instead of raising
-    if not math.isfinite(nu_plus):
-        raise ValueError("edge weights too extreme for a float window: nu_plus is not finite")
+        raise ValueError(f"window beyond the float range at q = {q:.6g}: {exc}") from exc
     return PhaseWindow(
         present=True,
         alpha_minus=alpha_minus,
@@ -232,37 +227,26 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
     )
 
 
-@dataclass(frozen=True)
-class ClosedFormVerdict:
-    kind: Uniqueness
-
-
-def classify_closed_form(p: PhaseParams) -> ClosedFormVerdict:
+def classify_closed_form(p: PhaseParams) -> UniquenessVerdict:
     """Unique/Multiple by the window: Multiple iff nu lies strictly inside.
 
-    Window endpoints themselves classify Unique.
+    Window endpoints themselves classify Unique. No map step is taken, so
+    ``iterations`` is 0 and ``method`` is ``"closed-form"``.
     """
     win = phase_window(p.q, p.cap, p.edge_weights)
     inside = win.present and win.nu_minus < p.nu < win.nu_plus
-    return ClosedFormVerdict(Uniqueness.MULTIPLE if inside else Uniqueness.UNIQUE)
+    kind = Uniqueness.MULTIPLE if inside else Uniqueness.UNIQUE
+    return UniquenessVerdict(kind, 0, method="closed-form")
 
 
-def poisson_window_statistic(q: int, cap: int, rate):
-    """Sign-equivalent window statistic for the Poisson weight family.
+def poisson_window_statistic(q: int, cap: int, rate) -> Fraction:
+    """``condition_a_margin`` of the Poisson weights at ``rate``, exact for every rate type.
 
-    (1+q)^2 (w_{cap-1} S_{cap-1} - w_cap S_{cap-2}) - 4 q S_{cap-1}^2 for the
-    Poisson entries at ``rate``; positive exactly when the window exists. Once
+    Equal to (1+q)^2 (w_{cap-1} S_{cap-1} - w_cap S_{cap-2}) - 4 q S_{cap-1}^2
+    in the Poisson entries; positive exactly when the window exists. Once
     positive it stays positive as the rate grows, so threshold hunting in the
-    rate is a single bracket search. Exact when ``rate`` is a Fraction.
+    rate is a single bracket search.
     """
     check_q(q)
     check_int("cap", cap, 2)
-    w = poisson_weights(rate, cap)
-    e = w.entries
-    s = w.partial_sums
-    try:  # with a float rate, the int (1 + q)**2 must convert to a float
-        stat = (1 + q) ** 2 * (e[cap - 1] * s[cap - 1] - e[cap] * s[cap - 2])
-        return stat - 4 * q * s[cap - 1] ** 2
-    except OverflowError as exc:
-        what = f"q = {q:.3g}" if (1 + q) ** 2 > sys.float_info.max else f"rate {rate!r}"
-        raise ValueError(f"{what} overflows the window statistic's floats: {exc}") from exc
+    return condition_a_margin(q, cap, poisson_weights(rate, cap))

@@ -200,7 +200,8 @@ class UniquenessVerdict:
     of the iterates from 0 and the limit (or, for Inconclusive, the last
     iterate) from nu_1. ``method`` names what decided the verdict: ``"iteration"``
     (the iterates settled, or the budget ran out), ``"bisection"`` (the
-    cv == 1 fixed point was bisected and its slope read) or ``"unordered"``.
+    cv == 1 fixed point was bisected and its slope read), ``"unordered"`` or
+    ``"closed-form"`` (``phase1d.classify_closed_form`` read the window).
     """
 
     kind: Uniqueness

@@ -148,10 +148,3 @@ def load_weight_file(path) -> WeightVector:
     if not values:
         raise ValueError(f"{path}: no weight entries found")
     return WeightVector(tuple(values))
-
-
-def _exact_window_sums(cap: int, w: WeightVector) -> tuple[int, int, int, int]:
-    """(D, N_{cap-2}, N_{cap-1}, N_cap): the exact sums S_k = N_k / D at cap."""
-    d, nums = w._exact_sums
-    return (d, *nums[cap - 2 : cap + 1])
-

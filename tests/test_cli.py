@@ -19,7 +19,7 @@ import treeloss
 from treeloss import __version__, _num, rfmap, treecalc
 from treeloss.cli import main
 from treeloss.oracle import TreeSpec, exact_blocking, exact_partition, spherical_tree
-from treeloss.phase1d import phase_window
+from treeloss.phase1d import PhaseWindow, phase_window
 from treeloss.rfmap import ModelParams
 from treeloss.simulate import SimConfig, SimStats, run as sim_run
 from treeloss.weights import geometric_weights, load_weight_file, poisson_weights
@@ -147,7 +147,7 @@ class TestWindowCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: edge weights too extreme for a float window: {reason}\n"
+        assert err == f"error: window beyond the float range at q = {q}: {reason}\n"
 
     @pytest.mark.parametrize("q", ["500", "1000"])
     def test_infinite_endpoint_is_usage_error(self, capsys, q):
@@ -156,7 +156,7 @@ class TestWindowCommand:
         with pytest.raises(ValueError, match="nu_plus is not finite"):
             phase_window(int(q), 2, poisson_weights(7.0, 2))
         assert _run(capsys, "window", "--q", q, "--cap", "2", "--lam", "7") == (
-            2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n"
+            2, "", f"error: window beyond the float range at q = {q}: nu_plus is not finite\n"
         )
 
     @pytest.mark.parametrize("exp", [150, 155, 200, 300])
@@ -164,9 +164,10 @@ class TestWindowCommand:
         # from about q = 1.3e154 on, q alone takes the window's coefficients
         # beyond the floats; below it, nu_plus saturates as at q = 500
         if exp == 150:
-            message = "edge weights too extreme for a float window: nu_plus is not finite"
+            reason = "nu_plus is not finite"
         else:
-            message = "q too large for a float window: integer division result too large for a float"
+            reason = "integer division result too large for a float"
+        message = f"window beyond the float range at q = 1e+{exp}: {reason}"
         q = str(10**exp)
         window = _run(capsys, "window", "--q", q, "--cap", "2", "--lam", "5")
         sweep = _run(capsys, "sweep-region", "--q", q, "--cap", "2", "--lam-min", "5",
@@ -377,32 +378,22 @@ class TestBlockingCurveCommand:
         (("--cap", "3", "--ce", "1", "--lam", "1e300", "--nu-max", "1e10", "--nu-step", "5e9"),
          "weights too large for floats: the map's numerator at the node weights is inf"),
     ])
-    def test_invalid_flags_refused_before_the_pool_starts(
-        self, capsys, monkeypatch, flags, message
-    ):
+    def test_invalid_flags_refused_before_the_pool_starts(self, capsys, stub_fork, flags, message):
         serial = _run(capsys, *self.ARGS, *flags, "--jobs", "1")
-
-        def no_fork():
-            raise AssertionError("a worker process was forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
         assert _run(capsys, *self.ARGS, *flags, "--jobs", "2") == serial == (
             2, "", f"error: {message}\n"
         )
+        assert stub_fork == []
 
-    def test_a_tail_failing_from_mid_grid_is_refused_at_its_first_row(self, capsys, monkeypatch):
+    def test_a_tail_failing_from_mid_grid_is_refused_at_its_first_row(self, capsys, stub_fork):
         # nu = 1e102, 2e102, ..., 2e103 at cv = 3: nu**3 / 6 overflows from
         # the eighth row on, so that row's error is the serial loop's
         grid = ("--cap", "3", "--cv", "3", "--nu-min", "1e102", "--nu-step", "1e102")
         assert _run(capsys, *self.ARGS, *grid, "--nu-max", "7e102")[0] == 0
-
-        def no_fork():
-            raise AssertionError("a worker process was forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
         assert _run(capsys, *self.ARGS, *grid, "--nu-max", "2e103", "--jobs", "2") == (
             2, "", "error: weight entries must be finite and >= 0: (1.0, 8e+102, 3.2e+205, inf)\n"
         )
+        assert stub_fork == []
 
     def test_no_output_depends_on_the_interpreters_sum(self, capsys, monkeypatch):
         assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
@@ -499,13 +490,9 @@ FLAGS_AT_CE_1 = {
 
 
 @pytest.mark.parametrize("command", list(FLAGS_AT_CE_1))
-def test_a_weight_file_longer_than_the_model_is_refused(capsys, monkeypatch, tmp_path, command):
+def test_a_weight_file_longer_than_the_model_is_refused(capsys, stub_fork, tmp_path, command):
     # a file is read whole: entries beyond ce + 1 (cap + 1 for window) are an
     # error, found before any worker forks, not a tail to drop unread
-    def no_fork():
-        raise AssertionError("a worker process was forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
     w = tmp_path / "w.txt"
     w.write_text("1\n0.5\n0.3\n0.2\n")
     argv = (command, "--q", "2", "--cap", "2", "--weights", f"file:{w}", *FLAGS_AT_CE_1[command])
@@ -514,6 +501,7 @@ def test_a_weight_file_longer_than_the_model_is_refused(capsys, monkeypatch, tmp
     else:
         message = "edge_weights needs length ce+1=2, got 4"
     assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert stub_fork == []
 
 
 # a valid run of each command, which one flag more makes invalid
@@ -663,44 +651,32 @@ class TestSweepRegionCommand:
         (("--lam-max", "1e200", "--lam-step", "1e195"),
          "weight entries must be finite and >= 0: (1.0, 1e+200, inf)"),
         (("--lam-max", "1e150", "--lam-step", "1e145"),
-         "edge weights too extreme for a float window: "
-         "integer division result too large for a float"),
+         "window beyond the float range at q = 6: integer division result too large for a float"),
     ])
-    def test_invalid_family_refused_before_the_pool_starts(
-        self, capsys, monkeypatch, flags, message
-    ):
-        def no_fork():
-            raise AssertionError("a worker process was forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+    def test_invalid_family_refused_before_the_pool_starts(self, capsys, stub_fork, flags, message):
         base = {"--weights": "poisson", "--lam-min": "1", "--lam-max": "2", "--lam-step": "0.5"}
         base.update(zip(flags[::2], flags[1::2]))
         code, out, err = _run(
             capsys, "sweep-region", "--q", "6", "--cap", "2",
             *(x for kv in base.items() for x in kv), "--jobs", "2",
         )
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert stub_fork == []
 
     @pytest.mark.parametrize("flag,message", [
         ("--q", "q must be an int >= 1, got 0"),
         ("--cap", "cap must be an int >= 2, got 0"),
     ])
     def test_invalid_q_or_cap_refused_before_the_pool_starts(
-        self, capsys, monkeypatch, flag, message
+        self, capsys, stub_fork, flag, message
     ):
         argv = [
             "sweep-region", "--q", "6", "--cap", "2", "--weights", "poisson",
             "--lam-min", "1", "--lam-max", "2", "--lam-step", "0.5", flag, "0",
         ]
         serial = _run(capsys, *argv, "--jobs", "1")
-
-        def no_fork():
-            raise AssertionError("a worker process was forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
         assert _run(capsys, *argv, "--jobs", "2") == serial == (2, "", f"error: {message}\n")
+        assert stub_fork == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_huge_rate_is_usage_error(self, capsys, jobs):
@@ -713,7 +689,7 @@ class TestSweepRegionCommand:
         assert code == 2
         assert out == ""
         assert err == (
-            "error: edge weights too extreme for a float window: "
+            "error: window beyond the float range at q = 6: "
             "integer division result too large for a float\n"
         )
 
@@ -723,7 +699,7 @@ class TestSweepRegionCommand:
             capsys,
             "sweep-region", "--q", "3000", "--cap", "2", "--lam-min", "7", "--lam-max", "7",
             "--lam-step", "1", "--jobs", jobs,
-        ) == (2, "", "error: edge weights too extreme for a float window: nu_plus is not finite\n")
+        ) == (2, "", "error: window beyond the float range at q = 3000: nu_plus is not finite\n")
 
     def test_file_weights_rejected_for_sweeps(self, capsys, tmp_path):
         wf = tmp_path / "w.txt"
@@ -997,7 +973,8 @@ class TestSelftestCommand:
         assert "PASS" in out
         assert "recursion-vs-enumeration" in out
 
-    # each check, and a function it calls, broken to an error just past its tolerance
+    # each check, and a function it calls, broken to an error just past its
+    # tolerance; an id "check/what" is a second break of the same check
     BREAKS = {
         "recursion-vs-enumeration": ("treeloss.treecalc.rooted_state", lambda f: (
             lambda p, m: dataclasses.replace(f(p, m), log_z0=f(p, m).log_z0 + 1e-6))),
@@ -1009,6 +986,8 @@ class TestSelftestCommand:
             lambda q, cap, w: not f(q, cap, w))),
         "window-endpoints": ("treeloss.phase1d.phase_window", lambda f: (
             lambda q, cap, w: dataclasses.replace(f(q, cap, w), nu_plus=f(q, cap, w).nu_plus * 1.01))),
+        "window-endpoints/lost": ("treeloss.phase1d.phase_window", lambda f: (
+            lambda q, cap, w: PhaseWindow(present=False))),
     }
 
     @pytest.mark.parametrize("check", sorted(BREAKS))
@@ -1020,7 +999,7 @@ class TestSelftestCommand:
         assert code == 1
         lines = out.splitlines()
         failed = [line.split()[0] for line in lines[1:-1] if line.split()[1] == "FAIL"]
-        assert failed == [check]
+        assert failed == [check.split("/")[0]]
         assert lines[-1].startswith("FAIL in ")
 
 
@@ -1047,16 +1026,13 @@ class TestOverflowingWeights:
 
     @pytest.mark.parametrize("cv", ["1", "2"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_blocking_curve_is_refused_before_the_pool(self, capsys, monkeypatch, weights, cv, jobs):
-        def no_fork():
-            raise AssertionError("a worker process was forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+    def test_blocking_curve_is_refused_before_the_pool(self, capsys, stub_fork, weights, cv, jobs):
         assert _run(
             capsys, "blocking-curve", "--q", "2", "--cap", "2", "--cv", cv,
             "--weights", weights("1e300", "1e300", "1e300"),
             "--nu-min", "1e10", "--nu-max", "1e10", "--nu-step", "1", "--jobs", jobs,
         ) == (2, "", self.MESSAGE)
+        assert stub_fork == []
 
     def test_models_below_the_overflow_still_answer(self, capsys, weights):
         # the denominator overflows on its own at large ratios, giving a ratio of 0
@@ -1109,8 +1085,8 @@ class TestWorkerCount:
 # hostile ones: counts that are negative, 0 or huge, floats that are nan,
 # infinite, 1e308, subnormal, 0 or negative, choices that name nothing. Every
 # case stays cheap: --horizon <= 50, --reps <= 3, at most 50 grid rows,
-# --max-iter <= 10**4 and --jobs 1; a hostile rate under a drawn --warmup is
-# refused by its expected arrivals.
+# --max-iter <= 10**4 and --jobs 1 (window takes no --jobs); a hostile rate
+# under a drawn --warmup is refused by its expected arrivals.
 _HOSTILE = {
     "count": st.sampled_from([-3, -1, 0, 10**18, 2**63, 10**400]),
     "float": st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
@@ -1128,11 +1104,13 @@ def _argv(draw, command: str, flags: dict) -> list:
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), min_size=hostile,
                               max_size=hostile, unique=True)):
         values[flag] = draw(_HOSTILE[flags[flag][0]])
-    if "--nu-step" in values:
-        # nu-max = nu-min + k * nu-step: a valid grid has k + 1 <= 50 rows
-        lo, step = float(values["--nu-min"]), float(values["--nu-step"])
-        values["--nu-max"] = lo + draw(st.integers(-1, 48)) * step
-    return [command, "--jobs", "1", *(str(x) for kv in values.items() for x in kv)]
+    for grid in ("nu", "lam"):
+        if f"--{grid}-step" in values:
+            # max = min + k * step: a valid grid has k + 1 <= 50 rows
+            lo, step = float(values[f"--{grid}-min"]), float(values[f"--{grid}-step"])
+            values[f"--{grid}-max"] = lo + draw(st.integers(-1, 48)) * step
+    jobs = [] if command == "window" else ["--jobs", "1"]
+    return [command, *jobs, *(str(x) for kv in values.items() for x in kv)]
 
 
 def _model_flags(draw, q: int) -> dict:
@@ -1197,6 +1175,25 @@ def _blocking_curve_argv(draw) -> list:
     return _argv(draw, "blocking-curve", flags)
 
 
+@st.composite
+def _window_argv(draw) -> list:
+    """``window`` or ``sweep-region`` at q up to 10**400 and rates up to 1e200."""
+    cap = draw(st.one_of(st.integers(2, 6), st.sampled_from([200, 1000])))
+    q = draw(st.one_of(st.integers(1, 60), st.integers(0, 400).map(lambda e: 10**e)))
+    lam = draw(st.one_of(st.floats(1e-3, 50.0), st.floats(1e-3, 1e200)))
+    flags = {
+        "--q": ("count", q),
+        "--cap": ("count", cap),
+        "--weights": ("choice", draw(st.sampled_from(["poisson", "geometric"]))),
+    }
+    if draw(st.booleans()):
+        flags["--lam"] = ("float", lam)
+        return _argv(draw, "window", flags)
+    flags["--lam-min"] = ("float", lam)
+    flags["--lam-step"] = ("float", draw(st.floats(1e-3, 50.0)))
+    return _argv(draw, "sweep-region", flags)
+
+
 @settings(max_examples=300)
 @given(st.one_of(_simulate_argv(), _blocking_curve_argv()))
 # a q beyond the float range overflowed int-to-float in the blocking column
@@ -1207,4 +1204,18 @@ def test_no_input_ends_in_a_traceback(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300)
+@given(_window_argv())
+# q alone saturates nu_plus, so the refusal names q
+@example(["window", "--q", str(10**150), "--cap", "2", "--lam", "5"])
+# the Poisson entries underflow: the model assumption fails, exit 3
+@example(["window", "--q", "6", "--cap", "1000", "--lam", "1"])
+def test_no_window_input_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -243,7 +243,9 @@ class TestConditionA:
         #   == (1+q)^2 (w_{c-1} S_{c-1} - w_c S_{c-2}) - 4 q S_{c-1}^2
         # for every weight vector; both sides exact here
         w = poisson_weights(rate, cap)
-        assert condition_a_margin(q, cap, w) == poisson_window_statistic(q, cap, rate)
+        e, s = w.entries, w.partial_sums
+        entrywise = (1 + q) ** 2 * (e[cap - 1] * s[cap - 1] - e[cap] * s[cap - 2])
+        assert condition_a_margin(q, cap, w) == entrywise - 4 * q * s[cap - 1] ** 2
 
     def test_statistic_threshold_preserved_upward(self):
         for lam, expect in [
@@ -326,21 +328,20 @@ class TestWindow:
     def test_window_beyond_the_float_range_is_refused(self, q, w, reason):
         with pytest.raises(ValueError) as err:
             phase_window(q, 2, w)
-        assert str(err.value) == f"edge weights too extreme for a float window: {reason}"
+        assert str(err.value) == f"window beyond the float range at q = {q}: {reason}"
 
-    @pytest.mark.parametrize("exp,message", [
-        # the coefficients fit, and nu_plus saturates to inf as at q = 300 above
-        (150, "edge weights too extreme for a float window: nu_plus is not finite"),
-        # the discriminant over D**4 grows as (q (S_1^2 + S_2 S_0))^2, and only
-        # q's factor is beyond the float range
-        (155, "q too large for a float window: integer division result too large for a float"),
-        (200, "q too large for a float window: integer division result too large for a float"),
-        (300, "q too large for a float window: integer division result too large for a float"),
-    ])
-    def test_a_q_that_overflows_the_window_is_named(self, exp, message):
+    @pytest.mark.parametrize("exp", [150, 155, 200, 300])
+    def test_a_q_that_overflows_the_window_is_named(self, exp):
+        # at q = 1e150 the coefficients fit, and nu_plus saturates to inf as at
+        # q = 300 above; from about q = 1.3e154 on, the discriminant over D**4,
+        # which grows as (q (S_1^2 + S_2 S_0))^2, is beyond the float range
+        if exp == 150:
+            reason = "nu_plus is not finite"
+        else:
+            reason = "integer division result too large for a float"
         with pytest.raises(ValueError) as err:
             phase_window(10**exp, 2, poisson_weights(5.0, 2))
-        assert str(err.value) == message
+        assert str(err.value) == f"window beyond the float range at q = 1e+{exp}: {reason}"
 
     @given(st.integers(7, 25), st.floats(min_value=6.2, max_value=20.0))
     def test_endpoints_bracket_a_multiple_point(self, q, rate):
@@ -410,25 +411,26 @@ class TestAssumptions:
             poisson_window_statistic(3, 1, 1.0)
         with pytest.raises(ValueError, match="q must be at most the largest float"):
             poisson_window_statistic(10**400, 2, 1.0)
+        with pytest.raises(ValueError, match="q must be an int"):
+            poisson_window_statistic(True, 2, 1.0)
 
-    @pytest.mark.parametrize("exp", [150, 155, 200, 300])
-    def test_statistic_names_what_overflows_its_floats(self, exp):
-        # (1 + q)**2 is an int, beyond the float range from about q = 1.3e154
-        q = 10**exp
-        if exp == 150:
-            assert 0.0 < poisson_window_statistic(q, 2, 1.0) < math.inf
-        else:
-            with pytest.raises(ValueError) as err:
-                poisson_window_statistic(q, 2, 1.0)
-            assert str(err.value) == (
-                f"q = 1e+{exp} overflows the window statistic's floats: "
-                "int too large to convert to float"
-            )
-        # a Fraction rate keeps the statistic exact at any q
-        assert poisson_window_statistic(q, 2, Fraction(1)) > 0
-        # S_2**2 overflows at cap 3 although every Poisson entry is a float
-        with pytest.raises(ValueError, match=r"^rate 1e\+80 overflows the window statistic's"):
-            poisson_window_statistic(6, 3, 1e80)
+    @given(
+        st.one_of(st.integers(1, 60), st.integers(1, 10**300)),
+        st.integers(2, 6),
+        st.one_of(
+            st.floats(1e-3, 1e3),
+            st.fractions(min_value="1/1000", max_value=1000, max_denominator=10**6),
+        ),
+    )
+    # (1 + q)**2 at q = 1e155, and S_2**2 at rate 1e80, are beyond the float range
+    @example(10**155, 2, 1.0)
+    @example(6, 3, 1e80)
+    def test_statistic_is_the_exact_margin(self, q, cap, rate):
+        w = poisson_weights(rate, cap)
+        stat = poisson_window_statistic(q, cap, rate)
+        assert type(stat) is Fraction
+        assert stat == condition_a_margin(q, cap, w)
+        assert (stat > 0) is condition_a(q, cap, w)
 
     @pytest.mark.parametrize("base,want", [(0.5, 0.0), (1.0, 1.0), (2.0, math.inf)])
     def test_power_of_an_exponent_beyond_the_floats(self, base, want):
