@@ -38,14 +38,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_size(jobs: int, tasks: int) -> int:
-    """The processes ``map_tasks`` runs ``tasks`` tasks on: ``jobs``, capped at
-    the task count and at the usable CPUs, since more would only share them."""
-    return min(jobs, tasks, _usable_cpus())
-
-
 def map_tasks(fn, tasks: list, jobs: int) -> list:
-    """``[fn(t) for t in tasks]``, on w = ``pool_size(jobs, len(tasks))`` processes.
+    """``[fn(t) for t in tasks]``, on w = ``jobs`` processes, capped at the
+    task count and at the usable CPUs, since more would only share them.
 
     This process is worker 0 and forks w - 1 children, so it needs
     ``os.fork`` (Linux or macOS); a fork copies only the calling thread, so
@@ -57,7 +52,7 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
     re-raises the exception of the lowest failing index, so the output and
     error messages are those of the serial loop for any ``jobs``.
     """
-    w = pool_size(jobs, len(tasks))
+    w = min(jobs, len(tasks), _usable_cpus())
     if w <= 1:
         return [fn(t) for t in tasks]
     import pickle  # only a forking run pays for it

@@ -155,7 +155,7 @@ def _window_payload(q: int, cap: int, edge: WeightVector) -> dict:
 
 
 def _cmd_window(args) -> int:
-    check_int("--cap", args.cap, 1)
+    check_int("--cap", args.cap, 2)  # phase_window's rule, under the flag's name
     ce = args.cap if args.ce is None else args.ce
     if args.cv != 1 or ce != args.cap:
         raise ValueError(
@@ -222,16 +222,17 @@ def _cmd_sweep_region(args) -> int:
     if args.weights.startswith("file:"):
         raise ValueError("sweep-region scans the rate; fixed file weights make no sense here")
     q, cap, family = args.q, args.cap, args.weights
-    check_int("cap", cap, 2)  # phase_window's rule, before a weight vector is built
+    check_int("--cap", cap, 2)  # phase_window's rule, before a weight vector is built
     lams = _grid(args.lam_min, args.lam_max, args.lam_step, "lam")
 
     def row(lam) -> tuple:
+        # an absent window's endpoints are None, which _fmt prints as empty cells
         win = phase_window(q, cap, _edge_family(family, lam, cap))
-        if win.present:
-            return (lam, True, win.nu_minus, win.nu_plus)
-        return (lam, False, None, None)
+        return (lam, win.present, win.nu_minus, win.nu_plus)
 
-    # validate before any worker forks; a rate family fails first at a grid end
+    # Before any worker forks, row 0 catches bad flags and families, which fail
+    # on every row, and the last row an overflow at the grid's top end; one met
+    # only inside the grid comes back from map_tasks as the serial loop's error.
     row(lams[0])
     row(lams[-1])
     rows = map_tasks(row, lams, _workers(args))

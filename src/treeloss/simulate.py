@@ -31,11 +31,10 @@ from its own Mersenne Twister, ``random.Random(f"treeloss.simulate {seed}
 {k}")``: a ``str`` seed is hashed with SHA-512, and the same seed gives the
 same ``random()`` sequence on every Python version, so results are
 reproducible bit-for-bit (given the C library's ``log1p``). ``run(cfg,
-jobs)`` splits the replications into w contiguous slices, w = ``jobs``
-capped at the replications and the usable CPUs (``_num.pool_size``), one
-per worker (this process and w - 1 forked children, through
-``_num.map_tasks``), each worker building the tree once, and joins the
-slices in replication order before aggregating, so every estimate is the
+jobs)`` builds the tree once and hands ``_num.map_tasks`` one task per
+replication: with w workers (this process and w - 1 forked children, which
+share the tree) worker k takes replications k, k + w, ..., and the results
+come back in replication order before aggregating, so every estimate is the
 same float for any number of workers (independent replications in
 parallel, Heidelberger 1988).
 
@@ -55,7 +54,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, repeat
 from math import log1p
 
-from ._num import check_int, check_nonneg, map_tasks, pool_size
+from ._num import check_int, check_nonneg, map_tasks
 from .oracle import _COUNT_CAP, TreeSpec, _spec_nodes, build_tree
 from .rfmap import ModelParams
 from .weights import _MAX_TOP_INDEX, WeightVector, geometric_weights, poisson_weights
@@ -307,33 +306,25 @@ def _ratio(num: int, den: int) -> float:
     return num / den if den > 0 else math.nan
 
 
-def _run_slice(cfg: SimConfig, reps: range) -> list:
-    """Build the tree once and simulate replications ``reps``, in order, each
-    on its own stream."""
-    tree = build_tree(cfg.tree, cfg.params.q)
-    streams = (random.Random(f"treeloss.simulate {cfg.seed} {k}") for k in reps)
-    return [_simulate_once(cfg, tree, rng) for rng in streams]
+def _replication(cfg: SimConfig, tree, k: int) -> tuple:
+    """Replication k of ``cfg`` on ``tree``, drawn from its own stream."""
+    return _simulate_once(cfg, tree, random.Random(f"treeloss.simulate {cfg.seed} {k}"))
 
 
 def run(cfg: SimConfig, jobs: int = 1) -> SimStats:
     """Simulate ``cfg`` on up to ``jobs`` processes (1: this one alone).
 
-    The replications are split into ``pool_size(jobs, replications)``
-    contiguous slices and joined back in order, so the result is the same
-    for any ``jobs``.
+    Each replication is one ``map_tasks`` task, so worker k of w takes
+    replications k, k + w, ..., and the results come back in replication
+    order: the result is the same for any ``jobs``.
     """
     check_int("jobs", jobs, 1)
-    workers = pool_size(jobs, cfg.replications)
-    cuts = [cfg.replications * k // workers for k in range(workers + 1)]
-    slices = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    reps = [rep for part in map_tasks(partial(_run_slice, cfg), slices, workers) for rep in part]
+    tree = build_tree(cfg.tree, cfg.params.q)
+    reps = map_tasks(partial(_replication, cfg, tree), range(cfg.replications), jobs)
     offered_n, blocked_n, offered_e, blocked_e, occupancies, events = zip(*reps)
     node_beta, node_se = _mean_se(list(map(_ratio, blocked_n, offered_n)))
-    edge_betas = list(map(_ratio, blocked_e, offered_e))
-    if any(map(math.isnan, edge_betas)):
-        edge_beta, edge_se = math.nan, math.nan
-    else:
-        edge_beta, edge_se = _mean_se(edge_betas)
+    # one replication without edge calls makes both nan: fsum propagates nan
+    edge_beta, edge_se = _mean_se(list(map(_ratio, blocked_e, offered_e)))
     occ_stats = [_mean_se(list(column)) for column in zip(*occupancies)]
     return SimStats(
         replications=cfg.replications,

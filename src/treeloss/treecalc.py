@@ -87,8 +87,6 @@ def _multicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     log_den = log_sum_exp(_log_weights(p, sums, p.q + 1))
     # a call admitted at center occupancy i < cv weighs nu_i T_{i+1}**(q+1)
     log_num = log_sum_exp(_log_weights(p, sums[1:], p.q + 1))
-    if log_num == -math.inf:
-        return 1.0
     return min(1.0, max(0.0, 1.0 - math.exp(log_num - log_den)))
 
 
@@ -118,17 +116,14 @@ def _unicast_blocking_at(p: ModelParams, xi: Sequence[float]) -> float:
     log_blocked = []
     for i, side_i in enumerate(log_side):
         for k, side_k in enumerate(log_side):
-            if side_i == -math.inf or side_k == -math.inf or i + k > p.cap:
+            if i + k > p.cap:  # no state, and math.log(0) raises
                 continue
-            pair = side_i + side_k
+            pair = side_i + side_k  # -inf for a side of -inf: log_sum_exp drops it
             log_all.append(pair + math.log(rows[i][k]))
             lam_c = float(lams[i][k])
             if lam_c > 0.0:
                 log_blocked.append(pair + math.log(lam_c))
-    blocked = log_sum_exp(log_blocked)
-    if blocked == -math.inf:
-        return 0.0
-    return min(1.0, max(0.0, math.exp(blocked - log_sum_exp(log_all))))
+    return min(1.0, max(0.0, math.exp(log_sum_exp(log_blocked) - log_sum_exp(log_all))))
 
 
 def unicast_blocking(p: ModelParams, radius: int) -> float:

@@ -6,10 +6,13 @@ import io
 import json
 import math
 import os
+import pickle
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import pytest
@@ -447,12 +450,14 @@ class TestBlockingCurveCommand:
      "--cv must be an int in [1, 2], got -1"),
     (("sweep-region", "--q", "2", "--cap", "-1", "--lam-min", "1", "--lam-max", "2",
       "--lam-step", "1"),
-     "cap must be an int >= 2, got -1"),
+     "--cap must be an int >= 2, got -1"),
     (("enumerate", "--q", "2", "--cap", "2", "--ce", "-2", "--lam", "1", "--nu", "1",
       "--radius", "1"),
      "--ce must be an int in [0, 2], got -2"),
     (("window", "--q", "2", "--cap", "-1", "--lam", "1"),
-     "--cap must be an int >= 1, got -1"),
+     "--cap must be an int >= 2, got -1"),
+    (("window", "--q", "2", "--cap", "1", "--lam", "1"),
+     "--cap must be an int >= 2, got 1"),
 ])
 def test_bad_count_is_named_by_its_flag_before_weights_are_built(
     capsys, monkeypatch, argv, message
@@ -665,7 +670,7 @@ class TestSweepRegionCommand:
 
     @pytest.mark.parametrize("flag,message", [
         ("--q", "q must be an int >= 1, got 0"),
-        ("--cap", "cap must be an int >= 2, got 0"),
+        ("--cap", "--cap must be an int >= 2, got 0"),
     ])
     def test_invalid_q_or_cap_refused_before_the_pool_starts(
         self, capsys, stub_fork, flag, message
@@ -700,6 +705,19 @@ class TestSweepRegionCommand:
             "sweep-region", "--q", "3000", "--cap", "2", "--lam-min", "7", "--lam-max", "7",
             "--lam-step", "1", "--jobs", jobs,
         ) == (2, "", "error: window beyond the float range at q = 3000: nu_plus is not finite\n")
+
+    def test_overflow_inside_the_grid_gives_the_serial_error(self, capsys):
+        # both end rows pass the check before the fork; rows inside the grid
+        # overflow in the workers, and map_tasks returns the serial loop's error
+        model = ["sweep-region", "--q", "300", "--cap", "2", "--weights", "geometric"]
+        for lam in ("7", "100"):
+            code, _, _ = _run(capsys, *model, "--lam-min", lam, "--lam-max", lam, "--lam-step", "1")
+            assert code == 0
+        argv = [*model, "--lam-min", "7", "--lam-max", "100", "--lam-step", "1"]
+        serial = _run(capsys, *argv, "--jobs", "1")
+        assert _run(capsys, *argv, "--jobs", "2") == serial == (
+            2, "", "error: window beyond the float range at q = 300: nu_plus is not finite\n"
+        )
 
     def test_file_weights_rejected_for_sweeps(self, capsys, tmp_path):
         wf = tmp_path / "w.txt"
@@ -1085,8 +1103,9 @@ class TestWorkerCount:
 # hostile ones: counts that are negative, 0 or huge, floats that are nan,
 # infinite, 1e308, subnormal, 0 or negative, choices that name nothing. Every
 # case stays cheap: --horizon <= 50, --reps <= 3, at most 50 grid rows,
-# --max-iter <= 10**4 and --jobs 1 (window takes no --jobs); a hostile rate
-# under a drawn --warmup is refused by its expected arrivals.
+# --max-iter <= 10**4 and --jobs 1 (window, classify and enumerate take no
+# --jobs); a hostile rate under a drawn --warmup is refused by its expected
+# arrivals.
 _HOSTILE = {
     "count": st.sampled_from([-3, -1, 0, 10**18, 2**63, 10**400]),
     "float": st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
@@ -1109,7 +1128,7 @@ def _argv(draw, command: str, flags: dict) -> list:
             # max = min + k * step: a valid grid has k + 1 <= 50 rows
             lo, step = float(values[f"--{grid}-min"]), float(values[f"--{grid}-step"])
             values[f"--{grid}-max"] = lo + draw(st.integers(-1, 48)) * step
-    jobs = [] if command == "window" else ["--jobs", "1"]
+    jobs = ["--jobs", "1"] if command in ("simulate", "blocking-curve", "sweep-region") else []
     return [command, *jobs, *(str(x) for kv in values.items() for x in kv)]
 
 
@@ -1194,6 +1213,63 @@ def _window_argv(draw) -> list:
     return _argv(draw, "sweep-region", flags)
 
 
+def _single_model_flags(draw) -> dict:
+    """The model flags with --nu, at q up to 10**400."""
+    flags = _model_flags(draw, 3)
+    q = st.one_of(st.integers(1, 12), st.integers(0, 400).map(lambda e: 10**e))
+    flags["--q"] = ("count", draw(q))
+    flags["--nu"] = ("float", draw(st.floats(0.05, 50.0)))
+    return flags
+
+
+@st.composite
+def _classify_argv(draw) -> list:
+    flags = _single_model_flags(draw)
+    flags["--max-iter"] = ("small", draw(st.sampled_from([4, 100, 1000])))
+    return _argv(draw, "classify", flags)
+
+
+@st.composite
+def _enumerate_argv(draw) -> list:
+    flags = _single_model_flags(draw)
+    if draw(st.booleans()):
+        flags["--height"] = ("count", draw(st.integers(0, 3)))
+    else:
+        flags["--radius"] = ("count", draw(st.integers(1, 2)))
+    return _argv(draw, "enumerate", flags)
+
+
+def _main_in_child(argv) -> tuple:
+    """(exit code, stderr) of ``main(argv)`` in a forked child capped at 1 GiB
+    of address space and 60 s, so a missing size guard fails the case instead
+    of exhausting memory; an exception that escapes ``main`` comes back as the
+    code None and its traceback, and a child killed by the alarm sends nothing."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            signal.alarm(60)
+            err = io.StringIO()
+            try:
+                _, hard = resource.getrlimit(resource.RLIMIT_AS)
+                resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except Exception:
+                code, err = None, io.StringIO(traceback.format_exc())
+            with open(w, "wb") as pipe:
+                pickle.dump((code, err.getvalue()), pipe)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        data = pipe.read()
+    os.waitpid(pid, 0)
+    assert data, f"the child running {argv} sent nothing"
+    return pickle.loads(data)
+
+
 @settings(max_examples=300)
 @given(st.one_of(_simulate_argv(), _blocking_curve_argv()))
 # a q beyond the float range overflowed int-to-float in the blocking column
@@ -1219,3 +1295,25 @@ def test_no_window_input_ends_in_a_traceback(argv):
         code = main(argv)
     assert code in (0, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argvs", [_classify_argv(), _enumerate_argv()],
+                         ids=["classify", "enumerate"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_no_classify_or_enumerate_input_ends_in_a_traceback(argvs, data):
+    argv = data.draw(argvs)
+    # a count above 1,000 that sizes a tree or a weight vector would take a
+    # lot of memory past a missing guard, so its case runs in a child
+    sizing = {"--cap", "--cv", "--ce", "--height", "--radius"}
+    if argv[0] == "enumerate":
+        sizing.add("--q")
+    if any(flag in sizing and int(v) > 1000 for flag, v in zip(argv[1::2], argv[2::2])):
+        code, err = _main_in_child(argv)
+    else:
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err

@@ -203,8 +203,9 @@ def _legality_checked():
 
 def _replications(cfg: SimConfig, once=simulate._simulate_once) -> list:
     """Each replication's counts, occupancy law and arrivals, from the loop ``once``."""
+    tree = build_tree(cfg.tree, cfg.params.q)
     with mock.patch.object(simulate, "_simulate_once", once):
-        return simulate._run_slice(cfg, range(cfg.replications))
+        return [simulate._replication(cfg, tree, k) for k in range(cfg.replications)]
 
 
 @st.composite
@@ -292,7 +293,7 @@ class TestWorkers:
     """``run(cfg, jobs)`` gives the serial result, every field, for any ``jobs``."""
 
     CONFIGS = {
-        # five replications split unevenly over two and three workers
+        # five replications strided unevenly over two and three workers
         "per-call": SimConfig(
             params=_network_params(),
             tree=TreeSpec("spherical", 1),
@@ -323,18 +324,18 @@ class TestWorkers:
             stats = run(cfg, jobs=jobs)
         assert repr(stats) == repr(run(cfg))
 
-    def test_slices_are_cut_for_the_usable_cpus(self, monkeypatch, stub_fork):
-        # jobs far above two usable CPUs: the five replications go in two
-        # slices, one for this process and one for a single child
+    def test_one_task_per_replication_on_the_usable_cpus(self, monkeypatch, stub_fork):
+        # jobs far above two usable CPUs: map_tasks gets the five replications
+        # as five tasks and forks a single child
         monkeypatch.setattr(_num, "_usable_cpus", lambda: 2)
-        slices, fork_join = [], simulate.map_tasks
+        calls, fork_join = [], simulate.map_tasks
         monkeypatch.setattr(
             simulate, "map_tasks",
-            lambda fn, tasks, jobs: slices.append(len(tasks)) or fork_join(fn, tasks, jobs),
+            lambda fn, tasks, jobs: calls.append(len(tasks)) or fork_join(fn, tasks, jobs),
         )
         with pytest.raises(RuntimeError, match="sent no results"):
             run(self.CONFIGS["per-call"], jobs=10**5)
-        assert slices == [2]
+        assert calls == [5]
         assert len(stub_fork) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
@@ -517,6 +518,7 @@ class TestEdgelessTrees:
         stats = run(cfg)
         assert stats.edge_offered == 0
         assert math.isnan(stats.edge_beta)
+        assert math.isnan(stats.edge_beta_se)
 
     def test_comparing_the_missing_stream_is_an_error(self):
         cfg = SimConfig(

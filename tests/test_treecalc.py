@@ -190,6 +190,17 @@ class TestUnicastBlocking:
         for radius in (1, 2, 4):
             assert math.isclose(unicast_blocking(p, radius), want, rel_tol=1e-12)
 
+    def test_no_central_call_is_ever_refused(self):
+        # nu_1 = 0 and lam_1 = lam_2 = 0: the only pair with a refused weight
+        # has both hubs at occupancy 1, whose side is -inf, so blocking is 0
+        p = ModelParams(
+            q=2, cap=2, cv=1, ce=2,
+            node_weights=WeightVector((1, 0)), edge_weights=WeightVector((1, 0, 0)),
+        )
+        got = unicast_blocking(p, 1)
+        assert got == 0.0
+        assert got == exact_blocking(p, edge_centered_tree(2, 1), target=(0, 1))
+
     @given(small_params(), st.integers(1, 3))
     def test_is_a_probability(self, p, radius):
         b = unicast_blocking(p, radius)
