@@ -186,8 +186,9 @@ def _cmd_blocking_curve(args) -> int:
         return False
 
     # Refuse before any worker forks, with the serial rows' error: row 0 and
-    # the flags first. A later row fails only when its node weights or T_1
-    # overflow, and both grow with nu, so the failing rows end the grid.
+    # the flags first (row 0 also meets an inf edge sum S(ce), which no nu
+    # changes). A later row fails only when its node weights or T_1 overflow,
+    # and both grow with nu, so the failing rows end the grid.
     model(nus[0])
     _check_iteration(args.tol, args.sep, args.max_iter)
     if fails(nus[-1]):

@@ -141,7 +141,6 @@ def fixed_point(p: PhaseParams) -> float:
 
 def _nu_of(q: int, lams: tuple[float, float, float], x) -> float:
     """nu with fixed point x >= 0; lams: float S_{cap-2}, S_{cap-1}, S_cap of checked weights."""
-    x = check_nonneg("evaluation point", x)
     sm2, sm1, sc = lams
     return x * power((sc + x * sm1) / (sm1 + x * sm2), q)
 
@@ -207,6 +206,8 @@ def phase_window(q: int, cap: int, w: WeightVector) -> PhaseWindow:
         )
     try:
         alpha_plus = (-a1 / dd + math.sqrt(disc / (dd * dd))) / (2.0 * (a2 / dd))
+        if not math.isfinite(alpha_plus):
+            raise OverflowError("alpha_plus is not finite")
         alpha_minus = (a0 / a2) / alpha_plus
         lams = tuple(map(float, w.partial_sums[cap - 2 : cap + 1]))  # S_{cap-2}, S_{cap-1}, S_cap
         nu_minus = _nu_of(q, lams, alpha_minus)

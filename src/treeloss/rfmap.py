@@ -148,17 +148,20 @@ def _row_sums(rows, x) -> list:
 
 
 def _check_finite_sums(p: ModelParams) -> None:
-    """Refuse a model whose map could form inf/inf: T_1 at the node weights must be finite.
+    """Refuse a model whose map could form inf/inf: T_1 at the node weights and
+    S(ce) (ce <= cap), the largest row entry, must be finite.
 
     Every iterate has 0 <= x_k <= nu_k and row k >= 1 is termwise at most
-    row 1, so no numerator overflows after this check; a denominator that
-    overflows on its own gives a ratio of 0.
+    row 1, so no numerator overflows after this check. The denominator T_0
+    can still overflow at an iterate, and the ratio then reads 0: right when
+    the true ratio lies below the float resolution, wrong when it does not
+    (1, 1e308, 5e307 at q = 1, cap = 2, nu = 2 settles where T_0 overflows).
     """
     (t1,) = _row_sums(p._rows[1:2], [float(v) for v in p.node_weights.entries[1:]])
-    if not math.isfinite(t1):
-        raise ValueError(
-            f"weights too large for floats: the map's numerator at the node weights is {t1!r}"
-        )
+    top = f"the edge partial sum S({p.ce})"
+    for what, value in (("the map's numerator at the node weights", t1), (top, p._rows[0][0])):
+        if not math.isfinite(value):
+            raise ValueError(f"weights too large for floats: {what} is {value!r}")
 
 
 def _check_ratio_vector(p: ModelParams, xi) -> tuple:

@@ -39,9 +39,9 @@ same float for any number of workers (independent replications in
 parallel, Heidelberger 1988).
 
 A standard exponential is e = ``-log1p(-u)`` for u = ``rng.random()`` in
-[0, 1), so finite and >= 0, and one of rate r is ``(1.0 / r) * e``. They are
-drawn in blocks of ``_BLOCK`` and taken in stream order: every draw is the
-float that one ``-log1p(-rng.random())`` per event would give.
+[0, 1), so finite and >= 0, and one of rate r is ``(1.0 / r) * e``. Each is
+drawn when the event that uses it is scheduled, so the draws follow the
+order in which the loop schedules events.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain, repeat
 from math import log1p
 
 from ._num import check_int, check_nonneg, map_tasks
@@ -73,8 +72,8 @@ __all__ = [
 # alone peaks near 100 MB (0.5 s on a 2-core Xeon), and each further radius
 # step multiplies that by about ten.
 _MAX_NODES = 10**5
-# Most replications a run takes. Each is seeded and draws one block before
-# its first event: 10^5 cost about 6 s and 50 MB on a 2-core Xeon.
+# Most replications a run takes. Each seeds its own Mersenne Twister: 10^5
+# cost about 2 s and 50 MB on a 2-core Xeon.
 _MAX_REPLICATIONS = 10**5
 # Most arrivals a run may expect, about half an hour of event loop on one core.
 _MAX_ARRIVALS = 10**9
@@ -191,12 +190,6 @@ def _edge_rate(p: ModelParams) -> float:
     return float(p.edge_weights.entries[1]) if p.ce >= 1 else 0.0
 
 
-# Standard exponentials drawn per block. The size sets only the cost, as the
-# draws come out in stream order whatever it is: each replication draws at
-# least one whole block, and a smaller block costs more per draw.
-_BLOCK = 256
-
-
 def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     p = cfg.params
     cap = p.cap
@@ -215,16 +208,13 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
     warmup, horizon = cfg.warmup_time, cfg.horizon_time
     push, pop, replace = heappush, heappop, heapreplace
     u = rng.random
-    # standard exponentials in stream order, a block at a time, chained at C level
-    batches = iter(lambda: [-log1p(-u()) for _ in repeat(None, _BLOCK)], None)
-    draw = chain.from_iterable(batches).__next__
-    # exponential(scale) is scale * standard exponential, and 1.0 * x == x
-    duration = repeat(1.0).__next__ if cfg.duration_mode == "deterministic" else draw
+    # a deterministic service lasts exactly 1.0 and draws nothing
+    sampled = cfg.duration_mode == "exponential"
 
     # (time, sequence number, code): code x < m is an arrival at element x,
     # code m + x a completion at x; the sequence number breaks ties
     armed = [x for x in range(m) if rates[x] > 0]
-    heap = [(scale[x] * draw(), s, x) for s, x in enumerate(armed)]
+    heap = [(scale[x] * -log1p(-u()), s, x) for s, x in enumerate(armed)]
     heapify(heap)
     seq = len(heap)
 
@@ -261,7 +251,7 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                         admits[x] += 1
                         # a call that finds a server idle starts its service
                         if o <= servers[x]:
-                            push(heap, (t + duration(), seq, m + x))
+                            push(heap, (t + (-log1p(-u()) if sampled else 1.0), seq, m + x))
                             seq += 1
                         if not x:
                             times[o - 1] += t - last
@@ -269,7 +259,7 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                         occ[x] = o
                 else:
                     blocks[x] += 1
-                replace(heap, (t + scale[x] * draw(), seq, x))
+                replace(heap, (t + scale[x] * -log1p(-u()), seq, x))
                 seq += 1
             else:  # a completion at x - m
                 x -= m
@@ -280,7 +270,7 @@ def _simulate_once(cfg: SimConfig, tree, rng) -> tuple:
                 occ[x] = o
                 # the freed server takes a waiting call, if any waits
                 if o >= servers[x]:
-                    replace(heap, (t + duration(), seq, m + x))
+                    replace(heap, (t + (-log1p(-u()) if sampled else 1.0), seq, m + x))
                     seq += 1
                 else:
                     pop(heap)

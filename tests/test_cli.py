@@ -139,10 +139,12 @@ class TestWindowCommand:
         (6, ("1", "1e150", "1e155"), "integer division result too large for a float"),
         (49, ("1.2885089446087878e-284", "2.806662057886418e-181",
               "2.1783822470271507e-139"), "float division by zero"),
+        (10**9, ("1e-300", "1", "1"), "alpha_plus is not finite"),
     ])
     def test_extreme_weights_are_usage_error(self, capsys, tmp_path, q, entries, reason):
-        # the window's floats overflow (first) or its leading coefficient
-        # underflows to zero (second); phase_window refuses both
+        # the window's floats overflow (first), its leading coefficient
+        # underflows to zero (second) or its larger root overflows (third);
+        # phase_window refuses all three
         wf = tmp_path / "w.txt"
         wf.write_text("\n".join(entries) + "\n")
         code, out, err = _run(
@@ -150,7 +152,7 @@ class TestWindowCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: window beyond the float range at q = {q}: {reason}\n"
+        assert err == f"error: window beyond the float range at q = {q:.6g}: {reason}\n"
 
     @pytest.mark.parametrize("q", ["500", "1000"])
     def test_infinite_endpoint_is_usage_error(self, capsys, q):
@@ -1052,6 +1054,24 @@ class TestOverflowingWeights:
         ) == (2, "", self.MESSAGE)
         assert stub_fork == []
 
+    EDGE_SUM_MESSAGE = "error: weights too large for floats: the edge partial sum S(2) is inf\n"
+
+    @pytest.mark.parametrize("caps", [(), ("--cv", "2", "--ce", "2")])
+    def test_an_infinite_edge_sum_is_refused(self, capsys, weights, caps):
+        # S(2) = 1e308 + 1e308 is inf, so every ratio of the map would read 0
+        assert _run(
+            capsys, "classify", "--q", "3", "--cap", "2", *caps, "--nu", "2",
+            "--weights", weights("1", "1e308", "1e308"),
+        ) == (2, "", self.EDGE_SUM_MESSAGE)
+
+    def test_an_infinite_edge_sum_is_refused_before_the_pool(self, capsys, stub_fork, weights):
+        assert _run(
+            capsys, "blocking-curve", "--q", "3", "--cap", "2",
+            "--weights", weights("1", "1e308", "1e308"),
+            "--nu-min", "2", "--nu-max", "2", "--nu-step", "1", "--jobs", "2",
+        ) == (2, "", self.EDGE_SUM_MESSAGE)
+        assert stub_fork == []
+
     def test_models_below_the_overflow_still_answer(self, capsys, weights):
         # the denominator overflows on its own at large ratios, giving a ratio of 0
         code, out, _ = _run(
@@ -1148,6 +1168,14 @@ def _model_flags(draw, q: int) -> dict:
 _WEIGHT_DIR = tempfile.TemporaryDirectory(prefix="treeloss-weights-")
 
 
+def _weights_path(entries) -> str:
+    """``file:PATH`` of a weight file holding ``entries``, one a line."""
+    text = "\n".join(entries) + "\n"
+    path = Path(_WEIGHT_DIR.name, hashlib.sha256(text.encode()).hexdigest()[:16])
+    path.write_text(text)
+    return f"file:{path}"
+
+
 def _weight_file(draw, size: int) -> str:
     """``file:PATH`` of the first ``size`` (at most four) entries of a Poisson or
     geometric series in full or in 12 digits, of one that is neither past its
@@ -1158,10 +1186,22 @@ def _weight_file(draw, size: int) -> str:
     entries = draw(st.sampled_from([
         [spell(x) for x in series], ["1", "0.5", "0.3", "0.2"], ["2", "1", "0.25", "0.0625"],
     ]))
-    text = "\n".join(entries[:size]) + "\n"
-    path = Path(_WEIGHT_DIR.name, hashlib.sha256(text.encode()).hexdigest()[:16])
-    path.write_text(text)
-    return f"file:{path}"
+    return _weights_path(entries[:size])
+
+
+# entries at the ends of the float range, and a rate of each ordinary size
+_EXTREME_ENTRY = st.one_of(
+    st.sampled_from(["0", "5e-324", "1e-300", "1", "1e300", "1e308"]),
+    st.floats(0.05, 20.0).map(repr),
+)
+
+
+def _extreme_weight_file(draw, size: int) -> str:
+    """``file:PATH`` of ``size`` weights: up to four drawn entries, or the
+    vector 1, 0, 100 that is not log-concave, repeated to length ``size``."""
+    head = draw(st.one_of(st.lists(_EXTREME_ENTRY, min_size=1, max_size=4),
+                          st.just(["1", "0", "100"])))
+    return _weights_path((head * size)[:size])
 
 
 @st.composite
@@ -1206,6 +1246,8 @@ def _window_argv(draw) -> list:
         "--weights": ("choice", draw(st.sampled_from(["poisson", "geometric"]))),
     }
     if draw(st.booleans()):
+        if draw(st.booleans()):
+            flags["--weights"] = ("choice", _extreme_weight_file(draw, cap + 1))
         flags["--lam"] = ("float", lam)
         return _argv(draw, "window", flags)
     flags["--lam-min"] = ("float", lam)
@@ -1214,11 +1256,14 @@ def _window_argv(draw) -> list:
 
 
 def _single_model_flags(draw) -> dict:
-    """The model flags with --nu, at q up to 10**400."""
+    """The model flags with --nu, at q up to 10**400, and at times a weight
+    file with extreme, zero or not log-concave entries."""
     flags = _model_flags(draw, 3)
     q = st.one_of(st.integers(1, 12), st.integers(0, 400).map(lambda e: 10**e))
     flags["--q"] = ("count", draw(q))
     flags["--nu"] = ("float", draw(st.floats(0.05, 50.0)))
+    if draw(st.booleans()):
+        flags["--weights"] = ("choice", _extreme_weight_file(draw, flags["--ce"][1] + 1))
     return flags
 
 
@@ -1240,26 +1285,26 @@ def _enumerate_argv(draw) -> list:
 
 
 def _main_in_child(argv) -> tuple:
-    """(exit code, stderr) of ``main(argv)`` in a forked child capped at 1 GiB
-    of address space and 60 s, so a missing size guard fails the case instead
-    of exhausting memory; an exception that escapes ``main`` comes back as the
-    code None and its traceback, and a child killed by the alarm sends nothing."""
+    """(exit code, stdout, stderr) of ``main(argv)`` in a forked child capped at
+    1 GiB of address space and 60 s, so a missing size guard fails the case
+    instead of exhausting memory; an exception that escapes ``main`` comes back
+    as the code None and its traceback, and a child killed by the alarm sends nothing."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(r)
             signal.alarm(60)
-            err = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             try:
                 _, hard = resource.getrlimit(resource.RLIMIT_AS)
                 resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
             except Exception:
                 code, err = None, io.StringIO(traceback.format_exc())
             with open(w, "wb") as pipe:
-                pickle.dump((code, err.getvalue()), pipe)
+                pickle.dump((code, out.getvalue(), err.getvalue()), pipe)
         finally:
             os._exit(0)
     os.close(w)
@@ -1289,6 +1334,9 @@ def test_no_input_ends_in_a_traceback(argv):
 @example(["window", "--q", str(10**150), "--cap", "2", "--lam", "5"])
 # the Poisson entries underflow: the model assumption fails, exit 3
 @example(["window", "--q", "6", "--cap", "1000", "--lam", "1"])
+# alpha_plus overflows, and the refusal names q
+@example(["window", "--q", str(10**9), "--cap", "2",
+          "--weights", _weights_path(["1e-300", "1", "1"])])
 def test_no_window_input_ends_in_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1297,23 +1345,38 @@ def test_no_window_input_ends_in_a_traceback(argv):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("argvs", [_classify_argv(), _enumerate_argv()],
-                         ids=["classify", "enumerate"])
-@settings(max_examples=300)
-@given(data=st.data())
-def test_no_classify_or_enumerate_input_ends_in_a_traceback(argvs, data):
-    argv = data.draw(argvs)
+def _check_single_model_run(argv) -> None:
+    """``main(argv)`` exits 0, 2 or 3 without a traceback, and a ``classify``
+    that answers ``multiple`` gives two different limits."""
     # a count above 1,000 that sizes a tree or a weight vector would take a
     # lot of memory past a missing guard, so its case runs in a child
     sizing = {"--cap", "--cv", "--ce", "--height", "--radius"}
     if argv[0] == "enumerate":
         sizing.add("--q")
     if any(flag in sizing and int(v) > 1000 for flag, v in zip(argv[1::2], argv[2::2])):
-        code, err = _main_in_child(argv)
+        code, out, err = _main_in_child(argv)
     else:
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
-        err = stderr.getvalue()
+        out, err = stdout.getvalue(), stderr.getvalue()
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err
+    if argv[0] == "classify" and code == 0:
+        doc = json.loads(out)
+        assert doc["kind"] != "multiple" or doc["even_limit"] != doc["odd_limit"], doc
+
+
+@settings(max_examples=300)
+@given(_classify_argv())
+# S(2) = 1e308 + 1e308 overflowed, and every ratio read 0: `multiple` at [0.0] and [0.0]
+@example(["classify", "--q", "3", "--cap", "2", "--nu", "2",
+          "--weights", _weights_path(["1", "1e308", "1e308"])])
+def test_no_classify_input_ends_in_a_traceback(argv):
+    _check_single_model_run(argv)
+
+
+@settings(max_examples=300)
+@given(_enumerate_argv())
+def test_no_enumerate_input_ends_in_a_traceback(argv):
+    _check_single_model_run(argv)

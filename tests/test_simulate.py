@@ -243,7 +243,7 @@ def _sim_configs(draw):
 
 
 class TestBitIdentity:
-    """The block-drawing event loop gives the per-draw reference's results.
+    """The event loop gives the per-draw reference's results.
 
     Each replication's counts, occupancy law and arrival count are compared
     by ``repr``, which spells every float exactly; ``run`` aggregates those
@@ -275,7 +275,7 @@ class TestBitIdentity:
             reps = _replications(cfg)
         assert repr(reps) == repr(_replications(cfg, _ref_simulate_once))
 
-    def test_readme_configuration_across_blocks(self):
+    def test_readme_configuration(self):
         cfg = SimConfig(
             params=ModelParams(2, 2, 1, 2, poisson_weights(1, 1), poisson_weights(1, 2)),
             tree=TreeSpec("spherical", 1),
@@ -283,10 +283,7 @@ class TestBitIdentity:
             replications=2,
             seed=2024,
         )
-        reps = _replications(cfg)
-        # every arrival draws once, so each replication spans several blocks
-        assert min(rep[-1] for rep in reps) > 2 * simulate._BLOCK
-        assert repr(reps) == repr(_replications(cfg, _ref_simulate_once))
+        assert repr(_replications(cfg)) == repr(_replications(cfg, _ref_simulate_once))
 
 
 class TestWorkers:

@@ -346,6 +346,12 @@ class TestOneRowSum:
             with pytest.raises(ValueError, match="numerator at the node weights is inf"):
                 rooted_state(p, height)
 
+    def test_infinite_edge_sum_is_refused(self):
+        # S(2) = 1e308 + 1e308 overflows, and every ratio of the map would read 0
+        p = ModelParams(3, 2, 1, 2, poisson_weights(2.0, 1), WeightVector((1.0, 1e308, 1e308)))
+        with pytest.raises(ValueError, match=r"edge partial sum S\(2\) is inf"):
+            center_occupancy(p, 2)
+
 
 def _curve_point(nu, p):
     """One point as a ``blocking-curve`` row forms it: nu classified on its
